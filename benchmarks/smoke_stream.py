@@ -1,6 +1,6 @@
 """Stream-mode smoke gate for CI.
 
-Three tripwires around the online execution mode:
+Four tripwires around the online execution mode:
 
 1. **p99 per-message latency** — a `StreamDriver` fed the production
    simulation one record at a time must keep its p99 per-message
@@ -15,7 +15,21 @@ Three tripwires around the online execution mode:
 
 3. **convergence** — the streaming pattern set on the 60-day production
    simulation must agree with single-run batch output on at least
-   ``CONVERGENCE_GATE`` of messages by template.
+   ``CONVERGENCE_GATE`` of messages by template.  Its own pass, with no
+   TTL: eviction deletes, by design, patterns single-run batch keeps.
+
+4. **maintenance** — the feed interleaves the LogHub corpora (constant
+   typed tokens: drift splits) with a churning production stream on an
+   advancing calendar (TTL evictions), so drift merge, drift split and
+   TTL eviction must all fire, and the three passes together may take
+   at most ``MAINTENANCE_SHARE_GATE`` of the stream wall.  Flush and
+   maintenance seconds are timed from outside, around
+   ``StreamDriver.flush`` and ``MiningEngine.flush``.
+
+The stream runs on the production configuration (compiled backends) —
+a share of the wall means little against stages at half speed.  The
+LogHub generator seeds value pools from ``hash(str)``, so the script
+re-executes itself with ``PYTHONHASHSEED=0``.
 
 Writes ``results/BENCH_stream.json``.  Deliberately small — a
 regression tripwire, not a benchmark.
@@ -28,12 +42,16 @@ Usage::
 from __future__ import annotations
 
 import json
+import os
+import random
 import sys
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from repro.core.config import RTGConfig, StreamingConfig
+from repro.core.records import LogRecord
+from repro.loghub.corpus import DATASET_NAMES, load_dataset
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.parser.parser import Parser
@@ -52,34 +70,95 @@ P99_GATE_S = 0.050
 BATCH_REGRESSION = 0.95
 #: stream/batch template agreement on the 60-day simulation
 CONVERGENCE_GATE = 0.95
+#: drift merge + drift split + TTL eviction, as a share of the stream wall
+MAINTENANCE_SHARE_GATE = 0.20
 
-#: the convergence simulation (mirrors tests/core/test_streaming.py)
-N_DAYS, PER_DAY = 60, 150
+#: the simulation: a churning production stream (mirrors
+#: tests/core/test_streaming.py) and, for the stream feed, a slice of
+#: every LogHub corpus per day on a calendar that advances with the days
+N_DAYS, PER_DAY, LOGHUB_PER_DAY = 60, 150, 8
 
-STREAMING = StreamingConfig(
+#: the convergence pass: no TTL, splits only on overwhelming evidence
+CONVERGENCE_STREAMING = StreamingConfig(
     micro_batch_size=25,
     flush_pending=512,
     split_min_matches=256,
 )
+#: the stream feed: every maintenance pass armed
+STREAMING = StreamingConfig(
+    micro_batch_size=25,
+    flush_pending=512,
+    split_min_matches=64,
+    pattern_ttl_days=20,
+)
 
 
-def measure_stream() -> tuple[dict, "SequenceRTG", list]:
-    """Drive the 60-day simulation through a StreamDriver; report
-    latency quantiles and maintenance counters."""
-    source = ProductionStream(
+def production_days() -> list[list[LogRecord]]:
+    return ProductionStream(
         StreamConfig(n_services=8, seed=13, duplicate_fraction=0.3)
-    )
-    days = source.days(N_DAYS, PER_DAY, churn_per_day=1)
-    rtg = SequenceRTG(
-        db=PatternDB(), config=RTGConfig(mode="stream", streaming=STREAMING)
-    )
+    ).days(N_DAYS, PER_DAY, churn_per_day=1)
+
+
+def stream_feed() -> list[list[LogRecord]]:
+    """Production days interleaved with the LogHub half."""
+    rng = random.Random(13)
+    production = production_days()
+    loghub = {}
+    for index, name in enumerate(DATASET_NAMES):
+        lines = load_dataset(name, n=N_DAYS * LOGHUB_PER_DAY, seed=13 + index).lines
+        loghub[name] = [LogRecord(name, line.raw) for line in lines]
+        rng.shuffle(loghub[name])
+    days = []
+    for day in range(N_DAYS):
+        records = list(production[day])
+        for name in DATASET_NAMES:
+            records.extend(
+                loghub[name][day * LOGHUB_PER_DAY:(day + 1) * LOGHUB_PER_DAY]
+            )
+        rng.shuffle(records)
+        days.append(records)
+    return days
+
+
+class _Stopwatch:
+    """Pass-through around a bound method that totals its wall time."""
+
+    def __init__(self, call) -> None:
+        self.call = call
+        self.seconds = 0.0
+
+    def __call__(self, *args, **kwargs):
+        began = time.perf_counter()
+        try:
+            return self.call(*args, **kwargs)
+        finally:
+            self.seconds += time.perf_counter() - began
+
+
+def production_config() -> RTGConfig:
+    config = RTGConfig(mode="stream", streaming=STREAMING)
+    for part in (config.scanner, config.parser, config.analyzer):
+        part.backend = "compiled"
+    return config
+
+
+def measure_stream() -> dict:
+    """Drive the stream feed through a StreamDriver; report latency
+    quantiles, maintenance counters and where the wall went."""
+    days = stream_feed()
+    rtg = SequenceRTG(db=PatternDB(), config=production_config())
     driver = rtg.stream_driver()
+    # a flush is engine.flush (mine + persist) plus the three
+    # maintenance passes; the difference of the two clocks is the latter
+    flush = driver.flush = _Stopwatch(driver.flush)
+    mine = rtg.engine.flush = _Stopwatch(rtg.engine.flush)
     began = time.perf_counter()
-    for day in days:
-        driver.feed(day, now=NOW)
+    for day, records in enumerate(days):
+        driver.feed(records, now=NOW + timedelta(days=day))
     driver.close()
     seconds = time.perf_counter() - began
     stats = driver.stats
+    maintain_s = flush.seconds - mine.seconds
     report = {
         "n_messages": stats.n_messages,
         "msgs_per_s": round(stats.n_messages / seconds),
@@ -91,13 +170,27 @@ def measure_stream() -> tuple[dict, "SequenceRTG", list]:
         "n_drift_merges": stats.n_drift_merges,
         "n_drift_splits": stats.n_drift_splits,
         "n_evicted": stats.n_evicted,
+        "wall_s": round(seconds, 3),
+        "flush_s": round(flush.seconds, 3),
+        "maintain_s": round(maintain_s, 3),
+        "flush_share": round(flush.seconds / seconds, 4),
+        "maintain_share": round(maintain_s / seconds, 4),
     }
-    return report, rtg, days
+    return report
 
 
-def measure_convergence(stream_rtg: SequenceRTG, days: list) -> float:
+def measure_convergence() -> float:
     """Template agreement between the streamed pattern set and batch
     output over the full horizon (both sides parse every record)."""
+    days = production_days()
+    stream_rtg = SequenceRTG(
+        db=PatternDB(),
+        config=RTGConfig(mode="stream", streaming=CONVERGENCE_STREAMING),
+    )
+    driver = stream_rtg.stream_driver()
+    for day in days:
+        driver.feed(day, now=NOW)
+    driver.close()
     records = [record for day in days for record in day]
     batch_rtg = SequenceRTG(db=PatternDB())
     batch_rtg.analyze_by_service(records, now=NOW)
@@ -150,7 +243,7 @@ def batch_baseline() -> int | None:
 
 
 def main() -> int:
-    stream_report, stream_rtg, days = measure_stream()
+    stream_report = measure_stream()
     p99_s = stream_report["p99_latency_ms"] / 1e3
     p99_ok = p99_s < P99_GATE_S
     print(
@@ -159,12 +252,29 @@ def main() -> int:
         f"(gate: {P99_GATE_S * 1e3:.0f} ms) — {'OK' if p99_ok else 'FAIL'}"
     )
 
-    convergence = measure_convergence(stream_rtg, days)
+    convergence = measure_convergence()
     convergence_ok = convergence >= CONVERGENCE_GATE
     print(
         f"convergence: {convergence:.3f} template agreement over "
         f"{N_DAYS} days (gate: {CONVERGENCE_GATE}) — "
         f"{'OK' if convergence_ok else 'FAIL'}"
+    )
+
+    maintenance_ok = (
+        stream_report["n_drift_merges"] > 0
+        and stream_report["n_drift_splits"] > 0
+        and stream_report["n_evicted"] > 0
+        and stream_report["maintain_share"] <= MAINTENANCE_SHARE_GATE
+    )
+    print(
+        f"maintenance: {stream_report['n_drift_merges']} merges, "
+        f"{stream_report['n_drift_splits']} splits, "
+        f"{stream_report['n_evicted']} evictions (each must be > 0) in "
+        f"{stream_report['maintain_s']:.2f} s = "
+        f"{stream_report['maintain_share']:.1%} of the stream wall "
+        f"(gate: {MAINTENANCE_SHARE_GATE:.0%}); flushes "
+        f"{stream_report['flush_share']:.1%} — "
+        f"{'OK' if maintenance_ok else 'FAIL'}"
     )
 
     mine_rate = measure_batch_mine()
@@ -191,6 +301,7 @@ def main() -> int:
                 "p99_latency_s": P99_GATE_S,
                 "batch_regression": BATCH_REGRESSION,
                 "convergence": CONVERGENCE_GATE,
+                "maintenance_share": MAINTENANCE_SHARE_GATE,
             },
             "stream": stream_report,
             "convergence": round(convergence, 4),
@@ -200,8 +311,12 @@ def main() -> int:
     )
     RESULTS.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
-    return 0 if p99_ok and convergence_ok and batch_ok else 1
+    return 0 if p99_ok and convergence_ok and maintenance_ok and batch_ok else 1
 
 
 if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        # byte-identical LogHub lines, whichever interpreter runs this
+        os.environ["PYTHONHASHSEED"] = "0"
+        os.execv(sys.executable, [sys.executable, *sys.argv])
     sys.exit(main())

@@ -35,6 +35,7 @@ by ``tests/core/test_engine.py``, not assumed).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
@@ -240,7 +241,7 @@ class ParseStage(Stage):
                 ctx.unmatched.append(msg)
                 ctx.unmatched_counts.append(n)
             else:
-                pid = hit.pattern.id
+                pid = hit.pattern_id
                 ctx.match_counts[pid] = ctx.match_counts.get(pid, 0) + n
                 if tracker is not None:
                     tracker.observe(pid, hit.pattern, hit.fields, n)
@@ -333,8 +334,11 @@ class PersistStage(Stage):
 
     "The newly found patterns are eventually saved in the database for
     comparison against subsequent batches and exporting" (paper §III).
-    The save threshold applies here; everything for one service commits
-    as a single transaction.  Worker processes substitute
+    The save threshold applies here.  Under the engine the transaction
+    block below nests inside the one that spans the whole mining call
+    (:meth:`MiningEngine._transaction`) and commits nothing itself; it
+    is what keeps a stage driven directly at one commit per service.
+    Worker processes substitute
     :class:`repro.core.parallel.DeltaPersistStage`, which targets the
     worker's private database and accumulates the delta reply.
     """
@@ -501,10 +505,34 @@ class MiningEngine:
             self.persist_stage,
         ]
 
+    @contextmanager
+    def _transaction(self):
+        """One database transaction around a mining call's service loop.
+
+        Yields the list the loop appends each service to *before*
+        running its stages.  The call commits once; if it raises, the
+        database rolls every service of the call back and each listed
+        service's parser and match cache are dropped, so no live parser
+        keeps a pattern the database no longer has — the next call
+        reloads them from the rolled-back rows.
+        """
+        touched: list[str] = []
+        try:
+            with self.rtg.db.transaction():
+                yield touched
+        except BaseException:
+            for service in touched:
+                self.rtg.invalidate_service(service)
+            raise
+
     def run(
         self, records: list[LogRecord], now: datetime | None = None
     ) -> BatchResult:
-        """Execute the workflow over one batch of records."""
+        """Execute the workflow over one batch of records.
+
+        All-or-nothing: the batch's writes commit together, or — when a
+        stage raises — not at all (see :meth:`_transaction`).
+        """
         result = BatchResult(n_records=len(records))
         observers = self.observers
         for observer in observers:
@@ -515,21 +543,25 @@ class MiningEngine:
             by_service.setdefault(record.service, []).append(record)
         result.n_services = len(by_service)
 
-        for service, group in by_service.items():
-            ctx = ServiceBatchContext(service=service, records=group, now=now)
-            for stage in self.stages:
-                for observer in observers:
-                    observer.on_stage_start(stage.name, ctx)
-                stage.run(ctx)
-                for observer in observers:
-                    observer.on_stage_end(stage.name, ctx)
-            result.n_matched += sum(ctx.match_counts.values())
-            result.n_unmatched += sum(ctx.unmatched_counts)
-            result.n_partitions += len(ctx.by_length)
-            result.n_below_threshold += ctx.n_below_threshold
-            result.max_trie_nodes = max(result.max_trie_nodes, ctx.max_trie_nodes)
-            result.n_new_patterns += len(ctx.new_patterns)
-            result.new_patterns.extend(ctx.new_patterns)
+        with self._transaction() as touched:
+            for service, group in by_service.items():
+                touched.append(service)
+                ctx = ServiceBatchContext(service=service, records=group, now=now)
+                for stage in self.stages:
+                    for observer in observers:
+                        observer.on_stage_start(stage.name, ctx)
+                    stage.run(ctx)
+                    for observer in observers:
+                        observer.on_stage_end(stage.name, ctx)
+                result.n_matched += sum(ctx.match_counts.values())
+                result.n_unmatched += sum(ctx.unmatched_counts)
+                result.n_partitions += len(ctx.by_length)
+                result.n_below_threshold += ctx.n_below_threshold
+                result.max_trie_nodes = max(
+                    result.max_trie_nodes, ctx.max_trie_nodes
+                )
+                result.n_new_patterns += len(ctx.new_patterns)
+                result.new_patterns.extend(ctx.new_patterns)
 
         for observer in observers:
             observer.on_batch_end(result)
@@ -559,19 +591,24 @@ class MiningEngine:
         result.n_services = len(services)
         analyze = self.analyze_stage
         persist = self.persist_stage
-        for service in services:
-            ctx = ServiceBatchContext(service=service, records=[], now=now)
-            for stage, step in ((analyze, analyze.flush_into), (persist, persist.run)):
-                for observer in observers:
-                    observer.on_stage_start(stage.name, ctx)
-                step(ctx)
-                for observer in observers:
-                    observer.on_stage_end(stage.name, ctx)
-            result.n_partitions += len(ctx.trie_node_sizes)
-            result.n_below_threshold += ctx.n_below_threshold
-            result.max_trie_nodes = max(result.max_trie_nodes, ctx.max_trie_nodes)
-            result.n_new_patterns += len(ctx.new_patterns)
-            result.new_patterns.extend(ctx.new_patterns)
+        steps = ((analyze, analyze.flush_into), (persist, persist.run))
+        with self._transaction() as touched:
+            for service in services:
+                touched.append(service)
+                ctx = ServiceBatchContext(service=service, records=[], now=now)
+                for stage, step in steps:
+                    for observer in observers:
+                        observer.on_stage_start(stage.name, ctx)
+                    step(ctx)
+                    for observer in observers:
+                        observer.on_stage_end(stage.name, ctx)
+                result.n_partitions += len(ctx.trie_node_sizes)
+                result.n_below_threshold += ctx.n_below_threshold
+                result.max_trie_nodes = max(
+                    result.max_trie_nodes, ctx.max_trie_nodes
+                )
+                result.n_new_patterns += len(ctx.new_patterns)
+                result.new_patterns.extend(ctx.new_patterns)
         for observer in observers:
             observer.on_batch_end(result)
         return result

@@ -142,7 +142,11 @@ class DeltaPersistStage(PersistStage):
     *reported* is advanced in place, so a persistent worker reports
     each increment exactly once across its lifetime.  Only services
     touched by the batch are ever diffed — nothing else can have
-    changed.
+    changed.  The diff reads rows the engine's call-wide transaction
+    has not committed yet; the reply is safe because :meth:`outcome` is
+    built only from a mining call that returned, i.e. after its commit
+    — a call that raises takes the worker (and *reported*) down with
+    it, and the respawn replays from the shared database.
     """
 
     name = "persist"

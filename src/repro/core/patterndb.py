@@ -51,6 +51,13 @@ CREATE TABLE IF NOT EXISTS examples (
 );
 """
 
+#: the column list :meth:`PatternDB._row` unpacks
+_SELECT_ROW = (
+    "SELECT p.id, s.name, p.pattern_text, p.tokens_json, p.complexity,"
+    " p.match_count, p.first_seen, p.last_matched"
+    " FROM patterns p JOIN services s ON s.id = p.service_id"
+)
+
 
 def _utcnow() -> datetime:
     return datetime.now(timezone.utc)
@@ -121,9 +128,10 @@ class PatternDB:
         :meth:`add_example`, :meth:`record_match`, ...) defers its
         commit; the block commits once on success and rolls everything
         back on error.  Nesting is allowed — the outermost block owns
-        the commit.  ``PersistStage`` wraps each service's batch
-        outcome in one transaction, so a batch costs one fsync per
-        touched service instead of one per row.
+        the commit.  ``MiningEngine`` wraps every mining call in one
+        transaction (``PersistStage``'s per-service block nests inside
+        it), so a batch costs one commit however many services it
+        touched.
         """
         if self._tx_depth:
             self._tx_depth += 1
@@ -285,42 +293,48 @@ class PatternDB:
         max_complexity: float = 1.0,
     ) -> list[PatternRow]:
         """Fetch stored rows, optionally filtered for export selection."""
-        query = (
-            "SELECT p.id, s.name, p.pattern_text, p.tokens_json, p.complexity,"
-            " p.match_count, p.first_seen, p.last_matched"
-            " FROM patterns p JOIN services s ON s.id = p.service_id"
-            " WHERE p.match_count >= ? AND p.complexity <= ?"
-        )
+        query = _SELECT_ROW + " WHERE p.match_count >= ? AND p.complexity <= ?"
         params: list = [min_count, max_complexity]
         if service is not None:
             query += " AND s.name = ?"
             params.append(service)
         query += " ORDER BY s.name, p.match_count DESC"
-        out: list[PatternRow] = []
-        for pid, svc, text, tokens_json, cx, count, first, last in self._conn.execute(
-            query, params
-        ):
-            examples = [
-                m
-                for (m,) in self._conn.execute(
-                    "SELECT message FROM examples WHERE pattern_id = ? ORDER BY seq",
-                    (pid,),
-                )
-            ]
-            out.append(
-                PatternRow(
-                    id=pid,
-                    service=svc,
-                    pattern_text=text,
-                    complexity=cx,
-                    match_count=count,
-                    first_seen=first,
-                    last_matched=last,
-                    examples=examples,
-                    tokens_json=tokens_json,
-                )
+        return [self._row(*values) for values in self._conn.execute(query, params)]
+
+    def row(self, pattern_id: str) -> PatternRow | None:
+        """The stored row of one pattern (with its examples), or None.
+
+        The point lookup for callers that hold an id — fetching
+        ``rows(service=...)`` to find one row costs an example query
+        per pattern of the service.
+        """
+        values = self._conn.execute(
+            _SELECT_ROW + " WHERE p.id = ?", (pattern_id,)
+        ).fetchone()
+        return None if values is None else self._row(*values)
+
+    def _row(
+        self, pid, service, text, tokens_json, complexity, count, first, last
+    ) -> PatternRow:
+        """One ``patterns`` result row plus its examples, in seq order."""
+        examples = [
+            m
+            for (m,) in self._conn.execute(
+                "SELECT message FROM examples WHERE pattern_id = ? ORDER BY seq",
+                (pid,),
             )
-        return out
+        ]
+        return PatternRow(
+            id=pid,
+            service=service,
+            pattern_text=text,
+            complexity=complexity,
+            match_count=count,
+            first_seen=first,
+            last_matched=last,
+            examples=examples,
+            tokens_json=tokens_json,
+        )
 
     # ------------------------------------------------------------------
     def prune(self, save_threshold: int) -> int:

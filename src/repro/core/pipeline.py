@@ -136,11 +136,12 @@ class SequenceRTG:
 
         The removal counterpart of :meth:`add_known_pattern`, used by
         stream-mode drift maintenance and TTL eviction.  The cached
-        parser (if any) rebuilds in place with a strictly monotone
-        version bump, so the fast lane's version-pinned match cache
-        entries for this service go stale rather than being trusted —
-        incremental churn never needs a full cache invalidation.  The
-        drift tracker (if the engine carries one) forgets the ids too.
+        parser (if any) rebuilds only the length buckets it loses
+        patterns from, with a strictly monotone version bump, so the
+        fast lane's version-pinned match cache entries for this service
+        go stale rather than being trusted — incremental churn never
+        needs a full cache invalidation.  The drift tracker (if the
+        engine carries one) forgets the ids too.
         Returns how many patterns the DB actually held.
         """
         ids = list(ids)

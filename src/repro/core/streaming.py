@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import TYPE_CHECKING
 
+from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.pattern import Pattern, PatternToken, VarClass
 from repro.core.engine import BatchResult
 from repro.core.records import LogRecord
@@ -288,11 +289,9 @@ class StreamDriver:
         stats.n_messages += len(batch)
         stats.n_matched += result.n_matched
         stats.n_micro_batches += 1
-        hist = self._latency_hist
-        for _ in batch:
-            self.latencies.append(per_message)
-            if hist is not None:
-                hist.observe(per_message)
+        self.latencies.extend([per_message] * len(batch))
+        if self._latency_hist is not None:
+            self._latency_hist.observe(per_message, n=len(batch))
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
@@ -338,6 +337,13 @@ class StreamDriver:
         probe parser built from the new pattern.  The old pattern's
         match count and examples fold into the new one before it
         retires, so no statistics are lost.
+
+        Cost per flush is O(new generals × stored rows of the *same
+        length*): the service's rows are indexed once by the token count
+        the live parser already holds for them, and each row's examples
+        are scanned and enriched at most once, however many generals
+        probe them.  Candidates keep the row order within a length —
+        that order decides which examples fold first.
         """
         rtg = self.rtg
         by_service: dict[str, list[Pattern]] = {}
@@ -345,26 +351,24 @@ class StreamDriver:
             if pattern.n_variables > 0:
                 by_service.setdefault(pattern.service, []).append(pattern)
         for service, generals in by_service.items():
-            rows = rtg.db.rows(service=service)
+            candidates = self._merge_candidates(service)
+            #: example -> (scanned, enriched tokens), filled on first use:
+            #: a probe stops at the first example it misses
+            probe_inputs: dict[str, tuple] = {}
             retired: set[str] = set()
             for general in generals:
                 probe = Parser([general])
                 general_id = general.id
-                for row in rows:
+                n_variables = general.n_variables
+                for row, row_variables in candidates.get(len(general.tokens), ()):
                     if (
                         row.id == general_id
                         or row.id in retired
-                        or not row.examples
-                    ):
-                        continue
-                    old = row.to_pattern()
-                    if (
-                        len(old.tokens) != len(general.tokens)
-                        or old.n_variables >= general.n_variables
+                        or row_variables >= n_variables
                     ):
                         continue
                     if not all(
-                        probe.match(rtg.scanner.scan(example, service=service))
+                        probe.match(*self._probe_input(probe_inputs, service, example))
                         is not None
                         for example in row.examples
                     ):
@@ -378,6 +382,31 @@ class StreamDriver:
                 self.stats.n_drift_merges += len(retired)
                 if self._drift_counter is not None:
                     self._drift_counter.inc(len(retired), event="merge")
+
+    def _merge_candidates(self, service: str) -> dict[int, list[tuple]]:
+        """``(row, variable count)`` of *service*'s stored rows that
+        have examples, by token count, in row order.  The counts come
+        from the live parser's pattern of the same id; a row no live
+        parser holds is decoded instead."""
+        live = self.rtg.parser_for(service)
+        out: dict[int, list[tuple]] = {}
+        for row in self.rtg.db.rows(service=service):
+            if not row.examples:
+                continue
+            pattern = live.get(row.id) or row.to_pattern()
+            out.setdefault(len(pattern.tokens), []).append(
+                (row, pattern.n_variables)
+            )
+        return out
+
+    def _probe_input(self, memo: dict[str, tuple], service: str, example: str):
+        """``(scanned, enriched tokens)`` of one stored example — the
+        arguments of a probe's ``match`` — computed once per *memo*."""
+        pair = memo.get(example)
+        if pair is None:
+            scanned = self.rtg.scanner.scan(example, service=service)
+            pair = memo[example] = (scanned, enrich_tokens(scanned.tokens))
+        return pair
 
     def _drift_split(self, tracker: ValueDriftTracker) -> None:
         """Fold single-valued variables back to constants.
@@ -393,9 +422,7 @@ class StreamDriver:
             self.config.split_min_matches
         ):
             service = pattern.service
-            row = next(
-                (r for r in rtg.db.rows(service=service) if r.id == pid), None
-            )
+            row = rtg.db.row(pid)
             if row is None:
                 tracker.discard(pid)
                 continue

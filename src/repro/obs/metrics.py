@@ -134,7 +134,8 @@ class Histogram(_Metric):
             raise ValueError(f"buckets must be a sorted non-empty sequence, got {buckets}")
         self.buckets = tuple(float(b) for b in buckets)
 
-    def observe(self, value: float, **labels: str) -> None:
+    def observe(self, value: float, n: int = 1, **labels: str) -> None:
+        """Record *n* observations of *value* (identical to *n* calls)."""
         key = _label_key(self._const, labels)
         # index of the first bucket >= value; len(buckets) = +Inf overflow
         i = bisect_left(self.buckets, value)
@@ -143,9 +144,9 @@ class Histogram(_Metric):
             if state is None:
                 state = [[0] * (len(self.buckets) + 1), 0.0, 0]
                 self._samples[key] = state
-            state[0][i] += 1
-            state[1] += value
-            state[2] += 1
+            state[0][i] += n
+            state[1] += n * value
+            state[2] += n
 
     def count(self, **labels: str) -> int:
         with self._lock:

@@ -42,8 +42,9 @@ def build_parser(
     ``"reference"`` (the default) is the trie DFS — the executable
     specification; ``"compiled"`` flattens the same trie into sorted
     match programs.  Both produce identical :class:`MatchResult`\\ s;
-    the compiled one trades a lazy per-version compilation pass for
-    much higher per-message match throughput.
+    the compiled one trades a lazy lowering pass over the length
+    buckets a mutation touched for much higher per-message match
+    throughput.
     """
     config = config or ParserConfig()
     if config.backend not in PARSER_BACKENDS:

@@ -7,8 +7,8 @@ table-driven search-core technique of Cookiecutter's C++ trie and the
 evolving-search-tree framing of USTEP.  Construction, the incremental
 ``add_pattern`` contract, the version counter and the ``enrich`` switch
 are all inherited from the reference parser — the trie stays the source
-of truth — and a compilation pass (re-run lazily whenever ``version``
-moved) lowers it into:
+of truth — and a lowering pass (run lazily, over the length buckets a
+mutation touched and no others) turns it into:
 
 * **match programs** — one flat step array per matchable pattern, each
   step either a literal text (compared by interned-string equality) or
@@ -34,8 +34,10 @@ moved) lowers it into:
   the trie's prefix sharing;
 * **a memoised candidate-frontier cache** — the per-message-length
   merge of the exact bucket with the applicable ignore-rest programs
-  (and its column tables) is built once per length and invalidated on
-  ``version`` bumps.
+  (and its column tables) is built once per length and dropped only
+  when that length's bucket changes; a change to an ignore-rest
+  pattern, which joins the frontier of every sufficiently long length,
+  drops them all.
 
 The rank construction is what makes the backend bit-identical *by
 construction*: the reference search is a fixed-order stack DFS over a
@@ -59,7 +61,7 @@ from __future__ import annotations
 from repro.analyzer.enrich import enrich_tokens, is_email, is_hostname
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.parser.acceptance import TYPE_MASKS_BY_VALUE, VAR_BITS, literal_mask
-from repro.parser.parser import MatchResult, Parser, _Node
+from repro.parser.parser import REST_BUCKET, MatchResult, Parser, _Node
 from repro.scanner.scanner import ScannedMessage
 from repro.scanner.token_types import Token, TokenType
 
@@ -81,7 +83,9 @@ _HOST = TokenType.HOST
 class _Program:
     """One matchable pattern lowered to a flat step array."""
 
-    __slots__ = ("steps", "key", "extract", "rest_name", "pattern", "static")
+    __slots__ = (
+        "steps", "key", "extract", "rest_name", "pattern", "pattern_id", "static"
+    )
 
     def __init__(
         self,
@@ -90,6 +94,7 @@ class _Program:
         extract: tuple,
         rest_name: str | None,
         pattern: Pattern,
+        pattern_id: str,
         static: int,
     ) -> None:
         #: per-position ops: a literal text (str) or an acceptance bit (int)
@@ -102,6 +107,8 @@ class _Program:
         #: ignore-rest variable name, or None for exact-length programs
         self.rest_name = rest_name
         self.pattern = pattern
+        #: the id the leaf's pattern was added under
+        self.pattern_id = pattern_id
         self.static = static
 
 
@@ -119,12 +126,12 @@ class CompiledParser(Parser):
     backend_name = "compiled"
 
     def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
-        #: compiled state, rebuilt lazily when ``version`` moves
-        self._compiled_version = -1
-        #: length -> programs ending at exactly that many tokens
-        self._exact_programs: dict[int, list[_Program]] = {}
+        #: bucket keys whose sub-trie changed since they were lowered
+        self._dirty: set[int] = set()
+        #: bucket key -> lowered programs: per length, the programs
+        #: ending at exactly that many tokens; under ``REST_BUCKET`` the
         #: ignore-rest programs (applicable to any length >= len(steps))
-        self._rest_programs: list[_Program] = []
+        self._programs: dict[int, list[_Program]] = {}
         #: candidate-frontier cache: message length -> (programs in
         #: priority order, per-position column tables, full bitset)
         self._frontier: dict[int, tuple[list, list, int]] = {}
@@ -135,15 +142,31 @@ class CompiledParser(Parser):
         super().__init__(patterns, enrich=enrich)
 
     # -- compilation -----------------------------------------------------
-    def _recompile(self) -> None:
-        """Lower the trie into match programs (and drop the frontier)."""
-        self._exact_programs = {
-            length: self._collect(root, rest_trie=False)
-            for length, root in self._exact.items()
-        }
-        self._rest_programs = self._collect(self._rest_root, rest_trie=True)
-        self._frontier.clear()
-        self._compiled_version = self.version
+    def _bucket_changed(self, key: int) -> None:
+        self._dirty.add(key)
+
+    def _relower(self) -> None:
+        """Lower the dirty buckets into match programs.
+
+        A length's programs, dispatch columns and per-token memos depend
+        on that length's sub-trie and on the ignore-rest programs only,
+        so every other length's frontier stays warm.  An ignore-rest
+        change is the all-lengths case: its programs join the frontier
+        of every length they are short enough for.
+        """
+        dirty = self._dirty
+        if REST_BUCKET in dirty:
+            self._frontier.clear()
+        for key in dirty:
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                self._programs.pop(key, None)
+            else:
+                self._programs[key] = self._collect(
+                    bucket.root, rest_trie=key == REST_BUCKET
+                )
+            self._frontier.pop(key, None)
+        dirty.clear()
 
     @staticmethod
     def _collect(root: _Node, rest_trie: bool) -> list[_Program]:
@@ -160,13 +183,17 @@ class CompiledParser(Parser):
         out: list[_Program] = []
         trie = 1 if rest_trie else 0
 
-        def program(steps, static, extract, rest_name, pattern):
+        def program(steps, static, extract, rest_name, leaf):
+            # every variable edge on the path binds a field, and a
+            # collected ignore-rest pattern ends at its rest variable
+            n_variables = len(extract) + (rest_name is not None)
             return _Program(
                 steps=tuple(steps),
-                key=(-static, pattern.n_variables, trie, len(out)),
+                key=(-static, n_variables, trie, len(out)),
                 extract=tuple(extract),
                 rest_name=rest_name,
-                pattern=pattern,
+                pattern=leaf.pattern,
+                pattern_id=leaf.pattern_id,
                 static=static,
             )
 
@@ -175,12 +202,10 @@ class CompiledParser(Parser):
         while stack:
             node, steps, static, extract = stack.pop()
             if node.pattern is not None and not rest_trie:
-                out.append(program(steps, static, extract, None, node.pattern))
+                out.append(program(steps, static, extract, None, node))
             for vc, name, child in node.variables:
                 if vc is _REST and child.pattern is not None:
-                    out.append(
-                        program(steps, static, extract, name, child.pattern)
-                    )
+                    out.append(program(steps, static, extract, name, child))
             # push order is the reverse of the reference's exploration
             # order (last pushed pops first): literal children first,
             # then variable edges forward — sibling literal order is
@@ -219,8 +244,12 @@ class CompiledParser(Parser):
         typed-token memo stores only the type's class contribution and
         the literal dispatch is re-probed per text.
         """
-        progs = list(self._exact_programs.get(length, ()))
-        progs.extend(p for p in self._rest_programs if len(p.steps) <= length)
+        progs = list(self._programs.get(length, ()))
+        progs.extend(
+            p
+            for p in self._programs.get(REST_BUCKET, ())
+            if len(p.steps) <= length
+        )
         progs.sort(key=lambda p: p.key)
         columns = []
         for i in range(length):
@@ -252,8 +281,8 @@ class CompiledParser(Parser):
         Identical contract to the reference :meth:`Parser.match`,
         including the pre-enriched *tokens* shortcut.
         """
-        if self._compiled_version != self.version:
-            self._recompile()
+        if self._dirty:
+            self._relower()
         if tokens is None:
             tokens = (
                 self._enrich_tokens(scanned.tokens)
@@ -299,7 +328,10 @@ class CompiledParser(Parser):
                 t.text for t in tokens[len(best.steps):]
             )
         return MatchResult(
-            pattern=best.pattern, fields=fields, static_matches=best.static
+            pattern=best.pattern,
+            fields=fields,
+            static_matches=best.static,
+            pattern_id=best.pattern_id,
         )
 
     def _resolve_column(self, column, text: str, ttype) -> int:

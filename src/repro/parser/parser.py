@@ -19,6 +19,12 @@ frontier of the message's length bucket instead of the full pattern
 set.  Within a bucket the ``literals`` dict at each node is the
 first-literal index: the first token narrows the frontier in O(1).
 
+The sub-tries share no node, so the pattern set is maintained one
+*bucket* at a time: :meth:`Parser.add_pattern` walks one bucket and
+:meth:`Parser.remove_patterns` rebuilds only the buckets it removes
+from — adding or retiring a pattern costs its own length bucket, never
+the stored set.
+
 Each pattern-set mutation bumps :attr:`Parser.version`; the fast lane's
 match caches (:mod:`repro.core.fastpath`) use the version to invalidate
 cached outcomes whenever the pattern set changes.  The version contract
@@ -40,13 +46,23 @@ from repro.parser.acceptance import accepts as _accepts
 from repro.scanner.scanner import ScannedMessage
 from repro.scanner.token_types import Token, TokenType
 
-__all__ = ["Parser", "ParserConfig", "MatchResult", "PARSER_BACKENDS"]
+__all__ = [
+    "Parser",
+    "ParserConfig",
+    "MatchResult",
+    "PARSER_BACKENDS",
+    "REST_BUCKET",
+]
 
 #: Recognised values of :attr:`ParserConfig.backend`.
 PARSER_BACKENDS = ("reference", "compiled")
 
 #: Sentinel distinguishing "no cached outcome" from a cached None miss.
 _MISS = object()
+
+#: Bucket key of the shared ignore-rest sub-trie; exact-length sub-tries
+#: are keyed by their token count.
+REST_BUCKET = -1
 
 
 @dataclass(slots=True)
@@ -81,6 +97,10 @@ class MatchResult:
     fields: dict[str, str]
     #: number of static (literal) pattern tokens the message matched
     static_matches: int
+    #: the id *pattern* was added under — ``pattern.id`` as computed
+    #: once by :meth:`Parser.add_pattern`, so callers keying statistics
+    #: by id need not re-render and re-hash the pattern per hit
+    pattern_id: str
 
 
 def _signature(tokens: list[Token]) -> tuple:
@@ -98,17 +118,66 @@ def _signature(tokens: list[Token]) -> tuple:
 
 
 class _Node:
-    __slots__ = ("literals", "variables", "pattern")
+    __slots__ = ("literals", "variables", "pattern", "pattern_id")
 
     def __init__(self) -> None:
         self.literals: dict[str, _Node] = {}
         self.variables: list[tuple[VarClass, str, _Node]] = []  # (class, name, node)
         self.pattern: Pattern | None = None
+        #: the id ``pattern`` was added under (leaves only)
+        self.pattern_id = ""
+
+
+class _Bucket:
+    """One independent sub-trie and the patterns it was built from."""
+
+    __slots__ = ("key", "root", "members", "n_leaves")
+
+    def __init__(self, key: int) -> None:
+        #: token count of the patterns held, or :data:`REST_BUCKET`
+        self.key = key
+        self.root = _Node()
+        #: pattern id -> pattern in first-insertion order — what
+        #: :meth:`Parser.remove_patterns` rebuilds ``root`` from
+        self.members: dict[str, Pattern] = {}
+        #: leaves holding a pattern (ids that differ only in spacing
+        #: share one leaf, so this can be less than ``len(members)``)
+        self.n_leaves = 0
+
+    def insert(self, pattern_id: str, pattern: Pattern) -> None:
+        """Walk *pattern* into the sub-trie and claim its leaf."""
+        node = self.root
+        for tok in pattern.tokens:
+            if not tok.is_variable:
+                node = node.literals.setdefault(tok.text, _Node())
+            else:
+                for vc, name, child in node.variables:
+                    if vc is tok.var_class and name == tok.name:
+                        node = child
+                        break
+                else:
+                    child = _Node()
+                    node.variables.append((tok.var_class, tok.name, child))
+                    node = child
+        if node.pattern is None:
+            self.n_leaves += 1
+        node.pattern = pattern
+        node.pattern_id = pattern_id
+
+
+def _bucket_key(pattern: Pattern) -> int:
+    """The bucket *pattern* lives in: its token count, or
+    :data:`REST_BUCKET` when it carries an ignore-rest variable."""
+    for tok in pattern.tokens:
+        if tok.is_variable and tok.var_class is VarClass.REST:
+            return REST_BUCKET
+    return len(pattern.tokens)
 
 
 @dataclass(slots=True)
 class _Candidate:
     pattern: Pattern
+    pattern_id: str
     fields: dict[str, str]
     static_matches: int
     n_variables: int = field(default=0)
@@ -121,15 +190,12 @@ class Parser:
     backend_name = "reference"
 
     def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
-        #: one sub-trie per exact pattern token count
-        self._exact: dict[int, _Node] = {}
-        #: shared sub-trie for patterns containing an ignore-rest variable
-        self._rest_root = _Node()
-        self._n_rest = 0
-        self._n_patterns = 0
-        #: pattern id -> pattern, the authoritative membership record —
-        #: what :meth:`remove_patterns` rebuilds the tries from
-        self._patterns: dict[str, Pattern] = {}
+        #: one sub-trie per exact pattern token count, plus the shared
+        #: ignore-rest sub-trie under :data:`REST_BUCKET`; a bucket
+        #: exists only while it has members
+        self._buckets: dict[int, _Bucket] = {}
+        #: pattern id -> the bucket holding it, the membership record
+        self._where: dict[str, _Bucket] = {}
         self._enrich = enrich
         #: bumped on every pattern-set mutation; match caches key their
         #: validity on this — a backend-agnostic contract: every backend
@@ -147,63 +213,64 @@ class Parser:
             self.add_pattern(p)
 
     def __len__(self) -> int:
-        return self._n_patterns
+        return sum(bucket.n_leaves for bucket in self._buckets.values())
+
+    def get(self, pattern_id: str) -> Pattern | None:
+        """The live pattern added under *pattern_id*, or None."""
+        bucket = self._where.get(pattern_id)
+        return None if bucket is None else bucket.members[pattern_id]
 
     # ------------------------------------------------------------------
     def add_pattern(self, pattern: Pattern) -> None:
         """Insert one pattern into its parse trie (idempotent per text)."""
-        has_rest = any(
-            tok.is_variable and tok.var_class is VarClass.REST
-            for tok in pattern.tokens
-        )
-        if has_rest:
-            node = self._rest_root
-        else:
-            node = self._exact.setdefault(len(pattern.tokens), _Node())
-        for tok in pattern.tokens:
-            if not tok.is_variable:
-                node = node.literals.setdefault(tok.text, _Node())
-            else:
-                for vc, name, child in node.variables:
-                    if vc is tok.var_class and name == tok.name:
-                        node = child
-                        break
-                else:
-                    child = _Node()
-                    node.variables.append((tok.var_class, tok.name, child))
-                    node = child
-        if node.pattern is None:
-            self._n_patterns += 1
-            if has_rest:
-                self._n_rest += 1
-        node.pattern = pattern
-        self._patterns[pattern.id] = pattern
+        key = _bucket_key(pattern)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _Bucket(key)
+        pattern_id = pattern.id
+        bucket.insert(pattern_id, pattern)
+        bucket.members[pattern_id] = pattern
+        self._where[pattern_id] = bucket
         self.version += 1
+        self._bucket_changed(key)
 
     def remove_patterns(self, ids) -> int:
         """Remove patterns by id; returns how many were present.
 
-        The tries are rebuilt in place from the surviving patterns.
-        ``version`` stays strictly monotone — it bumps once for the
-        removal and once per surviving re-insert, and is never reset —
-        so version-pinned match caches (:mod:`repro.core.fastpath`) and
-        the compiled backend's lazy recompilation can never mistake a
-        pre-removal entry for current: any cache entry pinned to an
-        older version misses, exactly as for additions.
+        Only the buckets removed from are rebuilt, each from its own
+        surviving members in insertion order.  Sub-tries share no node
+        and a pattern never changes bucket, so the result — edge order,
+        leaf owners, and with them the DFS tie-break rank — is exactly
+        what re-inserting every survivor of every bucket would build.
+        ``version`` stays strictly monotone and is never reset, so
+        version-pinned match caches (:mod:`repro.core.fastpath`) can
+        never mistake a pre-removal entry for current: any cache entry
+        pinned to an older version misses, exactly as for additions.
         """
-        drop = {pid for pid in ids if pid in self._patterns}
-        if not drop:
+        touched: dict[int, _Bucket] = {}
+        removed = 0
+        for pattern_id in ids:
+            bucket = self._where.pop(pattern_id, None)
+            if bucket is not None:
+                del bucket.members[pattern_id]
+                touched[bucket.key] = bucket
+                removed += 1
+        if not removed:
             return 0
-        survivors = [p for pid, p in self._patterns.items() if pid not in drop]
-        self._exact = {}
-        self._rest_root = _Node()
-        self._n_rest = 0
-        self._n_patterns = 0
-        self._patterns = {}
         self.version += 1
-        for pattern in survivors:
-            self.add_pattern(pattern)
-        return len(drop)
+        for key, bucket in touched.items():
+            if bucket.members:
+                bucket.root = _Node()
+                bucket.n_leaves = 0
+                for pattern_id, pattern in bucket.members.items():
+                    bucket.insert(pattern_id, pattern)
+            else:
+                del self._buckets[key]
+            self._bucket_changed(key)
+        return removed
+
+    def _bucket_changed(self, key: int) -> None:
+        """Hook: bucket *key* gained, lost or re-ordered patterns."""
 
     # ------------------------------------------------------------------
     def match(
@@ -225,17 +292,18 @@ class Parser:
             tokens = tokens[:-1]
         best: _Candidate | None = None
         self.last_frontier = 0
-        exact = self._exact.get(len(tokens))
-        if exact is not None:
-            best = self._search(exact, tokens, best)
-        if self._n_rest:
-            best = self._search(self._rest_root, tokens, best)
+        # exact bucket first: on full ties the earlier fold wins
+        for key in (len(tokens), REST_BUCKET):
+            bucket = self._buckets.get(key)
+            if bucket is not None:
+                best = self._search(bucket.root, tokens, best)
         if best is None:
             return None
         return MatchResult(
             pattern=best.pattern,
             fields=best.fields,
             static_matches=best.static_matches,
+            pattern_id=best.pattern_id,
         )
 
     def match_many(
@@ -283,14 +351,12 @@ class Parser:
             seen.add(key)
             if idx == len(tokens):
                 if node.pattern is not None:
-                    best = self._better(
-                        best, node.pattern, dict(bindings), static
-                    )
+                    best = self._better(best, node, dict(bindings), static)
                 # an ignore-rest variable can also close the pattern here
                 for vc, name, child in node.variables:
                     if vc is VarClass.REST and child.pattern is not None:
                         best = self._better(
-                            best, child.pattern, dict(bindings), static
+                            best, child, dict(bindings), static
                         )
                 continue
             tok = tokens[idx]
@@ -304,7 +370,7 @@ class Parser:
                         rest = " ".join(t.text for t in tokens[idx:])
                         best = self._better(
                             best,
-                            child.pattern,
+                            child,
                             dict(bindings + ((name, rest),)),
                             static,
                         )
@@ -319,15 +385,16 @@ class Parser:
     @staticmethod
     def _better(
         current: _Candidate | None,
-        pattern: Pattern,
+        leaf: _Node,
         fields: dict[str, str],
         static: int,
     ) -> _Candidate:
         candidate = _Candidate(
-            pattern=pattern,
+            pattern=leaf.pattern,
+            pattern_id=leaf.pattern_id,
             fields=fields,
             static_matches=static,
-            n_variables=pattern.n_variables,
+            n_variables=leaf.pattern.n_variables,
         )
         if current is None:
             return candidate

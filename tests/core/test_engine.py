@@ -304,3 +304,107 @@ class TestPersistSeam:
         assert sorted(persist.seen_services) == ["a", "b"]
         assert rtg.db.rows() == []  # nothing reached the database
         assert "persist" in result.timings  # still timed under its name
+
+
+class _FailingPersist(PersistStage):
+    """Writes like the real stage, then fails on its *fail_at*-th
+    service of the armed call — after that service's rows and parser
+    extensions are already in."""
+
+    def __init__(self, rtg):
+        super().__init__(rtg)
+        self.fail_at = None
+        self.runs = 0
+
+    def arm(self, fail_at):
+        self.fail_at, self.runs = fail_at, 0
+
+    def run(self, ctx):
+        super().run(ctx)
+        self.runs += 1
+        if self.runs == self.fail_at:
+            raise RuntimeError("disk full")
+
+
+def _assert_parsers_mirror_db(rtg, services):
+    """No live parser holds a pattern the database does not."""
+    for service in services:
+        rows = rtg.db.rows(service=service)
+        parser = rtg.parser_for(service)
+        assert len(parser) == len(rows)
+        assert all(parser.get(row.id) is not None for row in rows)
+
+
+class TestOneTransactionPerMiningCall:
+    def test_failed_batch_rolls_back_and_leaves_no_trace(self):
+        batches = batches_for_test(n_batches=3)
+        clean = SequenceRTG(db=PatternDB())
+        faulty = SequenceRTG(db=PatternDB())
+        persist = _FailingPersist(faulty)
+        faulty.engine = MiningEngine(faulty, persist=persist)
+
+        clean.analyze_by_service(batches[0], now=NOW)
+        faulty.analyze_by_service(batches[0], now=NOW)
+        before = full_dump(faulty.db)
+        assert before
+
+        services = list(dict.fromkeys(r.service for r in batches[1]))
+        assert len(services) >= 3
+        persist.arm(fail_at=3)
+        with pytest.raises(RuntimeError, match="disk full"):
+            faulty.analyze_by_service(batches[1], now=NOW)
+        # services one and two had been persisted when the third failed
+        assert persist.runs == 3
+        assert full_dump(faulty.db) == before
+        _assert_parsers_mirror_db(faulty, services)
+
+        persist.arm(fail_at=None)
+        clean.analyze_by_service(batches[2], now=NOW)
+        faulty.analyze_by_service(batches[2], now=NOW)
+        assert full_dump(faulty.db) == full_dump(clean.db)
+
+    def test_failed_flush_rolls_back(self):
+        from repro.core.config import StreamingConfig
+
+        config = RTGConfig(mode="stream", streaming=StreamingConfig(
+            micro_batch_size=50, flush_pending=10 ** 6, flush_interval_s=10 ** 6,
+        ))
+        rtg = SequenceRTG(db=PatternDB(), config=config)
+        persist = _FailingPersist(rtg)
+        rtg.engine = MiningEngine(rtg, persist=persist, deferred_analysis=True)
+        first, second, _ = batches_for_test(n_batches=3)
+        rtg.engine.run(first, now=NOW)
+        rtg.flush(now=NOW)
+        before = full_dump(rtg.db)
+        assert before
+
+        rtg.engine.run(second, now=NOW)
+        matched = full_dump(rtg.db)  # match statistics of the micro-batch
+        services = rtg.engine.analyze_stage.evolving.services()
+        assert len(services) >= 2
+        persist.arm(fail_at=2)
+        with pytest.raises(RuntimeError, match="disk full"):
+            rtg.flush(now=NOW)
+        assert full_dump(rtg.db) == matched
+        _assert_parsers_mirror_db(rtg, services)
+
+    def test_one_commit_per_call(self):
+        class CountingConnection:
+            def __init__(self, conn):
+                self._conn = conn
+                self.commits = 0
+
+            def commit(self):
+                self.commits += 1
+                self._conn.commit()
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        rtg = SequenceRTG(db=PatternDB())
+        conn = rtg.db._conn = CountingConnection(rtg.db._conn)
+        (batch,) = batches_for_test(n_batches=1)
+        assert len({r.service for r in batch}) > 1
+        result = rtg.analyze_by_service(batch, now=NOW)
+        assert result.n_new_patterns > 0
+        assert conn.commits == 1

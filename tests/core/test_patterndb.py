@@ -118,6 +118,23 @@ class TestQueries:
         assert counts["services"] == 2
 
 
+class TestRowLookup:
+    def test_row_equals_the_rows_entry(self):
+        db = PatternDB()
+        pid = db.upsert(
+            make_pattern(support=3, examples=["login a ok", "login b ok"]), now=T0
+        )
+        db.upsert(make_pattern("logout %string%", support=2), now=T1)
+        (expected,) = [row for row in db.rows() if row.id == pid]
+        assert db.row(pid) == expected
+        assert db.row(pid).examples == ["login a ok", "login b ok"]
+
+    def test_unknown_id_is_none(self):
+        db = PatternDB()
+        db.upsert(make_pattern(), now=T0)
+        assert db.row("no-such-id") is None
+
+
 class TestRecordMatch:
     def test_bumps_count_and_date(self):
         db = PatternDB()

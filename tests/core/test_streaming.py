@@ -665,3 +665,131 @@ class TestStreamingConfigValidation:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             StreamingConfig(**kwargs)
+
+
+# ----------------------------------------------------------------------
+# Indexed drift merge == the brute-force pass it replaced
+# ----------------------------------------------------------------------
+
+class BruteForceMergeDriver(StreamDriver):
+    """Test-only oracle: the drift merge as a plain double loop — every
+    general pattern against every stored row of its service, each row
+    decoded and each example scanned afresh for every general."""
+
+    def _drift_merge(self, new_patterns):
+        rtg = self.rtg
+        by_service = {}
+        for pattern in new_patterns:
+            if pattern.n_variables > 0:
+                by_service.setdefault(pattern.service, []).append(pattern)
+        for service, generals in by_service.items():
+            rows = rtg.db.rows(service=service)
+            retired = set()
+            for general in generals:
+                probe = Parser([general])
+                general_id = general.id
+                for row in rows:
+                    if (
+                        row.id == general_id
+                        or row.id in retired
+                        or not row.examples
+                    ):
+                        continue
+                    old = row.to_pattern()
+                    if (
+                        len(old.tokens) != len(general.tokens)
+                        or old.n_variables >= general.n_variables
+                    ):
+                        continue
+                    if not all(
+                        probe.match(rtg.scanner.scan(example, service=service))
+                        is not None
+                        for example in row.examples
+                    ):
+                        continue
+                    rtg.db.record_match(
+                        general_id, n=row.match_count, now=self._now
+                    )
+                    for example in row.examples:
+                        rtg.db.add_example(general_id, example)
+                    retired.add(row.id)
+            if retired:
+                rtg.retire_patterns(service, retired)
+                self.stats.n_drift_merges += len(retired)
+
+
+def drifting_days(n_days=8, seed=5):
+    """LogHub corpora (constant typed tokens: drift splits) interleaved
+    with a churning production stream (merges, evictions), per day."""
+    import random
+
+    from repro.loghub.corpus import load_dataset
+
+    rng = random.Random(seed)
+    per_day = 40
+    loghub = {}
+    for index, name in enumerate(("HDFS", "Linux", "OpenSSH", "Zookeeper")):
+        lines = load_dataset(name, n=per_day * n_days, seed=seed + index).lines
+        loghub[name] = [LogRecord(name, line.raw) for line in lines]
+        rng.shuffle(loghub[name])
+    production = ProductionStream(
+        StreamConfig(n_services=6, seed=seed, duplicate_fraction=0.3)
+    ).days(n_days, 160, churn_per_day=3)
+    days = []
+    for day in range(n_days):
+        records = list(production[day])
+        for name in loghub:
+            records.extend(loghub[name][day * per_day:(day + 1) * per_day])
+        rng.shuffle(records)
+        days.append(records)
+    return days
+
+
+def undated(db):
+    return [
+        {k: v for k, v in entry.items() if k not in ("first_seen", "last_matched")}
+        for entry in full_dump(db)
+    ]
+
+
+class TestIndexedDriftMergeMatchesBruteForce:
+    @pytest.mark.parametrize("parser_backend", PARSER_BACKENDS)
+    def test_same_retirements_same_database(self, parser_backend):
+        streaming = StreamingConfig(
+            micro_batch_size=64,
+            flush_pending=32,
+            flush_interval_s=10 ** 6,
+            pattern_ttl_days=2,
+            split_min_matches=24,
+        )
+        retired = {}
+        dumps = {}
+        stats = {}
+        for cls in (StreamDriver, BruteForceMergeDriver):
+            rtg = stream_rtg(
+                streaming, parser=ParserConfig(backend=parser_backend)
+            )
+            log = retired[cls] = []
+            retire = rtg.retire_patterns
+
+            def recording(service, ids, log=log, retire=retire):
+                ids = list(ids)
+                log.append((service, sorted(ids)))
+                return retire(service, ids)
+
+            rtg.retire_patterns = recording
+            driver = cls(rtg, clock=FakeClock())
+            for day, records in enumerate(drifting_days()):
+                driver.feed(records, now=NOW + timedelta(days=day))
+            driver.close()
+            dumps[cls] = undated(rtg.db)
+            stats[cls] = driver.stats
+
+        indexed, brute = stats[StreamDriver], stats[BruteForceMergeDriver]
+        # all three maintenance passes fired, or the comparison is idle
+        assert indexed.n_drift_merges > 0
+        assert indexed.n_drift_splits > 0
+        assert indexed.n_evicted > 0
+        assert retired[StreamDriver] == retired[BruteForceMergeDriver]
+        assert dumps[StreamDriver] == dumps[BruteForceMergeDriver]
+        assert indexed == brute

@@ -70,3 +70,19 @@ def test_families_sorted_by_name():
 
 def test_empty_registry_renders_empty():
     assert render_prometheus(MetricsRegistry()) == ""
+
+
+def test_weighted_observe_renders_like_repeated_observes():
+    # values exact in binary, so n * value is the repeated sum to the bit
+    weighted, repeated = MetricsRegistry(), MetricsRegistry()
+    for value, n in ((0.0625, 256), (0.5, 3), (8.0, 1), (0.0625, 7)):
+        weighted.histogram("h", buckets=(0.1, 1.0)).observe(
+            value, n=n, stage="scan"
+        )
+        for _ in range(n):
+            repeated.histogram("h", buckets=(0.1, 1.0)).observe(
+                value, stage="scan"
+            )
+    assert render_prometheus(weighted) == render_prometheus(repeated)
+    assert weighted.snapshot() == repeated.snapshot()
+    assert weighted.histogram("h", buckets=(0.1, 1.0)).count(stage="scan") == 267

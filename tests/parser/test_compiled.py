@@ -395,6 +395,84 @@ class TestIncrementalCompilation:
         assert comp.version == ref.version
 
 
+class TestDirtyLengthLowering:
+    """A mutation re-lowers the length bucket it touches and nothing
+    else: the other lengths keep their frontier — programs, dispatch
+    columns and per-token memos — as the very same objects.  (The
+    hypothesis sequence in ``tests/parser/test_parser.py`` proves the
+    matches stay right; this pins what stays warm.)"""
+
+    TEXTS = [
+        "up",
+        "count %integer%",
+        "size %integer%",
+        "a %string% c",
+        "a b %string%",
+        "error %integer% at %string%",
+        "error 42 at %string%",
+    ]
+    PROBES = ["up", "count 3", "a b c", "error 42 at disk"]
+
+    def warm(self):
+        comp = CompiledParser(patterns_from(self.TEXTS))
+        self.match_all(comp)
+        assert sorted(comp._frontier) == [1, 2, 3, 4]
+        return comp, dict(comp._frontier)
+
+    def match_all(self, comp):
+        for probe in self.PROBES:
+            assert comp.match(SC.scan(probe)) is not None
+
+    def test_add_and_remove_touch_one_length(self):
+        comp, before = self.warm()
+        memo = before[2][1][0][3]  # literal-token memo of column 0
+        assert "count" in memo
+
+        added = Pattern.from_text("a %alphanum% c", "svc")
+        comp.add_pattern(added)
+        self.match_all(comp)
+        for length in (1, 2, 4):
+            assert comp._frontier[length] is before[length]
+        assert comp._frontier[3] is not before[3]
+        assert before[2][1][0][3] is memo and "count" in memo
+
+        middle = dict(comp._frontier)
+        assert comp.remove_patterns(
+            [Pattern.from_text("error 42 at %string%", "svc").id]
+        ) == 1
+        self.match_all(comp)
+        for length in (1, 2, 3):
+            assert comp._frontier[length] is middle[length]
+        assert comp._frontier[4] is not middle[4]
+
+    def test_emptied_length_loses_its_programs(self):
+        comp, before = self.warm()
+        assert comp.remove_patterns([Pattern.from_text("up", "svc").id]) == 1
+        assert comp.match(SC.scan("up")) is None
+        assert comp.last_frontier == 0
+        assert 1 not in comp._programs
+        for length in (2, 3, 4):
+            assert comp._frontier[length] is before[length]
+
+    def test_ignore_rest_change_invalidates_every_length(self):
+        comp, before = self.warm()
+        rest = Pattern.from_text("a %ignorerest%", "svc")
+        comp.add_pattern(rest)
+        self.match_all(comp)
+        for length, frontier in before.items():
+            assert comp._frontier[length] is not frontier
+        # the rest program joined every frontier it is short enough for
+        assert comp.match(SC.scan("a b c d e")).pattern is rest
+
+        with_rest = dict(comp._frontier)
+        assert comp.remove_patterns([rest.id]) == 1
+        self.match_all(comp)
+        for length, frontier in with_rest.items():
+            if length in comp._frontier:
+                assert comp._frontier[length] is not frontier
+        assert comp.match(SC.scan("a b c d e")) is None
+
+
 class TestFrontierTelemetry:
     def test_last_frontier_counts_candidates(self):
         patterns = patterns_from(

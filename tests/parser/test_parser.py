@@ -1,6 +1,8 @@
 """Parser: variable acceptance rules, best-match scoring, REST handling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyzer.pattern import Pattern, PatternToken, VarClass
 from repro.parser import Parser
@@ -205,3 +207,206 @@ class TestNoCopy:
         scanned = SC.scan("mail from ops@example.com")
         hit = parser.match(scanned, tokens=enrich_tokens(scanned.tokens))
         assert hit is not None and hit.fields["email"] == "ops@example.com"
+
+
+# ----------------------------------------------------------------------
+# Incremental maintenance: per-bucket add/remove equals a fresh build
+# ----------------------------------------------------------------------
+
+def _spacing_twin(pattern: Pattern) -> Pattern:
+    """Same tokens with one ``is_space_before`` flipped: another text,
+    hence another id, on the very same trie path and leaf."""
+    tokens = [
+        PatternToken(
+            is_variable=t.is_variable,
+            text=t.text,
+            var_class=t.var_class,
+            name=t.name,
+            is_space_before=t.is_space_before,
+        )
+        for t in pattern.tokens
+    ]
+    tokens[-1].is_space_before = not tokens[-1].is_space_before
+    return Pattern(tokens=tokens, service=pattern.service)
+
+
+#: overlapping families across four length buckets and the ignore-rest
+#: bucket — every tie-break level of the matcher has competitors here
+FAMILY = [
+    pattern_from(text)
+    for text in (
+        # shared prefixes
+        "session %string% %string2%",
+        "session closed %string%",
+        "session closed abruptly",
+        "session %string% abruptly",
+        # full ties: same statics, same variable count
+        "a %string% c",
+        "a %alphanum% c",
+        "%string% b c",
+        "a b %string%",
+        # literal vs variable
+        "error %integer% at %string%",
+        "error 42 at %string%",
+        "%string% 42 at disk",
+        "error %integer% at disk",
+        # ignore-rest shadowing
+        "kernel %string% %ignorerest%",
+        "kernel oops %ignorerest%",
+        "kernel oops at %string%",
+        "kernel %string% at %string2%",
+        "session %ignorerest%",
+        # neighbours in other buckets
+        "up",
+        "count %integer%",
+        "job %integer% done",
+    )
+]
+TWINS = (FAMILY[-1], _spacing_twin(FAMILY[-1]))
+FAMILY.append(TWINS[1])
+TWIN_IDS = {p.id for p in TWINS}
+
+PROBES = [
+    SC.scan(message)
+    for message in (
+        "session closed abruptly",
+        "session closed early",
+        "session opened abruptly",
+        "session opened late",
+        "session",
+        "a b c",
+        "a bb c",
+        "a ?? c",
+        "x b c",
+        "a b x",
+        "error 42 at disk",
+        "error 42 at node",
+        "error 7 at disk",
+        "warn 42 at disk",
+        "kernel oops at boot",
+        "kernel oops at boot time today",
+        "kernel panic at boot",
+        "kernel oops",
+        "up",
+        "count 3",
+        "job 5 done",
+        "nothing here matches at all today",
+    )
+]
+
+
+def outcome(hit):
+    if hit is None:
+        return None
+    return (hit.pattern_id, id(hit.pattern), hit.fields, hit.static_matches)
+
+
+def assert_same_matcher(live, fresh):
+    """*live* answers every probe exactly like *fresh*: winner (id and
+    object), fields, static count and frontier telemetry, one by one
+    and through ``match_many``."""
+    assert len(live) == len(fresh)
+    for probe in PROBES:
+        assert outcome(live.match(probe)) == outcome(fresh.match(probe))
+        assert live.last_frontier == fresh.last_frontier
+    assert [outcome(h) for h in live.match_many(PROBES)] == [
+        outcome(h) for h in fresh.match_many(PROBES)
+    ]
+    assert live.last_frontiers == fresh.last_frontiers
+
+
+def _backends():
+    from repro.parser.compiled import CompiledParser
+
+    return (Parser, CompiledParser)
+
+
+_indices = st.integers(0, len(FAMILY) - 1)
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _indices),
+        st.tuples(st.just("remove"), st.lists(_indices, min_size=1, max_size=4)),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+class TestIncrementalMaintenance:
+    """The O(Δ) contract: after any sequence of ``add_pattern`` /
+    ``remove_patterns`` the parser is indistinguishable from one built
+    from scratch from the survivors in first-insertion order."""
+
+    @pytest.mark.parametrize("cls", _backends())
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_steps)
+    def test_any_sequence_equals_fresh_build(self, cls, steps):
+        live = cls()
+        survivors: dict[str, Pattern] = {}
+        for op, arg in steps:
+            version = live.version
+            if op == "add":
+                pattern = FAMILY[arg]
+                if pattern.id in survivors and pattern.id in TWIN_IDS:
+                    # re-adding the twin that lost the shared leaf takes
+                    # it back, which no insertion order of a fresh build
+                    # reproduces (nor did the whole-set rebuild)
+                    continue
+                live.add_pattern(pattern)
+                survivors.setdefault(pattern.id, pattern)
+                assert live.version > version
+            else:
+                ids = [FAMILY[i].id for i in arg]
+                present = {pid for pid in ids if pid in survivors}
+                assert live.remove_patterns(ids) == len(present)
+                for pid in present:
+                    del survivors[pid]
+                if present:
+                    assert live.version > version
+                else:
+                    assert live.version == version
+            assert_same_matcher(live, cls(list(survivors.values())))
+            for pid, pattern in survivors.items():
+                assert live.get(pid) is pattern
+            # the reference matcher is the specification of both
+            reference = Parser(list(survivors.values()))
+            for probe in PROBES:
+                hit, expected = live.match(probe), reference.match(probe)
+                assert (hit is None) == (expected is None)
+                if hit is not None:
+                    assert hit.pattern_id == expected.pattern_id
+                    assert hit.fields == expected.fields
+
+    @pytest.mark.parametrize("cls", _backends())
+    def test_match_result_carries_the_insertion_id(self, cls):
+        parser = cls(FAMILY)
+        for probe in PROBES:
+            hit = parser.match(probe)
+            if hit is not None:
+                assert hit.pattern_id == hit.pattern.id
+                assert parser.get(hit.pattern_id) is hit.pattern
+        assert parser.get("no-such-id") is None
+
+    @pytest.mark.parametrize("cls", _backends())
+    def test_twins_share_a_leaf_and_survive_each_other(self, cls):
+        first, second = TWINS
+        assert first.id != second.id
+        parser = cls([first, second])
+        assert len(parser) == 1  # one leaf, two ids
+        assert parser.match(SC.scan("job 5 done")).pattern_id == second.id
+        assert parser.remove_patterns([second.id]) == 1
+        assert len(parser) == 1
+        assert parser.match(SC.scan("job 5 done")).pattern_id == first.id
+        assert parser.remove_patterns([first.id]) == 1
+        assert len(parser) == 0
+        assert parser.match(SC.scan("job 5 done")) is None
+
+    def test_removal_rebuilds_only_the_buckets_it_removes_from(self):
+        parser = Parser(FAMILY)
+        roots = {key: bucket.root for key, bucket in parser._buckets.items()}
+        assert parser.remove_patterns([pattern_from("a %string% c").id]) == 1
+        for key, bucket in parser._buckets.items():
+            assert (bucket.root is roots[key]) == (key != 3)
+        # the last pattern of a bucket takes the bucket with it
+        assert parser.remove_patterns([pattern_from("up").id]) == 1
+        assert 1 not in parser._buckets
