@@ -252,11 +252,12 @@ class TestSemiConstantExpansion:
 class TestParallelScaleOut:
     def test_service_sharded_speedup(self, benchmark, table_writer):
         """§IV: scaling out by sending groups of services to several
-        Sequence-RTG instances; each shard is independent, so the merged
-        pattern set is identical and wall-clock time drops on multicore."""
+        Sequence-RTG instances, each with its own database; the shards
+        are independent, so their union is the serial pattern set and
+        wall-clock time drops on multicore."""
         import time
 
-        from repro.core.parallel import ParallelSequenceRTG
+        from repro.core.parallel import PersistentParallelSequenceRTG
 
         records = _stream_records(12_000, seed=12)
 
@@ -267,8 +268,10 @@ class TestParallelScaleOut:
             t_serial = time.perf_counter() - t0
 
             t0 = time.perf_counter()
-            parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=4)
-            parallel.analyze_by_service(records)
+            with PersistentParallelSequenceRTG(
+                db=PatternDB(), n_workers=4
+            ) as parallel:
+                parallel.analyze_by_service(records)
             t_parallel = time.perf_counter() - t0
             return t_serial, t_parallel, serial, parallel
 

@@ -17,13 +17,9 @@ faster per line); the *shape* targets are asserted:
   recommendation.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.core.config import RTGConfig
-from repro.core.parallel import ParallelSequenceRTG, PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.workflow.stream import ProductionStream, StreamConfig
@@ -110,153 +106,3 @@ def test_fig5_shape(table_writer, benchmark):
         _RESULTS[("AnalyzeByService", first)] / first
     )
     assert legacy_per_line_growth > rtg_per_line_growth
-
-
-# ---------------------------------------------------------------------------
-# Scale-out: warm persistent pool vs cold per-batch pool
-#
-# The cold pool (the historical ParallelSequenceRTG) forks a fresh
-# worker set for every batch and ships each worker the full known
-# pattern set of its services; workers rebuild parsers and start with
-# cold caches.  The persistent pool spawns once, routes each service to
-# a sticky worker and ships only the pattern *delta* per batch — in
-# steady state that delta is empty.  The gates assert the two wins:
-# ≥2x batch throughput and a per-batch sync payload ≤10% of the cold
-# pool's full re-ship.
-# ---------------------------------------------------------------------------
-
-POOL_WORKERS = 4
-POOL_TIMED_BATCHES = 4  # the ≥4-batch, 4-shard gate workload
-POOL_BATCH_SIZE = 1_000
-
-_POOL_RESULTS: dict[str, dict] = {}
-
-_RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
-_POOL_JSON = os.path.join(_RESULTS_DIR, "BENCH_parallel.json")
-
-
-def _pool_workload():
-    """Seeded DB dump + warmup batch + timed batches + crash batch.
-
-    One continuous duplicate-heavy stream: the seed mining session
-    populates the shared DB (so workers have patterns to receive at
-    spawn), later batches mostly match known patterns — the §IV
-    steady state where sync deltas are empty.
-    """
-    stream = ProductionStream(
-        StreamConfig(n_services=48, seed=17, duplicate_fraction=0.6)
-    )
-    miner = SequenceRTG(db=PatternDB())
-    miner.analyze_by_service(list(stream.records(4_000)))
-    dump = miner.db.dump()
-    batches = [
-        list(stream.records(POOL_BATCH_SIZE))
-        for _ in range(POOL_TIMED_BATCHES + 2)
-    ]
-    return dump, batches
-
-
-def test_pool_cold_batches(benchmark):
-    dump, batches = _pool_workload()
-    engine = ParallelSequenceRTG(
-        db=PatternDB.from_dump(dump), n_workers=POOL_WORKERS
-    )
-    engine.analyze_by_service(batches[0])  # warmup parity with the warm pool
-
-    def run():
-        for batch in batches[1 : POOL_TIMED_BATCHES + 1]:
-            engine.analyze_by_service(batch)
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # untimed probe run measuring what a cold pool re-ships every batch
-    # (track_sync_bytes is off during timing so the cold lane does not
-    # pay a second serialisation it never needs)
-    probe = ParallelSequenceRTG(
-        db=PatternDB.from_dump(dump), n_workers=POOL_WORKERS
-    )
-    probe.track_sync_bytes = True
-    payloads = [
-        probe.analyze_by_service(b).pool.get("sync_bytes", 0)
-        for b in batches[: POOL_TIMED_BATCHES + 1]
-    ]
-    _POOL_RESULTS["cold"] = {
-        "batches_per_s": POOL_TIMED_BATCHES / benchmark.stats["mean"],
-        "sync_bytes_per_batch": sum(payloads[1:]) / POOL_TIMED_BATCHES,
-    }
-
-
-def test_pool_warm_batches(benchmark):
-    dump, batches = _pool_workload()
-    with PersistentParallelSequenceRTG(
-        db=PatternDB.from_dump(dump), n_workers=POOL_WORKERS
-    ) as engine:
-        engine.analyze_by_service(batches[0])  # spawn workers, ship seeds
-
-        def run():
-            for batch in batches[1 : POOL_TIMED_BATCHES + 1]:
-                engine.analyze_by_service(batch)
-
-        benchmark.pedantic(run, rounds=1, iterations=1)
-        sync_bytes = engine.telemetry["sync_bytes"]  # deltas after batch 1
-
-        # robustness exercise: kill one worker, next batch must respawn
-        # it (seeded from the shared DB) and carry on
-        victim = next(h for h in engine._workers if h is not None)
-        victim.process.kill()
-        victim.process.join(timeout=5.0)
-        crash_result = engine.analyze_by_service(batches[POOL_TIMED_BATCHES + 1])
-        assert crash_result.n_records == POOL_BATCH_SIZE
-
-        _POOL_RESULTS["warm"] = {
-            "batches_per_s": POOL_TIMED_BATCHES / benchmark.stats["mean"],
-            "sync_bytes_per_batch": sync_bytes / POOL_TIMED_BATCHES,
-            "seed_bytes": engine.telemetry["seed_bytes"],
-            "respawns": engine.telemetry["respawns"],
-        }
-        assert engine.telemetry["respawns"] == 1
-
-
-def test_pool_warm_vs_cold_summary(table_writer, benchmark):
-    """Assert the scale-out gates and persist machine-readable numbers."""
-    if "cold" not in _POOL_RESULTS or "warm" not in _POOL_RESULTS:
-        pytest.skip("pool timing tests did not run (benchmark disabled?)")
-    benchmark.pedantic(lambda: dict(_POOL_RESULTS), rounds=1, iterations=1)
-    cold, warm = _POOL_RESULTS["cold"], _POOL_RESULTS["warm"]
-    speedup = warm["batches_per_s"] / cold["batches_per_s"]
-
-    table_writer(
-        "fig5_pool_warm_vs_cold.md",
-        ["pool", "batches/s", "sync payload/batch", "respawns"],
-        [
-            ["cold (per-batch fork)", f"{cold['batches_per_s']:.2f}",
-             f"{cold['sync_bytes_per_batch']:,.0f} B", "-"],
-            ["warm (persistent)", f"{warm['batches_per_s']:.2f}",
-             f"{warm['sync_bytes_per_batch']:,.0f} B", warm["respawns"]],
-            ["speedup", f"{speedup:.1f}x", "", ""],
-        ],
-    )
-    os.makedirs(_RESULTS_DIR, exist_ok=True)
-    with open(_POOL_JSON, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "workload": {
-                    "workers": POOL_WORKERS,
-                    "batches": POOL_TIMED_BATCHES,
-                    "batch_size": POOL_BATCH_SIZE,
-                },
-                "cold": {k: round(v, 2) for k, v in cold.items()},
-                "warm": {k: round(v, 2) for k, v in warm.items()},
-                "speedup": round(speedup, 2),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
-
-    # Gate 1: spawning once beats forking every batch
-    assert speedup >= 2.0
-    # Gate 2: after the first batch the delta sync is a sliver of the
-    # cold pool's full-known-set re-ship
-    assert warm["sync_bytes_per_batch"] <= 0.10 * cold["sync_bytes_per_batch"]

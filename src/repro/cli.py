@@ -507,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.exec_mode == "stream":
             return _serve_stream(args, rtg)
         if args.workers != 1:
-            # persistent pool over the same shared DB (the in-process
+            # persistent pool over the same DB handle (the in-process
             # instance is only used for its config/db wiring)
             from repro.core.parallel import PersistentParallelSequenceRTG
 

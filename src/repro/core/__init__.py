@@ -14,6 +14,8 @@ production-ready tool described in §III of the paper:
   pluggable :class:`~repro.core.engine.StageObserver` instrumentation;
 * :class:`~repro.core.pipeline.SequenceRTG` — the serial front end over
   the engine, plus the seminal ``Analyze`` mode for comparison;
+* :class:`~repro.core.parallel.PersistentParallelSequenceRTG` — the
+  scale-out front end: one serial miner per shard file of the database;
 * :mod:`repro.core.export` — syslog-ng patterndb XML, YAML and Logstash
   Grok exporters.
 """
@@ -26,14 +28,10 @@ from repro.core.engine import (
     ServiceBatchContext,
     StageObserver,
 )
-from repro.core.fastpath import FastPath, LRUCache, PatternJournal
+from repro.core.fastpath import FastPath, LRUCache
 from repro.core.ingest import StreamIngester, parse_record
-from repro.core.parallel import (
-    ParallelSequenceRTG,
-    PersistentParallelSequenceRTG,
-    route_service,
-)
-from repro.core.patterndb import PatternDB, PatternRow
+from repro.core.parallel import PersistentParallelSequenceRTG
+from repro.core.patterndb import PatternDB, PatternRow, route_service
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 
@@ -41,7 +39,6 @@ __all__ = [
     "RTGConfig",
     "FastPath",
     "LRUCache",
-    "PatternJournal",
     "StreamIngester",
     "parse_record",
     "PatternDB",
@@ -52,7 +49,6 @@ __all__ = [
     "ServiceBatchContext",
     "StageObserver",
     "SequenceRTG",
-    "ParallelSequenceRTG",
     "PersistentParallelSequenceRTG",
     "route_service",
     "LogRecord",

@@ -140,9 +140,10 @@ class RTGConfig:
     #: path; off removes the observer entirely for overhead comparisons
     #: (``benchmarks/smoke_obs.py`` gates the cost of leaving it on)
     enable_metrics: bool = True
-    #: worker processes for the persistent parallel engine
-    #: (:class:`repro.core.parallel.PersistentParallelSequenceRTG`);
-    #: 0 means one per available CPU minus one for the parent
+    #: worker processes of the pool
+    #: (:class:`repro.core.parallel.PersistentParallelSequenceRTG`) —
+    #: also the number of shard files the pattern database is laid out
+    #: over; 0 means one per available CPU minus one for the parent
     pool_workers: int = 0
     #: batches the pipelined ingester's reader thread keeps ready ahead
     #: of analysis (:meth:`repro.core.ingest.StreamIngester.batches_pipelined`)

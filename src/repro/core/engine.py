@@ -2,10 +2,8 @@
 
 The paper's Fig. 2 workflow — service partition → scan → parse known →
 token-count partition → per-trie analyse → persist — used to be inlined
-in :meth:`repro.core.pipeline.SequenceRTG.analyze_by_service` and then
-re-implemented in fragments by the cold worker pool, the persistent
-worker loop and the warm pool's merge path.  This module makes the
-workflow an explicit object instead:
+in :meth:`repro.core.pipeline.SequenceRTG.analyze_by_service`.  This
+module makes the workflow an explicit object instead:
 
 * :class:`ServiceBatchContext` — the typed carrier of one service
   group's intermediate state (scanned messages, dedup multiplicities,
@@ -17,20 +15,18 @@ workflow an explicit object instead:
   ``run(context)``;
 * :class:`StageObserver` — the single instrumentation channel.
   Stage timings (:class:`TimingObserver`), fast-lane cache deltas
-  (:class:`FastPathObserver`) and worker-pool counters (the pool's own
-  observer in :mod:`repro.core.parallel`) all feed
-  :class:`BatchResult` through the same four hooks instead of three
-  ad-hoc telemetry paths;
+  (:class:`FastPathObserver`) and metrics
+  (:class:`repro.obs.observer.MetricsObserver`) all feed
+  :class:`BatchResult` through the same four hooks instead of ad-hoc
+  telemetry paths;
 * :class:`MiningEngine` — partitions a batch by service and drives each
   group through the stages, notifying observers around every stage.
 
-Every execution path runs this one engine.  The serial miner uses the
-default :class:`PersistStage` (shared database); pool workers substitute
-:class:`repro.core.parallel.DeltaPersistStage`, which writes the
-worker's private database and accumulates the delta reply for the
-parent — the persistence seam is the *only* difference between the
-paths, which is what keeps their mined output bit-identical (asserted
-by ``tests/core/test_engine.py``, not assumed).
+Every execution path runs this one engine: a pool worker
+(:mod:`repro.core.parallel`) is a serial miner over its own shard file,
+so there is nothing for the paths to differ in — which is what keeps
+their mined output bit-identical (asserted by
+``tests/core/test_engine.py``, not assumed).
 """
 
 from __future__ import annotations
@@ -87,8 +83,8 @@ class BatchResult:
     #: :meth:`repro.core.fastpath.FastPath.snapshot` deltas
     cache: dict[str, int] = field(default_factory=dict)
     #: worker-pool telemetry for this batch (empty for in-process runs):
-    #: workers used, spawns/respawns, delta-sync and replay payloads —
-    #: see :class:`repro.core.parallel.PersistentParallelSequenceRTG`
+    #: workers used, spawns, respawns — see
+    #: :class:`repro.core.parallel.PersistentParallelSequenceRTG`
     pool: dict[str, int] = field(default_factory=dict)
     #: JSON-compatible dump of this batch's metrics-registry delta
     #: (:mod:`repro.obs`): stage latency histograms, per-service
@@ -338,9 +334,6 @@ class PersistStage(Stage):
     block below nests inside the one that spans the whole mining call
     (:meth:`MiningEngine._transaction`) and commits nothing itself; it
     is what keeps a stage driven directly at one commit per service.
-    Worker processes substitute
-    :class:`repro.core.parallel.DeltaPersistStage`, which targets the
-    worker's private database and accumulates the delta reply.
     """
 
     name = "persist"
@@ -471,21 +464,18 @@ class MiningEngine:
     Partitions the batch by service ("a first partitioning of the data
     which groups the log records into subsets by service") and runs
     every group through scan → parse → partition-by-length → analyse →
-    persist, notifying *observers* around each stage.  *persist*
-    substitutes the persistence seam — the only stage the execution
-    paths (serial, cold shard, warm worker) differ in.
+    persist, notifying *observers* around each stage.
 
     In *deferred-analysis* mode (stream execution) the analyze stage
     only absorbs into the engine's evolving state; :meth:`flush` later
     mines everything pending and persists it through the same persist
-    seam and observer events a batch would use.
+    stage and observer events a batch would use.
     """
 
     def __init__(
         self,
         rtg: "SequenceRTG",
         observers: list[StageObserver] | None = None,
-        persist: PersistStage | None = None,
         deferred_analysis: bool = False,
         field_tracker=None,
     ) -> None:
@@ -496,7 +486,7 @@ class MiningEngine:
             default_observers(rtg) if observers is None else list(observers)
         )
         self.analyze_stage = AnalyzeStage(rtg, deferred=deferred_analysis)
-        self.persist_stage = persist or PersistStage(rtg)
+        self.persist_stage = PersistStage(rtg)
         self.stages: list[Stage] = [
             ScanStage(rtg),
             ParseStage(rtg, field_tracker=field_tracker),
@@ -623,7 +613,7 @@ def drive_stream(miner, batches, now: datetime | None = None):
 
     The one stream driver behind every front end's ``process_stream``:
     *miner* is anything with an ``analyze_by_service(records, now=...)``
-    — the serial :class:`~repro.core.pipeline.SequenceRTG` or either
+    — the serial :class:`~repro.core.pipeline.SequenceRTG` or the
     worker pool — and *batches* is any iterable of record lists,
     typically :meth:`repro.core.ingest.StreamIngester.batches` or
     ``batches_pipelined``.

@@ -49,8 +49,6 @@ from repro.scanner.scanner import ScannedMessage, Scanner
 __all__ = [
     "LRUCache",
     "FastPath",
-    "PatternJournal",
-    "JournalEntry",
     "token_signature",
 ]
 
@@ -126,72 +124,6 @@ class LRUCache:
     def clear(self) -> None:
         """Drop all entries (counters are preserved)."""
         self._data.clear()
-
-
-@dataclass(slots=True, frozen=True)
-class JournalEntry:
-    """One pattern-set addition, stamped with its journal sequence."""
-
-    seq: int
-    service: str
-    pattern: dict  # Pattern.to_dict()
-    #: worker index that discovered the pattern, or None for parent-side
-    #: additions (imports, promotions, pre-seeded databases)
-    origin: int | None = None
-
-
-class PatternJournal:
-    """Append-only log of pattern-set growth with a monotone cursor.
-
-    The pattern-set *version* primitive behind delta sync: every pattern
-    that enters the shared database is appended exactly once, and
-    :attr:`head` — the number of entries so far — only ever grows.  A
-    consumer (one persistent worker, say) remembers the head it last
-    synced to and asks :meth:`since` for everything after it; shipping
-    those entries and advancing the cursor to the current head is a
-    complete, O(new patterns) synchronisation, however many batches the
-    consumer slept through.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self) -> None:
-        self._entries: list[JournalEntry] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def head(self) -> int:
-        """Cursor just past the newest entry (monotonically increasing)."""
-        return len(self._entries)
-
-    def append(self, service: str, pattern: dict, origin: int | None = None) -> int:
-        """Record one pattern addition; returns the new head cursor."""
-        self._entries.append(
-            JournalEntry(
-                seq=len(self._entries), service=service,
-                pattern=pattern, origin=origin,
-            )
-        )
-        return len(self._entries)
-
-    def since(self, cursor: int) -> list[JournalEntry]:
-        """Entries appended after *cursor* (a previously observed head)."""
-        if cursor < 0:
-            raise ValueError(f"cursor must be >= 0, got {cursor}")
-        return self._entries[cursor:]
-
-    def lag(self, cursor: int) -> int:
-        """Entries a consumer at *cursor* has not yet synced.
-
-        The pool's cursor-lag gauge (``rtg_journal_lag``): how far a
-        worker's pattern view trailed the journal head when its shard
-        was dispatched.
-        """
-        if cursor < 0:
-            raise ValueError(f"cursor must be >= 0, got {cursor}")
-        return max(0, len(self._entries) - cursor)
 
 
 @dataclass(slots=True)

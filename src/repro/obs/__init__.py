@@ -7,10 +7,10 @@ metrics registry (:mod:`repro.obs.metrics`), Prometheus text exposition
 (:mod:`repro.obs.server`) and the :class:`StageObserver` that feeds the
 registry from the staged mining engine (:mod:`repro.obs.observer`).
 
-All three execution paths — serial :class:`~repro.core.pipeline.SequenceRTG`,
-the cold pool and the warm persistent pool — publish into a registry
-reachable as ``miner.metrics``; pool workers aggregate into the parent's
-registry by shipping snapshot deltas with their batch replies.
+Both execution paths — serial :class:`~repro.core.pipeline.SequenceRTG`
+and the persistent worker pool — publish into a registry reachable as
+``miner.metrics``; pool workers aggregate into the parent's registry by
+shipping snapshot deltas with their batch replies.
 """
 
 from repro.obs.exposition import CONTENT_TYPE, render_prometheus

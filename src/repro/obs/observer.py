@@ -15,9 +15,9 @@ first-class metrics:
 
 Inside pool workers ``batch_level`` is switched off: a worker only
 accumulates the stage-level signal and ships the registry delta with
-its :class:`~repro.core.parallel._ShardOutcome`; the parent folds the
-batch-level aggregates exactly once from the merged result via
-:func:`fold_batch_result`, so nothing is double-counted.
+its reply; the parent folds the batch-level aggregates exactly once
+from the summed result via :func:`fold_batch_result`, so nothing is
+double-counted.
 """
 
 from __future__ import annotations
@@ -50,11 +50,8 @@ METRIC_HELP = {
     "rtg_fastlane_events_total": "Duplicate-aware fast lane events (scan/match cache hits, misses, evictions; dedup outcomes)",
     "rtg_patterndb_rows": "Pattern database row counts, by table",
     "rtg_patterndb_patterns": "Stored patterns, by service",
-    "rtg_journal_lag": "Pattern-journal entries a pool worker had not yet synced at dispatch time",
     "rtg_pool_workers": "Worker processes used by the last pool batch",
     "rtg_pool_events_total": "Worker pool lifecycle events (spawn, respawn)",
-    "rtg_pool_sync_patterns_total": "Patterns delta-synced to pool workers",
-    "rtg_pool_sync_bytes_total": "Bytes of delta-sync payload shipped to pool workers",
     "rtg_ingest_lines_total": "Stream items consumed by the ingest tier (network frames carry a source label: tcp, unix, http; the file-fed ingester reports unlabelled)",
     "rtg_ingest_malformed_total": "Stream items dropped as malformed (bad JSON or missing service/message fields), by source on the network path",
     "rtg_ingest_reader_leaks_total": "Pipelined-ingest reader threads that failed to exit within join_timeout when their generator closed",
@@ -104,8 +101,8 @@ class MetricsObserver(StageObserver):
                  parse_backend: str = "reference",
                  analyze_backend: str = "reference") -> None:
         self.registry = registry
-        #: pattern database whose sizes are published at batch end (the
-        #: shared DB serially, ``None`` inside pool workers)
+        #: pattern database whose sizes are published at batch end
+        #: (``None`` inside pool workers: the parent publishes the union)
         self.db = db
         #: fold batch-level aggregates and fill ``BatchResult.metrics``;
         #: off inside pool workers, whose deltas the parent folds once
@@ -217,9 +214,9 @@ def fold_batch_result(registry: MetricsRegistry, result: BatchResult,
     """Fold one finished batch's aggregates into *registry*.
 
     The batch-level half of the metrics seam, shared by the serial
-    observer and the pool front ends (which have no stage events of
-    their own — their stage-level signal arrives as merged worker
-    deltas).  Must run exactly once per batch per registry.
+    observer and the pool front end (which has no stage events of
+    its own — its stage-level signal arrives as merged worker deltas).
+    Must run exactly once per batch per registry.
     """
     registry.counter(
         "rtg_batches_total", METRIC_HELP["rtg_batches_total"]
@@ -248,16 +245,6 @@ def fold_batch_result(registry: MetricsRegistry, result: BatchResult,
         for event in ("spawns", "respawns"):
             if pool.get(event, 0):
                 events.inc(pool[event], event=event.rstrip("s"))
-        if pool.get("sync_patterns", 0):
-            registry.counter(
-                "rtg_pool_sync_patterns_total",
-                METRIC_HELP["rtg_pool_sync_patterns_total"],
-            ).inc(pool["sync_patterns"])
-        if pool.get("sync_bytes", 0):
-            registry.counter(
-                "rtg_pool_sync_bytes_total",
-                METRIC_HELP["rtg_pool_sync_bytes_total"],
-            ).inc(pool["sync_bytes"])
 
     if db is not None:
         observe_patterndb(registry, db)

@@ -5,7 +5,7 @@ thread) and the mining dispatcher (consumer: one background thread that
 feeds the engine).  Records are routed onto one of *n_shards* FIFO
 queues by the **same** ``crc32(service) % n`` hash the persistent
 worker pool uses for sticky routing
-(:func:`repro.core.parallel.route_service`), so shard *i*'s queue holds
+(:func:`repro.core.patterndb.route_service`), so shard *i*'s queue holds
 exactly the records the file-fed path would have dispatched to worker
 *i* — network serving changes where records wait, never where they
 mine.
@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 
-from repro.core.parallel import route_service
+from repro.core.patterndb import route_service
 from repro.core.records import LogRecord
 
 __all__ = ["ShardRouter", "OVERLOAD_POLICIES"]

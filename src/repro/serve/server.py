@@ -15,8 +15,8 @@
   records per cycle (k-way merge on arrival order) and feeds them to
   the miner: per-shard lists straight into
   :meth:`~repro.core.parallel.PersistentParallelSequenceRTG.analyze_sharded`
-  (the PR 2 journal/delta-sync seam — worker processes overlap each
-  other and the event loop), the single ordered list into a serial
+  (worker processes overlap each other and the event loop), the
+  single ordered list into a serial
   :class:`~repro.core.pipeline.SequenceRTG`, or record-by-record into a
   :class:`~repro.core.streaming.StreamDriver` in stream mode.
 

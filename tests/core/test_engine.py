@@ -1,10 +1,10 @@
 """Staged mining engine: cross-path equivalence and observer contract.
 
-The tentpole invariant: serial, cold-pool and warm-pool front ends run
-the *same* :class:`~repro.core.engine.MiningEngine` — only the
-persistence seam differs — so their full database dumps (ids, texts,
-token structures, supports, examples, timestamps) are bit-identical,
-with the fast lane on or off.
+The tentpole invariant: the serial front end and the worker pool run the
+*same* :class:`~repro.core.engine.MiningEngine` — a pool worker is a
+serial miner over its own shard file — so their full database dumps
+(ids, texts, token structures, supports, examples, timestamps) are
+bit-identical, with the fast lane on or off.
 """
 
 from datetime import datetime, timezone
@@ -19,7 +19,7 @@ from repro.core.engine import (
     TimingObserver,
 )
 from repro.core.fastpath import FastPath
-from repro.core.parallel import ParallelSequenceRTG, PersistentParallelSequenceRTG
+from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
@@ -53,7 +53,7 @@ class TestCrossPathEquivalence:
     """Same engine + same batches ⇒ same database, whatever drives it."""
 
     @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_serial_cold_warm_dumps_bit_identical(self, enable_fastpath):
+    def test_serial_and_pool_dumps_bit_identical(self, enable_fastpath):
         config = RTGConfig(enable_fastpath=enable_fastpath)
         batches = batches_for_test()
 
@@ -61,19 +61,14 @@ class TestCrossPathEquivalence:
         for _ in serial.process_stream(batches, now=NOW):
             pass
 
-        cold = ParallelSequenceRTG(db=PatternDB(), config=config, n_workers=3)
-        for _ in cold.process_stream(batches, now=NOW):
-            pass
-
         with PersistentParallelSequenceRTG(
             db=PatternDB(), config=config, n_workers=3
-        ) as warm:
-            for _ in warm.process_stream(batches, now=NOW):
+        ) as pool:
+            for _ in pool.process_stream(batches, now=NOW):
                 pass
             reference = full_dump(serial.db)
             assert reference  # the stream must actually mine something
-            assert full_dump(cold.db) == reference
-            assert full_dump(warm.db) == reference
+            assert full_dump(pool.db) == reference
 
     def test_fastpath_does_not_change_the_dump(self):
         batches = batches_for_test()
@@ -107,8 +102,8 @@ class TestCrossPathEquivalence:
         assert dumps[0]
         assert dumps[0] == dumps[1]
 
-    def test_serial_cold_warm_bit_identical_with_compiled_parser(self):
-        """The compiled matcher keeps all three execution paths on the
+    def test_serial_and_pool_bit_identical_with_compiled_parser(self):
+        """The compiled matcher keeps both execution paths on the
         reference backend's exact database."""
         batches = batches_for_test()
         reference = SequenceRTG(db=PatternDB(), config=RTGConfig())
@@ -123,17 +118,12 @@ class TestCrossPathEquivalence:
             pass
         assert full_dump(serial.db) == expected
 
-        cold = ParallelSequenceRTG(db=PatternDB(), config=config, n_workers=3)
-        for _ in cold.process_stream(batches, now=NOW):
-            pass
-        assert full_dump(cold.db) == expected
-
         with PersistentParallelSequenceRTG(
             db=PatternDB(), config=config, n_workers=3
-        ) as warm:
-            for _ in warm.process_stream(batches, now=NOW):
+        ) as pool:
+            for _ in pool.process_stream(batches, now=NOW):
                 pass
-            assert full_dump(warm.db) == expected
+            assert full_dump(pool.db) == expected
 
     @pytest.mark.parametrize("enable_fastpath", [True, False])
     def test_analyzer_backend_does_not_change_the_dump(self, enable_fastpath):
@@ -157,9 +147,9 @@ class TestCrossPathEquivalence:
         assert dumps[0]
         assert dumps[0] == dumps[1]
 
-    def test_serial_cold_warm_bit_identical_all_compiled(self):
+    def test_serial_and_pool_bit_identical_all_compiled(self):
         """Satellite: scanner, parser and analyser all compiled at once —
-        the three backends compose, and every execution path stays on
+        the three backends compose, and both execution paths stay on
         the all-reference database."""
         batches = batches_for_test()
         reference = SequenceRTG(db=PatternDB(), config=RTGConfig())
@@ -178,17 +168,12 @@ class TestCrossPathEquivalence:
             pass
         assert full_dump(serial.db) == expected
 
-        cold = ParallelSequenceRTG(db=PatternDB(), config=config, n_workers=3)
-        for _ in cold.process_stream(batches, now=NOW):
-            pass
-        assert full_dump(cold.db) == expected
-
         with PersistentParallelSequenceRTG(
             db=PatternDB(), config=config, n_workers=3
-        ) as warm:
-            for _ in warm.process_stream(batches, now=NOW):
+        ) as pool:
+            for _ in pool.process_stream(batches, now=NOW):
                 pass
-            assert full_dump(warm.db) == expected
+            assert full_dump(pool.db) == expected
 
 
 class _RecordingObserver(StageObserver):
@@ -280,41 +265,19 @@ class TestSnapshotDelta:
         assert result.cache["dedup_duplicates"] == 1
 
 
-class _CountingPersist(PersistStage):
-    """Persistence seam double: counts runs instead of writing."""
-
-    def __init__(self, rtg):
-        super().__init__(rtg)
-        self.seen_services = []
-
-    def run(self, ctx):
-        self.seen_services.append(ctx.service)
-
-
-class TestPersistSeam:
-    def test_custom_persist_stage_replaces_database_writes(self):
-        rtg = SequenceRTG(db=PatternDB())
-        persist = _CountingPersist(rtg)
-        engine = MiningEngine(rtg, persist=persist)
-        records = [
-            LogRecord("a", "alpha beta gamma"),
-            LogRecord("b", "delta epsilon zeta"),
-        ]
-        result = engine.run(records, now=NOW)
-        assert sorted(persist.seen_services) == ["a", "b"]
-        assert rtg.db.rows() == []  # nothing reached the database
-        assert "persist" in result.timings  # still timed under its name
-
-
 class _FailingPersist(PersistStage):
     """Writes like the real stage, then fails on its *fail_at*-th
     service of the armed call — after that service's rows and parser
-    extensions are already in."""
+    extensions are already in.  Swapped into the engine of *rtg* in
+    place of its persist stage."""
 
     def __init__(self, rtg):
         super().__init__(rtg)
         self.fail_at = None
         self.runs = 0
+        engine = rtg.engine
+        engine.stages[engine.stages.index(engine.persist_stage)] = self
+        engine.persist_stage = self
 
     def arm(self, fail_at):
         self.fail_at, self.runs = fail_at, 0
@@ -341,7 +304,6 @@ class TestOneTransactionPerMiningCall:
         clean = SequenceRTG(db=PatternDB())
         faulty = SequenceRTG(db=PatternDB())
         persist = _FailingPersist(faulty)
-        faulty.engine = MiningEngine(faulty, persist=persist)
 
         clean.analyze_by_service(batches[0], now=NOW)
         faulty.analyze_by_service(batches[0], now=NOW)
@@ -370,8 +332,8 @@ class TestOneTransactionPerMiningCall:
             micro_batch_size=50, flush_pending=10 ** 6, flush_interval_s=10 ** 6,
         ))
         rtg = SequenceRTG(db=PatternDB(), config=config)
+        rtg.engine = MiningEngine(rtg, deferred_analysis=True)
         persist = _FailingPersist(rtg)
-        rtg.engine = MiningEngine(rtg, persist=persist, deferred_analysis=True)
         first, second, _ = batches_for_test(n_batches=3)
         rtg.engine.run(first, now=NOW)
         rtg.flush(now=NOW)

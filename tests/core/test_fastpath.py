@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.config import RTGConfig
 from repro.core.fastpath import FastPath, LRUCache, token_signature
-from repro.core.parallel import ParallelSequenceRTG
+from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
@@ -275,40 +275,30 @@ class TestEquivalence:
         batches = self._shuffled_batches(n_batches=2, per_batch=600)
         _, naive_db = self._run_serial(False, batches)
 
-        parallel = ParallelSequenceRTG(
+        with PersistentParallelSequenceRTG(
             db=PatternDB(), config=RTGConfig(enable_fastpath=True), n_workers=3
-        )
-        results = [parallel.analyze_by_service(batch) for batch in batches]
-        # pattern ids and match counts merge to the serial truth
-        naive_counts = {pid: count for pid, _, count, _ in naive_db}
-        parallel_counts = {r.id: r.match_count for r in parallel.db.rows()}
+        ) as parallel:
+            results = [parallel.analyze_by_service(batch) for batch in batches]
+            # the union of the shards is the serial truth
+            naive_counts = {pid: count for pid, _, count, _ in naive_db}
+            parallel_counts = {r.id: r.match_count for r in parallel.db.rows()}
         assert parallel_counts == naive_counts
         for result, batch in zip(results, batches):
             assert result.n_records == len(batch)
             assert result.n_matched + result.n_unmatched == len(batch)
 
-    def test_parallel_single_shard_uses_persistent_instance(self):
+    def test_pool_workers_keep_their_caches_warm_across_batches(self):
         records = [
             LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
             for i in range(8)
         ]
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        parallel.analyze_by_service(records)  # one service → one shard
-        result = parallel.analyze_by_service(records[:4])
-        assert result.n_matched == 4
-        assert result.cache["scan_hits"] == 4  # warm across batches
-        result = parallel.analyze_by_service(records[:4])
-        assert result.cache["match_hits"] == 4
-
-    def test_pool_merge_extends_local_parsers_in_place(self):
-        records = duplicate_heavy_records(n=600, n_services=12)
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=3)
-        parallel.analyze_by_service(records)
-        n_patterns = len(parallel.db.rows())
-        # replaying through the pool matches instead of re-discovering
-        result = parallel.analyze_by_service(records[:200])
-        assert result.n_matched > 0
-        assert len(parallel.db.rows()) == n_patterns
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as parallel:
+            parallel.analyze_by_service(records)  # one service → one worker
+            result = parallel.analyze_by_service(records[:4])
+            assert result.n_matched == 4
+            assert result.cache["scan_hits"] == 4  # warm across batches
+            result = parallel.analyze_by_service(records[:4])
+            assert result.cache["match_hits"] == 4
 
 
 class TestDuplicateStream:
@@ -340,40 +330,6 @@ class TestConfigValidation:
     def test_negative_cache_sizes_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RTGConfig(**kwargs)
-
-
-class TestPatternJournal:
-    def test_head_is_monotone_and_entries_sequenced(self):
-        from repro.core.fastpath import PatternJournal
-
-        journal = PatternJournal()
-        assert journal.head == 0
-        assert journal.append("sshd", {"p": 1}) == 1
-        assert journal.append("httpd", {"p": 2}, origin=1) == 2
-        assert journal.head == 2 == len(journal)
-        entries = journal.since(0)
-        assert [e.seq for e in entries] == [0, 1]
-        assert entries[0].service == "sshd" and entries[0].origin is None
-        assert entries[1].service == "httpd" and entries[1].origin == 1
-
-    def test_since_returns_only_new_entries(self):
-        from repro.core.fastpath import PatternJournal
-
-        journal = PatternJournal()
-        journal.append("a", {"p": 1})
-        cursor = journal.head
-        assert journal.since(cursor) == []
-        journal.append("b", {"p": 2})
-        journal.append("c", {"p": 3})
-        assert [e.service for e in journal.since(cursor)] == ["b", "c"]
-        # old cursors keep working: the log is append-only
-        assert len(journal.since(0)) == 3
-
-    def test_negative_cursor_rejected(self):
-        from repro.core.fastpath import PatternJournal
-
-        with pytest.raises(ValueError):
-            PatternJournal().since(-1)
 
 
 class TestPoolConfigValidation:

@@ -1,13 +1,16 @@
-"""Parallel (service-sharded) AnalyzeByService — cold pool and
-persistent worker pool."""
+"""Service-sharded AnalyzeByService: every pool worker a serial miner
+over its own shard file, the database the union of the shards."""
 
+import os
+import signal
 from datetime import datetime, timezone
+from functools import partial
 
 import pytest
 
 from repro.core.parallel import (
-    ParallelSequenceRTG,
     PersistentParallelSequenceRTG,
+    _worker_main,
     route_service,
     shard_records,
 )
@@ -15,6 +18,8 @@ from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.workflow.stream import ProductionStream, StreamConfig
+
+DAYS = [datetime(2026, 3, day, tzinfo=timezone.utc) for day in range(1, 7)]
 
 
 def records_for_test(n=600, n_services=12, seed=6):
@@ -33,20 +38,25 @@ def batches_for_test(n_batches=5, per_batch=250, n_services=12, seed=6,
     return [list(stream.records(per_batch)) for _ in range(n_batches)]
 
 
-def db_fingerprint(db):
-    """Everything the bit-identical invariant covers: pattern ids,
-    texts, supports (match counts) and stored examples."""
-    return sorted(
-        (row.id, row.service, row.pattern_text, row.match_count,
-         tuple(row.examples))
-        for row in db.rows()
-    )
-
-
 def serial_reference(batches):
+    """A clean serial run, batch *i* stamped with ``DAYS[i]``."""
     serial = SequenceRTG(db=PatternDB())
-    results = [serial.analyze_by_service(batch) for batch in batches]
+    results = [
+        serial.analyze_by_service(batch, now=now)
+        for batch, now in zip(batches, DAYS)
+    ]
     return serial, results
+
+
+def total_matches(db):
+    return sum(row.match_count for row in db.rows())
+
+
+def sshd_records(n=8):
+    return [
+        LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
+        for i in range(n)
+    ]
 
 
 class TestSharding:
@@ -57,6 +67,7 @@ class TestSharding:
         for i, shard in enumerate(shards):
             for record in shard:
                 assert seen.setdefault(record.service, i) == i
+                assert route_service(record.service, 4) == i
 
     def test_all_records_covered(self):
         records = records_for_test()
@@ -66,152 +77,78 @@ class TestSharding:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             shard_records([], 0)
+        with pytest.raises(ValueError):
+            PersistentParallelSequenceRTG(db=PatternDB(), n_workers=-1)
 
 
 class TestEquivalence:
-    def test_same_patterns_as_serial(self):
-        """Sharded mining must produce the identical pattern set — the
-        paper's no-crossover claim made executable."""
-        records = records_for_test()
-        serial = SequenceRTG(db=PatternDB())
-        serial.analyze_by_service(records)
-        serial_ids = {row.id for row in serial.db.rows()}
-
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=3)
-        result = parallel.analyze_by_service(records)
-        parallel_ids = {row.id for row in parallel.db.rows()}
-
-        assert parallel_ids == serial_ids
-        assert result.n_records == len(records)
-        assert result.n_new_patterns == len(parallel_ids)
-
-    def test_single_worker_degenerates_to_serial(self):
-        records = records_for_test(n=200)
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=1)
-        result = parallel.analyze_by_service(records)
-        assert result.n_new_patterns == len(parallel.db.rows())
-
-
-class TestIncremental:
-    def test_second_batch_parses_against_known(self):
-        records = records_for_test()
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        parallel.analyze_by_service(records)
-        n_patterns = len(parallel.db.rows())
-
-        # replay some of the same traffic: should match, not re-discover
-        result = parallel.analyze_by_service(records[:100])
-        assert result.n_matched > 0
-        assert len(parallel.db.rows()) == n_patterns
-
-    def test_match_counts_merged_into_parent_db(self):
-        records = [
-            LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
-            for i in range(8)
-        ]
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        parallel.analyze_by_service(records)
-        (row,) = parallel.db.rows(service="sshd")
-        before = row.match_count
-        parallel.analyze_by_service(records[:3])
-        (row,) = parallel.db.rows(service="sshd")
-        assert row.match_count == before + 3
-
-
-class TestDisjointMergeGuard:
-    def test_split_service_raises_instead_of_double_counting(self, monkeypatch):
-        """If sharding ever stopped being service-disjoint, the same
-        pattern would be discovered by several workers and its support
-        silently summed; the merge must raise instead."""
-        import repro.core.parallel as parallel_mod
-
-        def broken_shard(records, n_shards):
-            # round-robin: tears every service across all shards
-            shards = [[] for _ in range(n_shards)]
-            for i, record in enumerate(records):
-                shards[i % n_shards].append(record)
-            return shards
-
-        monkeypatch.setattr(parallel_mod, "shard_records", broken_shard)
-        records = [
-            LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
-            for i in range(12)
-        ]
-        parallel = ParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        with pytest.raises(RuntimeError, match="service-disjoint"):
-            parallel.analyze_by_service(records)
-
-
-class TestPersistentEquivalence:
-    def test_multi_batch_bit_identical_to_serial(self):
+    def test_multi_batch_dump_identical_to_serial(self):
         """≥5 consecutive batches with discovery spanning batches: the
-        persistent pool's database must be bit-identical to serial —
-        ids, supports, match counts, examples."""
+        union of the shards is the serial database — ids, supports,
+        match counts, dates, examples, in ``rows()`` order."""
         batches = batches_for_test(n_batches=5)
         serial, serial_results = serial_reference(batches)
 
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            for batch, expected in zip(batches, serial_results):
-                result = engine.analyze_by_service(batch)
+            for batch, now, expected in zip(batches, DAYS, serial_results):
+                result = engine.analyze_by_service(batch, now=now)
                 # per-batch aggregate counters match serial too
                 assert result.n_records == expected.n_records
+                assert result.n_services == expected.n_services
                 assert result.n_matched == expected.n_matched
                 assert result.n_unmatched == expected.n_unmatched
                 assert result.n_new_patterns == expected.n_new_patterns
-            assert db_fingerprint(engine.db) == db_fingerprint(serial.db)
-            assert engine.telemetry["batches"] == len(batches)
-            assert engine.telemetry["respawns"] == 0
+                assert sorted(p.id for p in result.new_patterns) == sorted(
+                    p.id for p in expected.new_patterns
+                )
+            assert engine.db.dump() == serial.db.dump()
+            assert engine.db.services() == serial.db.services()
+            assert engine.db.counts() == serial.db.counts()
+            assert engine.telemetry == {"batches": 5, "spawns": 3, "respawns": 0}
+            assert result.pool == {"workers": 3, "spawns": 0, "respawns": 0}
 
-    def test_later_batches_ship_no_patterns(self):
-        """Sticky workers already own their services' patterns: steady
-        state ships records only, never the known set."""
-        batches = batches_for_test(n_batches=4)
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            for batch in batches:
-                result = engine.analyze_by_service(batch)
-                # no parent-side additions, no respawns -> empty deltas
-                assert result.pool["sync_patterns"] == 0
-                assert result.pool["sync_bytes"] == 0
-            assert engine.telemetry["seed_patterns"] == 0
-
-    def test_seeded_database_is_replayed_to_workers(self):
-        """A pre-seeded shared DB reaches workers at spawn: known
-        patterns match instead of being re-discovered."""
+    def test_on_disk_database_reopens_as_the_union(self, tmp_path):
         batches = batches_for_test(n_batches=3)
-        serial, _ = serial_reference(batches[:1])
-        seeded = PatternDB.from_dump(serial.db.dump())
+        serial, _ = serial_reference(batches)
+        path = str(tmp_path / "patterns.db")
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=2) as engine:
+            for batch, now in zip(batches, DAYS):
+                engine.analyze_by_service(batch, now=now)
+        assert {"patterns.db", "patterns.db.0", "patterns.db.1"} <= set(
+            os.listdir(tmp_path)
+        )
+        assert PatternDB(path).dump() == serial.db.dump()
 
-        with PersistentParallelSequenceRTG(db=seeded, n_workers=2) as engine:
-            result = engine.analyze_by_service(batches[0])
-            assert result.n_new_patterns == 0
-            assert result.n_matched > 0
-            assert engine.telemetry["seed_patterns"] > 0
-
-    def test_publish_pattern_reaches_owner_as_delta(self):
-        """Parent-side additions flow to the owning worker via the
-        journal — O(new patterns), not a full re-ship."""
-        miner = SequenceRTG(db=PatternDB())
-        records = [
-            LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
-            for i in range(8)
-        ]
-        mined = miner.analyze_by_service(records)
-        pattern = mined.new_patterns[0]
-
+    def test_second_batch_parses_against_known(self):
+        records = records_for_test()
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
-            # spawn the sshd worker with unrelated traffic first
+            engine.analyze_by_service(records)
+            n_patterns = len(engine.db.rows())
+            # replay some of the same traffic: should match, not re-discover
+            result = engine.analyze_by_service(records[:100])
+            assert result.n_matched > 0
+            assert len(engine.db.rows()) == n_patterns
+
+    def test_publish_pattern_goes_to_the_owning_worker(self):
+        """A parent-side addition is persisted and learnt by the worker
+        that owns its service: it matches from the next batch on."""
+        records = sshd_records()
+        pattern = SequenceRTG(db=PatternDB()).analyze_by_service(
+            records
+        ).new_patterns[0]
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
+            # the sshd worker already holds a live parser
             engine.analyze_by_service(
                 [LogRecord("sshd", f"session opened for root{i}") for i in range(4)]
             )
-            engine.publish_pattern(pattern)
+            assert engine.publish_pattern(pattern) == pattern.id
             result = engine.analyze_by_service(records[:5])
             assert result.n_matched == 5
             assert result.n_new_patterns == 0
-            assert result.pool["sync_patterns"] == 1
-            assert result.pool["sync_bytes"] > 0
-            # the delta is consumed exactly once
-            again = engine.analyze_by_service(records[5:])
-            assert again.pool["sync_patterns"] == 0
+            row = engine.db.row(pattern.id)
+            assert row.match_count == pattern.support + 5
+            owner = PatternDB(engine._shard_paths[engine.worker_for("sshd")])
+            assert owner.row(pattern.id) is not None
 
 
 class TestStickyRouting:
@@ -221,85 +158,125 @@ class TestStickyRouting:
         batches = batches_for_test(n_batches=4)
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
             engine.analyze_by_service(batches[0])
-            pids = {
-                i: handle.process.pid
-                for i, handle in enumerate(engine._workers)
-                if handle is not None
-            }
+            pids = [worker.process.pid for worker in engine._workers]
             for batch in batches[1:]:
                 engine.analyze_by_service(batch)
-            for i, handle in enumerate(engine._workers):
-                if i in pids:
-                    assert handle.process.pid == pids[i]
-            # every service seen by exactly the worker crc32 routes it to
-            seen = {}
-            for i, handle in enumerate(engine._workers):
-                if handle is None:
-                    continue
-                for service in handle.services:
-                    assert seen.setdefault(service, i) == i
-                    assert engine.worker_for(service) == i
-                    assert route_service(service, engine.n_workers) == i
+            assert [worker.process.pid for worker in engine._workers] == pids
+            # every shard file holds exactly the services crc32 routes to it
+            seen = set()
+            for index, path in enumerate(engine._shard_paths):
+                for service in PatternDB(path).services():
+                    assert engine.worker_for(service) == index
+                    seen.add(service)
+            assert seen == {r.service for batch in batches for r in batch}
 
-    def test_route_service_matches_shard_records(self):
-        records = records_for_test()
-        shards = shard_records(records, 4)
-        for i, shard in enumerate(shards):
-            for record in shard:
-                assert route_service(record.service, 4) == i
+
+class TestReshard:
+    """Rows live in the file of ``route_service(service, N)``, whatever
+    wrote them before the pool started."""
+
+    def test_serial_then_pool_equals_all_serial(self, tmp_path):
+        batches = batches_for_test(n_batches=5)
+        serial, _ = serial_reference(batches)
+        path = str(tmp_path / "patterns.db")
+        first = SequenceRTG(db=PatternDB(path))
+        for batch, now in zip(batches[:2], DAYS):
+            first.analyze_by_service(batch, now=now)
+        first.db.close()
+
+        db = PatternDB(path)
+        with PersistentParallelSequenceRTG(db=db, n_workers=2) as engine:
+            for batch, now in zip(batches[2:], DAYS[2:]):
+                engine.analyze_by_service(batch, now=now)
+        assert db.dump() == serial.db.dump()
+        assert PatternDB(path).dump() == serial.db.dump()
+
+    def test_two_then_three_workers_equals_serial(self, tmp_path):
+        batches = batches_for_test(n_batches=5)
+        serial, _ = serial_reference(batches)
+        path = str(tmp_path / "patterns.db")
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=2) as engine:
+            for batch, now in zip(batches[:2], DAYS):
+                engine.analyze_by_service(batch, now=now)
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=3) as engine:
+            for batch, now in zip(batches[2:], DAYS[2:]):
+                engine.analyze_by_service(batch, now=now)
+            for index, shard_path in enumerate(engine._shard_paths):
+                for service in PatternDB(shard_path).services():
+                    assert route_service(service, 3) == index
+        assert PatternDB(path).dump() == serial.db.dump()
+
+    def test_three_then_two_workers_retires_the_third_file(self, tmp_path):
+        batches = batches_for_test(n_batches=4)
+        serial, _ = serial_reference(batches)
+        path = str(tmp_path / "patterns.db")
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=3) as engine:
+            for batch, now in zip(batches[:2], DAYS):
+                engine.analyze_by_service(batch, now=now)
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=2) as engine:
+            for batch, now in zip(batches[2:], DAYS[2:]):
+                engine.analyze_by_service(batch, now=now)
+        assert not os.path.exists(path + ".2")
+        assert PatternDB(path).dump() == serial.db.dump()
+
+    def test_serial_miner_on_a_sharded_path_fails_loudly(self, tmp_path):
+        path = str(tmp_path / "patterns.db")
+        with PersistentParallelSequenceRTG(db=PatternDB(path), n_workers=2) as engine:
+            engine.analyze_by_service(records_for_test(n=200))
+        before = PatternDB(path).dump()
+        serial = SequenceRTG(db=PatternDB(path))
+        # reads are fine (``parse`` loads parsers from the union) ...
+        assert len(serial.parser_for(before[0]["service"])) > 0
+        # ... mining is not: it would fork state into the main file
+        with pytest.raises(RuntimeError, match="sharded over 2 files"):
+            serial.analyze_by_service(records_for_test(n=50))
+        assert PatternDB(path).dump() == before
+
+
+def _dying_worker(conn, path, config, index, *, victim, point, at_call, marker):
+    """Worker target whose *victim* ``kill -9``s itself at *point* of
+    its *at_call*-th call: ``"before_commit"`` — every write of the call
+    made, the transaction still open — or ``"before_reply"`` — the call
+    committed, nothing sent yet.  The respawned worker runs this target
+    too: a *marker* path makes the death happen once, ``None`` every
+    time."""
+    calls = 0
+
+    def die():
+        nonlocal calls
+        calls += 1
+        if calls == at_call and not (marker and os.path.exists(marker)):
+            if marker:
+                open(marker, "w").close()
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    if index == victim and point == "before_commit":
+        store_reply = PatternDB.store_reply
+
+        def store_then_die(self, token, reply):
+            store_reply(self, token, reply)
+            die()
+
+        PatternDB.store_reply = store_then_die
+    elif index == victim:
+        pipe = conn
+
+        class conn:  # the worker's end of the pipe, dying before a send
+            recv = pipe.recv
+            close = pipe.close
+
+            @staticmethod
+            def send_bytes(reply):
+                die()
+                pipe.send_bytes(reply)
+
+    _worker_main(conn, path, config, index)
 
 
 class TestWorkerCrash:
-    def test_kill_between_batches_respawns_and_stays_identical(self):
-        batches = batches_for_test(n_batches=6)
-        serial, _ = serial_reference(batches)
-
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            for i, batch in enumerate(batches):
-                if i == 3:
-                    victim = next(
-                        h for h in engine._workers if h is not None
-                    )
-                    victim.process.kill()
-                    victim.process.join(timeout=5.0)
-                engine.analyze_by_service(batch)
-            assert engine.telemetry["respawns"] >= 1
-            assert engine.telemetry["seed_patterns"] > 0  # replayed from shared DB
-            assert db_fingerprint(engine.db) == db_fingerprint(serial.db)
-
-    def test_kill_mid_batch_replays_and_stays_identical(self):
-        """The robustness criterion: a worker killed after dispatch but
-        before replying loses its in-flight work; the engine respawns
-        it, replays its patterns from the shared DB and re-dispatches
-        the shard — the final database is still bit-identical."""
-        batches = batches_for_test(n_batches=5)
-        serial, _ = serial_reference(batches)
-
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            def crash_one_worker():
-                victim = next(h for h in engine._workers if h is not None)
-                victim.process.kill()
-                victim.process.join(timeout=5.0)
-                engine._post_dispatch_hook = None  # crash only once
-
-            for i, batch in enumerate(batches):
-                if i == 2:
-                    engine._post_dispatch_hook = crash_one_worker
-                engine.analyze_by_service(batch)
-            assert engine.telemetry["respawns"] == 1
-            assert db_fingerprint(engine.db) == db_fingerprint(serial.db)
-
-
-class TestCrashReplayMetrics:
-    """Crash replay must not corrupt the mining metrics.
-
-    Fast-lane counters and latency sums legitimately differ after a
-    respawn (the replacement worker starts with cold caches and its
-    timings are its own), but the mining counters — records in, matched,
-    unmatched, patterns out — and the final pattern dump must be
-    bit-identical to an uninterrupted run: lost in-flight work is
-    re-dispatched, never merged twice.
-    """
+    """The crash contract: whenever a worker dies, exactly one respawn,
+    the database of a run that never crashed (dates included) and every
+    record counted once."""
 
     MINING_COUNTERS = (
         "rtg_records_total",
@@ -308,7 +285,7 @@ class TestCrashReplayMetrics:
         "rtg_patterns_total",
     )
 
-    def mining_counter_samples(self, registry):
+    def mining_counters(self, registry):
         """Full labelled samples of the four mining counters (worker
         labels included: routing is sticky, so a respawned worker keeps
         its index)."""
@@ -318,41 +295,67 @@ class TestCrashReplayMetrics:
             for name in self.MINING_COUNTERS
         }
 
-    def run_stream(self, batches, crash_at=None):
+    def run_pool(self, batches, worker_main=None, kill_before=None):
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            def crash_one_worker():
-                victim = next(h for h in engine._workers if h is not None)
-                victim.process.kill()
-                victim.process.join(timeout=5.0)
-                engine._post_dispatch_hook = None  # crash only once
-
-            for i, batch in enumerate(batches):
-                if i == crash_at:
-                    engine._post_dispatch_hook = crash_one_worker
-                engine.analyze_by_service(batch)
+            if worker_main is not None:
+                engine._worker_main = worker_main
+            for i, (batch, now) in enumerate(zip(batches, DAYS)):
+                if i == kill_before:
+                    victim = engine._workers[0]
+                    victim.process.kill()
+                    victim.process.join(timeout=5.0)
+                    assert not victim.process.is_alive()
+                engine.analyze_by_service(batch, now=now)
             return (
-                db_fingerprint(engine.db),
-                self.mining_counter_samples(engine.metrics),
+                engine.db.dump(),
+                total_matches(engine.db),
+                self.mining_counters(engine.metrics),
                 engine.telemetry["respawns"],
             )
 
-    def test_mid_batch_crash_metrics_identical_to_clean_run(self):
-        batches = batches_for_test(n_batches=5)
-        clean_dump, clean_counters, clean_respawns = self.run_stream(batches)
-        crash_dump, crash_counters, crash_respawns = self.run_stream(
-            batches, crash_at=2
-        )
+    def assert_survived(self, batches, outcome):
+        serial, _ = serial_reference(batches)
+        clean_dump, _, clean_counters, clean_respawns = self.run_pool(batches)
+        dump, matches, counters, respawns = outcome
         assert clean_respawns == 0
-        assert crash_respawns == 1
-        assert crash_dump == clean_dump
-        assert crash_counters == clean_counters
+        assert respawns == 1
+        assert dump == clean_dump == serial.db.dump()
+        assert matches == sum(len(batch) for batch in batches)
+        # lost in-flight work is mined again, committed work is
+        # acknowledged from the stored reply: never counted twice
+        assert counters == clean_counters
+
+    def test_kill_between_batches(self):
+        batches = batches_for_test(n_batches=6)
+        self.assert_survived(batches, self.run_pool(batches, kill_before=3))
+
+    @pytest.mark.parametrize("point", ["before_commit", "before_reply"])
+    def test_kill_inside_a_call(self, point, tmp_path):
+        batches = batches_for_test(n_batches=5)
+        marker = str(tmp_path / "died")
+        worker_main = partial(
+            _dying_worker, victim=1, point=point, at_call=3, marker=marker
+        )
+        outcome = self.run_pool(batches, worker_main=worker_main)
+        assert os.path.exists(marker)  # the victim did die where asked
+        self.assert_survived(batches, outcome)
+
+    def test_worker_that_cannot_run_the_call_raises(self):
+        """A call that kills its worker twice is an error, not a loop."""
+        worker_main = partial(
+            _dying_worker, victim=0, point="before_commit", at_call=1, marker=None
+        )
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=1) as engine:
+            engine._worker_main = worker_main
+            with pytest.raises(RuntimeError, match="died twice"):
+                engine.analyze_by_service(records_for_test(n=50))
 
 
 class TestEngineLifecycle:
     def test_close_is_idempotent_and_terminates_workers(self):
         engine = PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2)
         engine.analyze_by_service(records_for_test(n=120))
-        procs = [h.process for h in engine._workers if h is not None]
+        procs = [w.process for w in engine._workers if w is not None]
         assert procs
         engine.close()
         engine.close()
@@ -368,77 +371,14 @@ class TestEngineLifecycle:
     def test_context_manager_closes(self):
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
             engine.analyze_by_service(records_for_test(n=120))
-            procs = [h.process for h in engine._workers if h is not None]
+            procs = [w.process for w in engine._workers if w is not None]
         for proc in procs:
             assert not proc.is_alive()
 
-    def test_db_stays_usable_after_close(self):
+    def test_db_stays_readable_after_close(self):
         engine = PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2)
         engine.analyze_by_service(records_for_test(n=200))
         n_patterns = len(engine.db.rows())
         engine.close()
         assert len(engine.db.rows()) == n_patterns
         assert engine.db.counts()["patterns"] == n_patterns
-
-
-class TestLastMatchedDeltaMerge:
-    """``last_matched`` under the warm pool's delta merge (the TTL
-    eviction input of stream mode): the parent must stamp worker deltas
-    with the batch's ``now`` exactly as a serial run would, including
-    across a crash-respawn replay."""
-
-    DAYS = [
-        datetime(2026, 3, day, tzinfo=timezone.utc) for day in (1, 2, 3, 4, 5)
-    ]
-
-    @staticmethod
-    def match_dates(db):
-        return {
-            row.id: (row.first_seen, row.last_matched) for row in db.rows()
-        }
-
-    def run_serial(self, batches):
-        serial = SequenceRTG(db=PatternDB())
-        for batch, now in zip(batches, self.DAYS):
-            serial.analyze_by_service(batch, now=now)
-        return serial
-
-    def test_warm_pool_dates_identical_to_serial(self):
-        batches = batches_for_test(n_batches=5)
-        serial = self.run_serial(batches)
-
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            for batch, now in zip(batches, self.DAYS):
-                engine.analyze_by_service(batch, now=now)
-            assert self.match_dates(engine.db) == self.match_dates(serial.db)
-            # the dates move: patterns matched on later days carry the
-            # later stamp, not their discovery day
-            last = {row.last_matched for row in engine.db.rows()}
-            assert self.DAYS[-1].isoformat() in last
-
-    def test_crash_respawn_replay_keeps_dates_identical(self):
-        batches = batches_for_test(n_batches=5)
-        serial = self.run_serial(batches)
-
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
-            def crash_one_worker():
-                victim = next(h for h in engine._workers if h is not None)
-                victim.process.kill()
-                victim.process.join(timeout=5.0)
-                engine._post_dispatch_hook = None  # crash only once
-
-            for i, (batch, now) in enumerate(zip(batches, self.DAYS)):
-                if i == 2:
-                    engine._post_dispatch_hook = crash_one_worker
-                engine.analyze_by_service(batch, now=now)
-            assert engine.telemetry["respawns"] == 1
-            assert self.match_dates(engine.db) == self.match_dates(serial.db)
-
-    def test_cold_pool_dates_identical_to_serial(self):
-        batches = batches_for_test(n_batches=3)
-        serial = SequenceRTG(db=PatternDB())
-        pool = ParallelSequenceRTG(db=PatternDB(), n_workers=3)
-        for batch, now in zip(batches, self.DAYS):
-            serial.analyze_by_service(batch, now=now)
-            pool.analyze_by_service(batch, now=now)
-        assert self.match_dates(pool.db) == self.match_dates(serial.db)

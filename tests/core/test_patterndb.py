@@ -1,11 +1,14 @@
 """Pattern database: persistence, statistics, example cap, pruning."""
 
+import os
+import sqlite3
 from datetime import datetime, timezone
 
 import pytest
 
 from repro.analyzer.pattern import Pattern, VarClass
-from repro.core.patterndb import PatternDB
+from repro.cli import main
+from repro.core.patterndb import PatternDB, route_service
 
 
 def make_pattern(text="login %string% ok", service="sshd", support=1, examples=()):
@@ -335,3 +338,269 @@ class TestStalePatterns:
         assert row.id == pid
         assert row.last_matched == late.isoformat()
         assert db.stale_patterns(30.0, now=late) == []
+
+
+def populated(path=":memory:", n_services=10):
+    """Several services, ties in match count, examples, two dates."""
+    db = PatternDB(path)
+    for s in range(n_services):
+        for p in range(1 + s % 4):
+            db.upsert(
+                make_pattern(
+                    f"event {p} of %string% took %integer% ms",
+                    service=f"svc-{s}",
+                    support=1 + (s + p) % 3,
+                    examples=[f"event {p} of x{e} took {e} ms" for e in range(p + 1)],
+                ),
+                now=T0 if p % 2 else T1,
+            )
+    return db
+
+
+def without_dates(dump):
+    return [
+        {k: v for k, v in entry.items() if k not in ("first_seen", "last_matched")}
+        for entry in dump
+    ]
+
+
+class TestShardedLayout:
+    def test_shard_moves_every_row_to_its_owner_unchanged(self, tmp_path):
+        path = str(tmp_path / "p.db")
+        db = populated(path)
+        before = db.dump()
+        counts, per_service = db.counts(), db.counts_by_service()
+        paths = db.shard(3)
+        assert paths == [f"{path}.{i}" for i in range(3)]
+        placed = []
+        for index, shard_path in enumerate(paths):
+            services = PatternDB(shard_path).services()
+            assert all(route_service(s, 3) == index for s in services)
+            placed += services
+        assert sorted(placed) == sorted(per_service)
+        # the main file keeps the manifest and nothing else
+        raw = sqlite3.connect(path)
+        assert raw.execute("SELECT COUNT(*) FROM patterns").fetchone() == (0,)
+        assert raw.execute("SELECT COUNT(*) FROM services").fetchone() == (0,)
+        assert raw.execute("SELECT n_shards FROM shard_manifest").fetchall() == [(3,)]
+        for handle in (db, PatternDB(path)):
+            assert handle.dump() == before
+            assert handle.counts() == counts
+            assert handle.counts_by_service() == per_service
+            assert handle.services() == sorted(per_service)
+
+    def test_union_reads_equal_one_file_built_by_merge_from(self, tmp_path):
+        sharded = populated(str(tmp_path / "p.db"))
+        sharded.shard(4)
+        single = PatternDB()
+        assert single.merge_from(sharded) == sharded.counts()["patterns"]
+        assert without_dates(sharded.dump()) == without_dates(single.dump())
+        assert sharded.counts() == single.counts()
+        assert sharded.counts_by_service() == single.counts_by_service()
+        assert sharded.services() == single.services()
+        for service in single.services() + ["no-such-service"]:
+            assert [r.id for r in sharded.rows(service=service)] == [
+                r.id for r in single.rows(service=service)
+            ]
+            assert [p.text for p in sharded.load_service(service)] == [
+                p.text for p in single.load_service(service)
+            ]
+        assert [r.id for r in sharded.rows(min_count=2)] == [
+            r.id for r in single.rows(min_count=2)
+        ]
+        for row in single.rows():
+            found = sharded.row(row.id)
+            assert (found.service, found.match_count, found.examples) == (
+                row.service, row.match_count, row.examples
+            )
+        assert sharded.row("0" * 40) is None
+        # T0-stamped rows are stale half a day into T1, in (service, id) order
+        stale = sharded.stale_patterns(0.5, now=T1)
+        assert stale == sorted(
+            (r.service, r.id) for r in sharded.rows() if r.last_matched < T1.isoformat()
+        )
+        assert stale
+
+    def test_more_shards_than_sqlite_can_attach(self, tmp_path):
+        db = populated(str(tmp_path / "p.db"), n_services=30)
+        before = db.dump()
+        assert len(db.shard(12)) == 12
+        assert PatternDB(db.path).dump() == before
+
+    def test_manifest_naming_a_missing_file_raises(self, tmp_path):
+        path = str(tmp_path / "p.db")
+        db = populated(path)
+        db.shard(2)
+        db.close()
+        os.remove(path + ".1")
+        with pytest.raises(FileNotFoundError, match=r"p\.db\.1"):
+            PatternDB(path)
+
+    def test_direct_writes_through_a_sharded_handle_raise(self, tmp_path):
+        db = populated(str(tmp_path / "p.db"))
+        db.shard(2)
+        before = db.dump()
+        pid = before[0]["id"]
+        for write in (
+            lambda: db.upsert(make_pattern()),
+            lambda: db.add_example(pid, "one more"),
+            lambda: db.record_match(pid),
+            lambda: db.record_matches({pid: 2}),
+            lambda: db.delete_patterns([pid]),
+            lambda: db.transaction(),
+        ):
+            with pytest.raises(RuntimeError, match="sharded over 2 files"):
+                write()
+        assert db.dump() == before
+
+    def test_prune_acts_on_every_shard(self, tmp_path):
+        sharded = populated(str(tmp_path / "p.db"))
+        sharded.shard(3)
+        single = PatternDB()
+        single.merge_from(sharded)
+        assert sharded.prune(2) == single.prune(2) > 0
+        assert without_dates(sharded.dump()) == without_dates(single.dump())
+        assert sharded.counts() == single.counts()
+
+    def test_merge_from_routes_each_pattern_to_its_owner(self, tmp_path):
+        target = PatternDB(str(tmp_path / "p.db"))
+        paths = target.shard(3)
+        source = populated()
+        assert target.merge_from(source) == source.counts()["patterns"]
+        assert without_dates(target.dump()) == without_dates(source.dump())
+        for index, shard_path in enumerate(paths):
+            for service in PatternDB(shard_path).services():
+                assert route_service(service, 3) == index
+        # match counts accumulate in place, as in one file
+        target.merge_from(source)
+        assert [e["match_count"] for e in target.dump()] == [
+            2 * e["match_count"] for e in source.dump()
+        ]
+
+    def test_reshard_under_another_count(self, tmp_path):
+        path = str(tmp_path / "p.db")
+        db = populated(path)
+        before = db.dump()
+        for n in (2, 3, 1, 4):
+            db.shard(n)
+            assert db.dump() == before
+            assert PatternDB(path).dump() == before
+            present = sorted(
+                name for name in os.listdir(tmp_path)
+                if not name.endswith(("-wal", "-shm"))
+            )
+            assert present == ["p.db"] + [f"p.db.{i}" for i in range(n)]
+
+    def test_interrupted_move_is_redone(self, tmp_path, monkeypatch):
+        """Copies made, sources not yet emptied, manifest not written:
+        the next call starts the destination files over."""
+        path = str(tmp_path / "p.db")
+        db = populated(path)
+        before = db.dump()
+
+        def crash(self, services):
+            if services:  # the first file to be emptied: the copies exist
+                raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PatternDB, "_drop_services", crash)
+            with pytest.raises(KeyboardInterrupt):
+                PatternDB(path).shard(2)
+        assert PatternDB(path + ".0").counts()["patterns"] > 0
+        # still one file as far as any reader can tell; a pattern retired
+        # meanwhile must not come back from the abandoned copy
+        db.delete_patterns([before[0]["id"]])
+        assert db.dump() == before[1:]
+        db.shard(2)
+        assert db.dump() == before[1:]
+        assert PatternDB(path).dump() == before[1:]
+
+    def test_in_memory_database_owns_its_shard_directory(self):
+        db = populated()
+        before = db.dump()
+        paths = db.shard(2)
+        directory = os.path.dirname(paths[0])
+        assert os.path.isdir(directory)
+        assert db.dump() == before
+        db.close()
+        assert not os.path.exists(directory)
+
+    def test_stored_reply_is_the_last_call_only(self, tmp_path):
+        db = PatternDB(str(tmp_path / "p.db"))
+        assert db.stored_reply("a:1") is None
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.upsert(make_pattern(), now=T0)
+                db.store_reply("a:1", b"lost")
+                raise RuntimeError("worker dies before the commit")
+        assert db.stored_reply("a:1") is None and db.rows() == []
+        with db.transaction():
+            db.upsert(make_pattern(), now=T0)
+            db.store_reply("a:1", b"kept")
+        assert PatternDB(db.path).stored_reply("a:1") == b"kept"
+        db.store_reply("a:2", b"next")
+        assert db.stored_reply("a:1") is None
+        assert db.stored_reply("a:2") == b"next"
+
+
+class TestCliOnAShardedPath:
+    """``export``/``report``/``stats``/``parse``/``metrics`` print for a
+    sharded database what they print for the same rows in one file."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        single, sharded = str(tmp_path / "one.db"), str(tmp_path / "many.db")
+        for path in (single, sharded):
+            populated(path).close()
+        db = PatternDB(sharded)
+        db.shard(3)
+        db.close()
+        return single, sharded
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["export"],
+            ["export", "--format", "grok", "--service", "svc-3"],
+            ["export", "--format", "yaml", "--min-count", "2"],
+            ["report"],
+            ["report", "--service", "svc-7", "--limit", "2"],
+            ["stats"],
+            ["metrics"],
+            ["parse", "--service", "svc-3"],
+        ],
+    )
+    def test_same_output(self, paths, command, capsys, tmp_path):
+        if command[0] == "parse":
+            log = tmp_path / "in.log"
+            log.write_text("event 1 of x9 took 9 ms\nno such event\n")
+            command = [command[0], str(log), *command[1:]]
+        printed = []
+        for path in paths:
+            assert main(["--db", path, *command]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] and printed[0] == printed[1]
+
+    def test_prune_and_merge_act_on_every_shard(self, paths, capsys, tmp_path):
+        single, sharded = paths
+        for path in paths:
+            assert main(["--db", path, "prune", "--threshold", "2"]) == 0
+        errs = capsys.readouterr().err.splitlines()
+        assert errs[0] == errs[1] and errs[0].startswith("pruned ")
+        assert PatternDB(sharded).dump() == PatternDB(single).dump()
+
+        extra = str(tmp_path / "extra.db")
+        other = PatternDB(extra)
+        other.upsert(make_pattern("disk %string% full", "svc-new", support=4), now=T0)
+        other.close()
+        for path in paths:
+            assert main(["--db", path, "merge", extra]) == 0
+        assert without_dates(PatternDB(sharded).dump()) == without_dates(
+            PatternDB(single).dump()
+        )
+        # and a sharded database can be folded back into one file
+        folded = str(tmp_path / "folded.db")
+        assert main(["--db", folded, "merge", sharded]) == 0
+        assert without_dates(PatternDB(folded).dump()) == without_dates(
+            PatternDB(sharded).dump()
+        )

@@ -20,10 +20,7 @@ import pytest
 from repro.analyzer import ANALYZER_BACKENDS, AnalyzerConfig, build_analyzer
 from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.core.config import RTGConfig, StreamingConfig
-from repro.core.parallel import (
-    ParallelSequenceRTG,
-    PersistentParallelSequenceRTG,
-)
+from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
@@ -630,10 +627,8 @@ class TestRemovePatterns:
 
 
 class TestModeGuards:
-    def test_pools_refuse_stream_mode(self):
+    def test_pool_refuses_stream_mode(self):
         config = RTGConfig(mode="stream")
-        with pytest.raises(ValueError, match="batch mode only"):
-            ParallelSequenceRTG(db=PatternDB(), config=config, n_workers=2)
         with pytest.raises(ValueError, match="batch mode only"):
             PersistentParallelSequenceRTG(
                 db=PatternDB(), config=config, n_workers=2

@@ -1,7 +1,6 @@
 """Acceptance: the ``/metrics`` endpoint during live stream runs.
 
-For each execution path — serial :class:`SequenceRTG`, the cold
-:class:`ParallelSequenceRTG` pool and the warm
+For each execution path — serial :class:`SequenceRTG` and the
 :class:`PersistentParallelSequenceRTG` pool — the miner's registry is
 served over HTTP while ``process_stream`` is driving batches, and the
 scrape must expose stage-latency histograms and fast-lane counters in
@@ -12,12 +11,10 @@ import urllib.request
 
 import pytest
 
-from repro.core.parallel import (
-    ParallelSequenceRTG,
-    PersistentParallelSequenceRTG,
-)
+from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
+from repro.obs.exposition import render_prometheus
 from repro.obs.server import MetricsServer
 from repro.workflow.stream import ProductionStream, StreamConfig
 
@@ -75,22 +72,12 @@ class TestEndpointDuringStream:
     def test_serial_path(self):
         drive_and_scrape(SequenceRTG(db=PatternDB()), expect_workers=False)
 
-    def test_cold_pool_path(self):
-        miner = ParallelSequenceRTG(db=PatternDB(), n_workers=3)
-        drive_and_scrape(miner, expect_workers=True)
-
-    def test_warm_pool_path(self):
+    def test_pool_path(self):
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as miner:
             drive_and_scrape(miner, expect_workers=True)
-            # warm-pool extras: journal cursor-lag gauges per worker
-            text = scrape_registry(miner)
-            assert "rtg_journal_lag{" in text
-
-
-def scrape_registry(miner) -> str:
-    from repro.obs.exposition import render_prometheus
-
-    return render_prometheus(miner.metrics)
+            # the pool's own lifecycle events, on the same endpoint
+            text = render_prometheus(miner.metrics)
+            assert 'rtg_pool_events_total{event="spawn"} 3' in text
 
 
 class TestPoolAggregation:
@@ -107,7 +94,7 @@ class TestPoolAggregation:
 
     def test_mining_counters_match_across_paths(self):
         """The same stream yields identical mining counters (records,
-        matched, unmatched, patterns) on all three paths."""
+        matched, unmatched, patterns) on both paths."""
         def totals(registry):
             snap = registry.snapshot()
             out = {}
@@ -126,14 +113,9 @@ class TestPoolAggregation:
         for batch in batches():
             serial.analyze_by_service(batch)
 
-        cold = ParallelSequenceRTG(db=PatternDB(), n_workers=3)
-        for batch in batches():
-            cold.analyze_by_service(batch)
-
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as warm:
             for batch in batches():
                 warm.analyze_by_service(batch)
-            assert totals(serial.metrics) == totals(cold.metrics)
             assert totals(serial.metrics) == totals(warm.metrics)
 
     def test_batches_total_counts_each_batch_once(self):

@@ -141,8 +141,6 @@ class TestFoldBatchResult:
             "workers": 3,
             "spawns": 3,
             "respawns": 1,
-            "sync_patterns": 12,
-            "sync_bytes": 4096,
         }
         registry = MetricsRegistry()
         fold_batch_result(registry, result)
@@ -150,8 +148,6 @@ class TestFoldBatchResult:
         events = registry.counter("rtg_pool_events_total")
         assert events.value(event="spawn") == 3
         assert events.value(event="respawn") == 1
-        assert registry.counter("rtg_pool_sync_patterns_total").value() == 12
-        assert registry.counter("rtg_pool_sync_bytes_total").value() == 4096
 
 
 class TestObservePatternDB:
