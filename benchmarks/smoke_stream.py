@@ -11,7 +11,7 @@ Four tripwires around the online execution mode:
 2. **batch regression** — the incremental-core refactor made batch mode
    a special case of the evolving analyser; serial cold-mine throughput
    must stay within ``BATCH_REGRESSION`` of the recorded baseline in
-   ``results/BENCH_throughput.json`` (``stages.reference.mine_msgs_per_s``).
+   ``results/BENCH_throughput.json`` (``stages.mine_msgs_per_s``).
 
 3. **convergence** — the streaming pattern set on the 60-day production
    simulation must agree with single-run batch output on at least
@@ -26,9 +26,7 @@ Four tripwires around the online execution mode:
    maintenance seconds are timed from outside, around
    ``StreamDriver.flush`` and ``MiningEngine.flush``.
 
-The stream runs on the production configuration (compiled backends) —
-a share of the wall means little against stages at half speed.  The
-LogHub generator seeds value pools from ``hash(str)``, so the script
+The LogHub generator seeds value pools from ``hash(str)``, so the script
 re-executes itself with ``PYTHONHASHSEED=0``.
 
 Writes ``results/BENCH_stream.json``.  Deliberately small — a
@@ -135,18 +133,13 @@ class _Stopwatch:
             self.seconds += time.perf_counter() - began
 
 
-def production_config() -> RTGConfig:
-    config = RTGConfig(mode="stream", streaming=STREAMING)
-    for part in (config.scanner, config.parser, config.analyzer):
-        part.backend = "compiled"
-    return config
-
-
 def measure_stream() -> dict:
     """Drive the stream feed through a StreamDriver; report latency
     quantiles, maintenance counters and where the wall went."""
     days = stream_feed()
-    rtg = SequenceRTG(db=PatternDB(), config=production_config())
+    rtg = SequenceRTG(
+        db=PatternDB(), config=RTGConfig(mode="stream", streaming=STREAMING)
+    )
     driver = rtg.stream_driver()
     # a flush is engine.flush (mine + persist) plus the three
     # maintenance passes; the difference of the two clocks is the latter
@@ -239,7 +232,7 @@ def batch_baseline() -> int | None:
     if not THROUGHPUT_BASELINE.exists():
         return None
     data = json.loads(THROUGHPUT_BASELINE.read_text())
-    return data.get("stages", {}).get("reference", {}).get("mine_msgs_per_s")
+    return data.get("stages", {}).get("mine_msgs_per_s")
 
 
 def main() -> int:

@@ -6,9 +6,7 @@ duplicate-carrying stream and exits non-zero if it drops below the
 paper's sustained requirement of 100M messages/day ≈ 1,160 msgs/s.
 
 Additionally mines one cold batch (everything unmatched — the miner's
-worst case) under the default all-reference configuration and under the
-all-compiled configuration (scanner, parser and analyser backends set
-to ``compiled``), and writes the per-stage msgs/s breakdown to the
+worst case) and writes the per-stage msgs/s breakdown to the
 ``stages`` section of ``results/BENCH_throughput.json`` so the analyze
 share of end-to-end mining stays visible to future PRs.
 
@@ -28,12 +26,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.analyzer import AnalyzerConfig
-from repro.core.config import RTGConfig
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
-from repro.parser import ParserConfig
-from repro.scanner import ScannerConfig
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 PAPER_RATE_PER_SECOND = 100_000_000 / 86_400
@@ -47,17 +41,8 @@ STAGES = ("scan", "parse", "partition_length", "analyze", "persist")
 N_MINE = 5_000
 MINE_REPEATS = 3
 
-CONFIGS = {
-    "reference": RTGConfig(),
-    "compiled": RTGConfig(
-        scanner=ScannerConfig(backend="compiled"),
-        parser=ParserConfig(backend="compiled"),
-        analyzer=AnalyzerConfig(backend="compiled"),
-    ),
-}
 
-
-def measure_stages(config: RTGConfig) -> dict:
+def measure_stages() -> dict:
     """Cold-mine one batch (best of MINE_REPEATS) and break the run
     down per stage: msgs/s and share of total batch seconds."""
     records = list(
@@ -66,7 +51,7 @@ def measure_stages(config: RTGConfig) -> dict:
     best_seconds = float("inf")
     best_timings: dict[str, float] = {}
     for _ in range(MINE_REPEATS):
-        rtg = SequenceRTG(db=PatternDB(), config=config)
+        rtg = SequenceRTG(db=PatternDB())
         t0 = time.perf_counter()
         result = rtg.analyze_by_service(records)
         seconds = time.perf_counter() - t0
@@ -121,26 +106,12 @@ def main() -> int:
         f"{'OK' if ok else 'FAIL'}"
     )
 
-    stages = {name: measure_stages(config) for name, config in CONFIGS.items()}
+    stages = measure_stages()
     record_stages(stages)
-    for name, report in stages.items():
-        shares = ", ".join(
-            f"{stage} {report[stage]['share']:.0%}" for stage in STAGES
-        )
-        print(
-            f"cold mine [{name}]: {report['mine_msgs_per_s']:,} msgs/s "
-            f"({shares})"
-        )
-    # the compiled production configuration must not mine slower than
-    # the reference path it replaces
-    compiled_ok = (
-        stages["compiled"]["mine_msgs_per_s"]
-        >= stages["reference"]["mine_msgs_per_s"]
-    )
-    if not compiled_ok:
-        print("FAIL: all-compiled configuration mines slower than reference")
+    shares = ", ".join(f"{stage} {stages[stage]['share']:.0%}" for stage in STAGES)
+    print(f"cold mine: {stages['mine_msgs_per_s']:,} msgs/s ({shares})")
 
-    return 0 if ok and compiled_ok else 1
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

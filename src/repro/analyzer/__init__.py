@@ -16,24 +16,20 @@ Two analysers are provided:
   pairwise same-level comparison whose cost grows super-linearly with
   trie width (the behaviour visible in the paper's Fig. 5).
 
-The Sequence-RTG analyser has two interchangeable backends —
-:class:`Analyzer`, the reference per-node trie, and
-:class:`~repro.analyzer.compiled.CompiledAnalyzer`, a flat
+The miner analyses with
+:class:`~repro.analyzer.compiled.CompiledAnalyzer`, which runs
+:class:`Analyzer`'s insertion, merge and fold rules over a flat
 array-of-columns arena with batch insertion and bucketed sibling
-merging, bit-identical pattern output — selected by
-:attr:`AnalyzerConfig.backend` through :func:`build_analyzer`.
+merging; :class:`Analyzer`, the per-node object trie, is the reference
+oracle the differential suite (``tests/analyzer/test_compiled.py``)
+diffs it against, pattern for pattern.
 """
 
-from repro.analyzer.analyzer import (
-    ANALYZER_BACKENDS,
-    Analyzer,
-    AnalyzerConfig,
-    LegacyAnalyzer,
-)
+from repro.analyzer.analyzer import Analyzer, AnalyzerConfig, LegacyAnalyzer
+from repro.analyzer.compiled import CompiledAnalyzer
 from repro.analyzer.pattern import Pattern, PatternToken, UnknownTagError, VarClass
 
 __all__ = [
-    "ANALYZER_BACKENDS",
     "Analyzer",
     "AnalyzerConfig",
     "LegacyAnalyzer",
@@ -45,29 +41,6 @@ __all__ = [
 ]
 
 
-def build_analyzer(config: AnalyzerConfig | None = None):
-    """Construct the analyser backend *config* selects.
-
-    ``"reference"`` (the default) is the per-node object trie — the
-    executable specification; ``"compiled"`` runs the same insertion,
-    merge and fold rules over a flat node arena with batch insertion.
-    Both emit byte-identical :class:`Pattern` lists; the compiled one
-    trades a little interning bookkeeping for much higher per-partition
-    analysis throughput.
-    """
-    config = config or AnalyzerConfig()
-    if config.backend not in ANALYZER_BACKENDS:
-        # config validates at construction, but the field is mutable —
-        # an unknown value must fail loudly here, not silently fall
-        # back to the reference backend
-        raise ValueError(
-            f"unknown analyzer backend {config.backend!r}; "
-            f"valid choices: {', '.join(ANALYZER_BACKENDS)}"
-        )
-    if config.backend == "compiled":
-        # imported lazily so the default path never pays for a backend
-        # it does not use
-        from repro.analyzer.compiled import CompiledAnalyzer
-
-        return CompiledAnalyzer(config)
-    return Analyzer(config)
+def build_analyzer(config: AnalyzerConfig | None = None) -> CompiledAnalyzer:
+    """Construct the analyser the miner runs."""
+    return CompiledAnalyzer(config)

@@ -21,6 +21,7 @@ They differ exactly where the paper says the tools differ:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.naming import assign_names
@@ -28,12 +29,7 @@ from repro.analyzer.pattern import Pattern, PatternToken, VarClass
 from repro.analyzer.trie import END_KEY, AnalysisTrie, TrieNode
 from repro.scanner.scanner import ScannedMessage
 
-__all__ = ["ANALYZER_BACKENDS", "Analyzer", "AnalyzerConfig", "LegacyAnalyzer"]
-
-#: Selectable analyser implementations: the reference per-node trie
-#: walk, and the flat array-of-columns backend of
-#: :mod:`repro.analyzer.compiled`.
-ANALYZER_BACKENDS = ("reference", "compiled")
+__all__ = ["Analyzer", "AnalyzerConfig", "LegacyAnalyzer"]
 
 # Variable classes that are never folded back to constants: a timestamp
 # that happened to repeat within one batch will still differ in the next.
@@ -68,18 +64,10 @@ class AnalyzerConfig:
     #: LegacyAnalyzer only: similarity used by the original pairwise
     #: same-level comparison (merges at group size >= 2, no threshold)
     legacy_similarity: float = 0.5
-    #: Which implementation :func:`repro.analyzer.build_analyzer`
-    #: constructs: ``"reference"`` (this module's :class:`Analyzer`) or
-    #: ``"compiled"`` (:class:`repro.analyzer.compiled.CompiledAnalyzer`,
-    #: bit-identical patterns from a flat arena trie).
-    backend: str = "reference"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ANALYZER_BACKENDS:
-            raise ValueError(
-                f"unknown analyzer backend {self.backend!r}; "
-                f"expected one of {ANALYZER_BACKENDS}"
-            )
+    #: Not a setting: the ``backend`` label on analyze-stage metrics,
+    #: naming the one analyser the miner runs
+    #: (:class:`repro.analyzer.compiled.CompiledAnalyzer`).
+    backend: ClassVar[str] = "compiled"
 
 
 def _wordlike(text: str) -> bool:
@@ -139,10 +127,6 @@ def _similarity_groups(
 
 class _BaseAnalyzer:
     """Shared trie construction and pattern emission."""
-
-    #: implementation label carried into metrics (the compiled backend
-    #: overrides it)
-    backend_name = "reference"
 
     def __init__(self, config: AnalyzerConfig | None = None) -> None:
         self.config = config or AnalyzerConfig()

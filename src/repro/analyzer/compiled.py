@@ -1,9 +1,9 @@
-"""Compiled analyser backend: a flat array-of-columns analysis trie.
+"""The production analyser: a flat array-of-columns analysis trie.
 
 The reference :class:`~repro.analyzer.analyzer.Analyzer` spends most of
 its time allocating and walking per-node :class:`TrieNode` objects — one
 slotted dataclass, one child dict and one values dict per edge, rebuilt
-from scratch for every (service, token-count) partition.  This backend
+from scratch for every (service, token-count) partition.  This module
 keeps the exact same trie *shape* but stores it structure-of-arrays
 style in a node arena reused across partitions:
 
@@ -34,7 +34,7 @@ reference implementation's sequence, so the DFS emission walk visits
 nodes in the same order and every emitted
 :class:`~repro.analyzer.pattern.Pattern` is byte-identical.  The
 differential property suite in ``tests/analyzer/test_compiled.py``
-asserts this; ``benchmarks/smoke_analyzer.py`` gates the speedup.
+asserts this.
 """
 
 from __future__ import annotations
@@ -62,15 +62,12 @@ _MEMO_CAP = 65536
 
 
 class CompiledAnalyzer:
-    """Drop-in :class:`~repro.analyzer.analyzer.Analyzer` replacement.
+    """The analyser the miner runs (:func:`repro.analyzer.build_analyzer`).
 
     Same constructor, same ``analyze(messages, counts=None)`` contract,
-    same ``last_trie_nodes`` telemetry, bit-identical patterns — selected
-    via ``AnalyzerConfig(backend="compiled")`` through
-    :func:`repro.analyzer.build_analyzer`.
+    same ``last_trie_nodes`` telemetry and bit-identical patterns as the
+    reference :class:`~repro.analyzer.analyzer.Analyzer`.
     """
-
-    backend_name = "compiled"
 
     def __init__(self, config: AnalyzerConfig | None = None) -> None:
         self.config = config or AnalyzerConfig()

@@ -15,11 +15,9 @@ trie's insertion contract is defined over ("inserting a message once
 with ``n=k`` produces the same trie as inserting it ``k`` times",
 :meth:`repro.analyzer.trie.AnalysisTrie.insert`).  ``absorb`` is the
 per-message incremental step: an O(1) dedup-and-count update.  ``flush``
-replays a partition through the configured analyser backend — the
-reference per-node trie or the compiled flat arena of
-:mod:`repro.analyzer.compiled` — so the evolving state mines
-byte-identically to a batch that had seen the same messages, whichever
-backend serves it.
+replays a partition through the analyser
+(:func:`repro.analyzer.build_analyzer`), so the evolving state mines
+byte-identically to a batch that had seen the same messages.
 
 Because absorption is associative (the pending partition after any
 sequence of ``absorb`` calls equals the partition one big batch would
@@ -68,8 +66,8 @@ class EvolvingAnalyzer:
     ) -> None:
         self.config = config or AnalyzerConfig()
         #: one analyser instance serves every flush, exactly like the
-        #: batch stage: its trie scratch (node graph or compiled arena)
-        #: is reset and reused across partitions
+        #: batch stage: its node arena is reset and reused across
+        #: partitions
         self._analyzer = build_analyzer(self.config)
         self._pending: dict[str, dict[int, _PendingPartition]] = {}
         self._n_pending = 0
@@ -79,10 +77,6 @@ class EvolvingAnalyzer:
         self.max_partition_pending = max_partition_pending
 
     # -- telemetry -------------------------------------------------------
-    @property
-    def backend_name(self) -> str:
-        return self._analyzer.backend_name
-
     @property
     def pending_messages(self) -> int:
         """Distinct messages pending across all partitions."""

@@ -32,9 +32,7 @@ from repro.core.ingest import StreamIngester
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
-from repro.analyzer.analyzer import ANALYZER_BACKENDS, AnalyzerConfig
-from repro.parser.parser import PARSER_BACKENDS, ParserConfig
-from repro.scanner.scanner import SCANNER_BACKENDS, ScannerConfig
+from repro.scanner.scanner import ScannerConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -56,30 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--path-fsm",
         action="store_true",
         help="enable the future-work path finite state machine",
-    )
-    parser.add_argument(
-        "--scanner-backend",
-        choices=SCANNER_BACKENDS,
-        default="fsm",
-        help="tokenizer implementation: the reference character FSM "
-        "cascade or the compiled regex-program backend (identical "
-        "token output, higher throughput)",
-    )
-    parser.add_argument(
-        "--parser-backend",
-        choices=PARSER_BACKENDS,
-        default="reference",
-        help="pattern matcher implementation: the reference parse-trie "
-        "DFS or the compiled table-driven backend (identical match "
-        "output, higher throughput)",
-    )
-    parser.add_argument(
-        "--analyzer-backend",
-        choices=ANALYZER_BACKENDS,
-        default="reference",
-        help="pattern miner implementation: the reference per-node "
-        "analysis trie or the compiled flat-arena backend (identical "
-        "pattern output, higher throughput)",
     )
     parser.add_argument(
         "--durable-db",
@@ -316,11 +290,11 @@ def _streaming_config(args: argparse.Namespace) -> StreamingConfig:
     )
 
 
-def _make_rtg(args: argparse.Namespace, batch_size: int = 100_000) -> SequenceRTG:
+def _make_config(args: argparse.Namespace, batch_size: int = 100_000) -> RTGConfig:
     # the serve subcommand's execution mode (dest=exec_mode; evaluate
     # has an unrelated --mode); other subcommands run batch
     mode = getattr(args, "exec_mode", "batch")
-    config = RTGConfig(
+    return RTGConfig(
         batch_size=batch_size,
         save_threshold=getattr(args, "save_threshold", 1),
         db_durable=args.durable_db,
@@ -331,13 +305,14 @@ def _make_rtg(args: argparse.Namespace, batch_size: int = 100_000) -> SequenceRT
         scanner=ScannerConfig(
             allow_single_digit_time=args.single_digit_time,
             enable_path_fsm=args.path_fsm,
-            backend=args.scanner_backend,
         ),
-        parser=ParserConfig(backend=args.parser_backend),
-        analyzer=AnalyzerConfig(backend=args.analyzer_backend),
     )
+
+
+def _make_rtg(args: argparse.Namespace, batch_size: int = 100_000) -> SequenceRTG:
     return SequenceRTG(
-        db=PatternDB(args.db, durable=args.durable_db), config=config
+        db=PatternDB(args.db, durable=args.durable_db),
+        config=_make_config(args, batch_size),
     )
 
 
@@ -662,7 +637,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.loghub import evaluate_sequence_rtg, load_dataset
 
         dataset = load_dataset(args.dataset)
-        config = _make_rtg(args).config
+        config = _make_config(args)
         modes = ("raw", "preprocessed") if args.mode == "both" else (args.mode,)
         for mode in modes:
             score = evaluate_sequence_rtg(dataset, mode=mode, config=config)

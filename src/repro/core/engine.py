@@ -269,9 +269,8 @@ class AnalyzeStage(Stage):
 
     The mining itself lives in
     :class:`repro.analyzer.evolving.EvolvingAnalyzer` — one instance
-    (wrapping one reference or compiled analyser, per
-    :attr:`AnalyzerConfig.backend`) serves every partition of every
-    batch, its trie scratch reset and reused across flushes.  Batch mode
+    (wrapping one analyser) serves every partition of every batch, its
+    trie scratch reset and reused across flushes.  Batch mode
     (*deferred* False, the default) absorbs and flushes immediately:
     every partition is mined within its own batch, exactly the paper's
     workflow.  Stream mode constructs the stage *deferred*: absorption
@@ -446,15 +445,7 @@ def default_observers(rtg: "SequenceRTG") -> list[StageObserver]:
         # StageObserver, so a top-level import would be circular
         from repro.obs.observer import MetricsObserver
 
-        observers.append(
-            MetricsObserver(
-                rtg.metrics,
-                db=rtg.db,
-                scan_backend=rtg.scanner.backend_name,
-                parse_backend=rtg.config.parser.backend,
-                analyze_backend=rtg.config.analyzer.backend,
-            )
-        )
+        observers.append(MetricsObserver(rtg.metrics, db=rtg.db))
     return observers
 
 

@@ -60,11 +60,8 @@ def token_signature(tokens) -> tuple:
     """Hashable signature of a token sequence for match caching.
 
     Two messages with equal signatures are guaranteed to produce the
-    same :class:`~repro.parser.parser.MatchResult` (or the same miss)
-    against *any* parser backend: matching depends only on token texts
-    and types, and the version-pinned caches built on this key work
-    unchanged whichever implementation serves a service because every
-    backend bumps ``Parser.version`` identically.  Types are keyed by
+    same :class:`~repro.parser.parser.MatchResult` (or the same miss):
+    matching depends only on token texts and types.  Types are keyed by
     their value string — strings cache their hash, the Python-level
     ``Enum.__hash__`` does not, and this tuple is hashed on every cache
     probe.

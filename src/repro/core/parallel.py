@@ -202,15 +202,7 @@ class PersistentParallelSequenceRTG:
         self.telemetry = {"batches": 0, "spawns": 0, "respawns": 0}
         self.observers: list[StageObserver] = []
         if self.config.enable_metrics:
-            self.observers.append(
-                MetricsObserver(
-                    self.metrics,
-                    db=self.db,
-                    scan_backend=self.config.scanner.backend,
-                    parse_backend=self.config.parser.backend,
-                    analyze_backend=self.config.analyzer.backend,
-                )
-            )
+            self.observers.append(MetricsObserver(self.metrics, db=self.db))
 
     # -- lifecycle -------------------------------------------------------
     def __enter__(self) -> "PersistentParallelSequenceRTG":

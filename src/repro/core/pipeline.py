@@ -91,12 +91,7 @@ class SequenceRTG:
 
     # ------------------------------------------------------------------
     def parser_for(self, service: str) -> Parser:
-        """Parser over the known patterns of *service* (cached).
-
-        The backend is selected by ``config.parser.backend``; both
-        backends produce identical matches, so switching backends never
-        changes mined output.
-        """
+        """Parser over the known patterns of *service* (cached)."""
         parser = self._parsers.get(service)
         if parser is None:
             parser = build_parser(

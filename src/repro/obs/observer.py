@@ -24,8 +24,11 @@ from __future__ import annotations
 
 import time
 
+from repro.analyzer.analyzer import AnalyzerConfig
 from repro.core.engine import BatchResult, ServiceBatchContext, StageObserver
 from repro.obs.metrics import MetricsRegistry, snapshot_to_dict
+from repro.parser.parser import ParserConfig
+from repro.scanner.scanner import ScannerConfig
 
 __all__ = [
     "MetricsObserver",
@@ -37,10 +40,10 @@ __all__ = [
 #: metric name -> help string, the single naming authority (docs table
 #: in docs/architecture.md mirrors this)
 METRIC_HELP = {
-    "rtg_stage_latency_seconds": "Wall-clock seconds per engine stage run (one observation per service group; scan, parse and analyze runs carry their backend label)",
-    "rtg_scan_tokens_total": "Tokens emitted by the scan stage, by service and tokenizer backend",
-    "rtg_parse_candidates": "Candidate-frontier size per parse-stage match (trie states visited by the reference parser backend, candidate programs considered by the compiled one), by backend",
-    "rtg_analyze_trie_nodes": "Analysis-trie node count per mined length partition (peak footprint before sibling merging), by analyser backend",
+    "rtg_stage_latency_seconds": "Wall-clock seconds per engine stage run (one observation per service group; scan, parse and analyze runs carry the name of their implementation as the backend label)",
+    "rtg_scan_tokens_total": "Tokens emitted by the scan stage, by service (backend label: the tokenizer implementation)",
+    "rtg_parse_candidates": "Candidate-frontier size per parse-stage match (candidate match programs considered; backend label: the matcher implementation)",
+    "rtg_analyze_trie_nodes": "Analysis-trie node count per mined length partition (peak footprint before sibling merging; backend label: the analyser implementation)",
     "rtg_records_total": "Log records entering the engine, by service",
     "rtg_matched_total": "Record occurrences matched by already-known patterns, by service",
     "rtg_unmatched_total": "Record occurrences passed on to the analyser, by service",
@@ -97,9 +100,7 @@ class MetricsObserver(StageObserver):
     """Publish the staged engine's execution into a metrics registry."""
 
     def __init__(self, registry: MetricsRegistry, db=None,
-                 batch_level: bool = True, scan_backend: str = "fsm",
-                 parse_backend: str = "reference",
-                 analyze_backend: str = "reference") -> None:
+                 batch_level: bool = True) -> None:
         self.registry = registry
         #: pattern database whose sizes are published at batch end
         #: (``None`` inside pool workers: the parent publishes the union)
@@ -107,15 +108,6 @@ class MetricsObserver(StageObserver):
         #: fold batch-level aggregates and fill ``BatchResult.metrics``;
         #: off inside pool workers, whose deltas the parent folds once
         self.batch_level = batch_level
-        #: tokenizer backend label on scan-stage samples
-        #: (``Scanner.backend_name``: "fsm" or "compiled")
-        self.scan_backend = scan_backend
-        #: matcher backend label on parse-stage samples
-        #: (``Parser.backend_name``: "reference" or "compiled")
-        self.parse_backend = parse_backend
-        #: analyser backend label on analyze-stage samples
-        #: (``AnalyzerConfig.backend``: "reference" or "compiled")
-        self.analyze_backend = analyze_backend
         self._stage_latency = registry.histogram(
             "rtg_stage_latency_seconds",
             METRIC_HELP["rtg_stage_latency_seconds"],
@@ -160,29 +152,29 @@ class MetricsObserver(StageObserver):
         elapsed = time.perf_counter() - self._stage_t0
         if stage == "scan":
             self._stage_latency.observe(
-                elapsed, stage=stage, backend=self.scan_backend
+                elapsed, stage=stage, backend=ScannerConfig.backend
             )
             tokens = sum(len(m.tokens) for m in ctx.scanned)
             if tokens:
                 self._scan_tokens.inc(
-                    tokens, service=ctx.service, backend=self.scan_backend
+                    tokens, service=ctx.service, backend=ScannerConfig.backend
                 )
             return
         if stage == "parse":
             self._stage_latency.observe(
-                elapsed, stage=stage, backend=self.parse_backend
+                elapsed, stage=stage, backend=ParserConfig.backend
             )
             observe = self._parse_candidates.observe
             for frontier in ctx.parse_frontiers:
-                observe(frontier, backend=self.parse_backend)
+                observe(frontier, backend=ParserConfig.backend)
             return
         if stage == "analyze":
             self._stage_latency.observe(
-                elapsed, stage=stage, backend=self.analyze_backend
+                elapsed, stage=stage, backend=AnalyzerConfig.backend
             )
             observe = self._trie_nodes.observe
             for nodes in ctx.trie_node_sizes:
-                observe(nodes, backend=self.analyze_backend)
+                observe(nodes, backend=AnalyzerConfig.backend)
             return
         self._stage_latency.observe(elapsed, stage=stage)
         if stage != "persist":

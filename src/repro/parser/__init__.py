@@ -6,28 +6,24 @@ messages, by first tokenising the messages, but instead of discovering
 patterns, it attempts to match new messages to a known pattern."
 (paper §III)
 
-Two interchangeable backends implement the matcher —
-:class:`Parser`, the reference pointer-chasing trie DFS, and
+The miner matches with
 :class:`~repro.parser.compiled.CompiledParser`, a table-driven
-flattening of the same trie with bit-identical :class:`MatchResult`
-output — selected by :attr:`ParserConfig.backend` through
-:func:`build_parser`.  Both answer variable acceptance from the shared
-precomputed tables of :mod:`repro.parser.acceptance`.
+flattening of the parse trie; :class:`Parser`, the pointer-chasing trie
+DFS it subclasses, is the reference oracle the differential suite
+(``tests/parser/test_compiled.py``) diffs it against, and what the drift
+probes and the benchmark's output checks construct by name.  Both answer
+variable acceptance from the shared precomputed tables of
+:mod:`repro.parser.acceptance`.
 """
 
 from repro.analyzer.pattern import Pattern
-from repro.parser.parser import (
-    PARSER_BACKENDS,
-    MatchResult,
-    Parser,
-    ParserConfig,
-)
+from repro.parser.compiled import CompiledParser
+from repro.parser.parser import MatchResult, Parser, ParserConfig
 
 __all__ = [
     "Parser",
     "ParserConfig",
     "MatchResult",
-    "PARSER_BACKENDS",
     "build_parser",
 ]
 
@@ -37,28 +33,5 @@ def build_parser(
     config: ParserConfig | None = None,
     enrich: bool = True,
 ) -> Parser:
-    """Construct the parser backend *config* selects.
-
-    ``"reference"`` (the default) is the trie DFS — the executable
-    specification; ``"compiled"`` flattens the same trie into sorted
-    match programs.  Both produce identical :class:`MatchResult`\\ s;
-    the compiled one trades a lazy lowering pass over the length
-    buckets a mutation touched for much higher per-message match
-    throughput.
-    """
-    config = config or ParserConfig()
-    if config.backend not in PARSER_BACKENDS:
-        # config validates at construction, but the field is mutable —
-        # an unknown value must fail loudly here, not silently fall
-        # back to the reference backend
-        raise ValueError(
-            f"unknown parser backend {config.backend!r}; "
-            f"valid choices: {', '.join(PARSER_BACKENDS)}"
-        )
-    if config.backend == "compiled":
-        # imported lazily so the default path never pays for a backend
-        # it does not use
-        from repro.parser.compiled import CompiledParser
-
-        return CompiledParser(patterns, enrich=enrich)
-    return Parser(patterns, enrich=enrich)
+    """Construct the parser the miner runs (*config* has no settings)."""
+    return CompiledParser(patterns, enrich=enrich)

@@ -1,4 +1,4 @@
-"""Precomputed variable-acceptance tables shared by both parser backends.
+"""Precomputed variable-acceptance tables shared by both parser classes.
 
 Whether a variable of class *vc* can consume a token is a pure function
 of ``(vc, token.type)`` for every class except two text-dependent cells:
@@ -6,18 +6,18 @@ of ``(vc, token.type)`` for every class except two text-dependent cells:
 character, and ``%path%`` accepts a LITERAL only when it starts with
 ``/``.  The reference parser used to re-derive this per call through an
 if/elif cascade; this module folds the whole relation into lookup
-tables built once at import time, so both backends answer acceptance
+tables built once at import time, so both parsers answer acceptance
 questions from the same authority:
 
 * :data:`ACCEPT_TABLE` — ``(VarClass, TokenType) → _ACCEPT | _REJECT |
   _TEXT``, consumed through :func:`accepts` by the reference trie walk;
-* :data:`TYPE_MASKS` / :func:`token_mask` — the compiled backend's
+* :data:`TYPE_MASKS` / :func:`token_mask` — the compiled parser's
   form: one bit per :class:`VarClass` (:data:`VAR_BITS`), a
   text-independent mask per token type, and the two LITERAL text checks
   resolved once per token instead of once per trie edge.
 
 ``%ignorerest%`` accepts everything here, exactly like the cascade did;
-both backends still special-case it structurally (it consumes the
+both parsers still special-case it structurally (it consumes the
 message remainder, not one token).
 """
 
@@ -96,7 +96,7 @@ def accepts(vc: VarClass, tok: Token) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Bitmask form (compiled backend)
+# Bitmask form (compiled parser)
 # ----------------------------------------------------------------------
 
 #: One bit per variable class, in enum declaration order.
@@ -132,7 +132,7 @@ _LITERAL_BASE = TYPE_MASKS[TokenType.LITERAL]
 def token_mask(tok: Token) -> int:
     """Acceptance bitmask of *tok*: the set of classes that consume it.
 
-    Computed once per token by the compiled backend (and memoised per
+    Computed once per token by the compiled parser (and memoised per
     distinct literal text), instead of one :func:`accepts` call per
     variable edge per trie visit.
     """

@@ -1,6 +1,6 @@
-"""Table-driven compiled parser backend.
+"""The production parser: table-driven match programs.
 
-:class:`CompiledParser` is a drop-in second implementation of
+:class:`CompiledParser` is the matcher the miner runs, a subclass of
 :class:`~repro.parser.parser.Parser` that flattens the pointer-chasing
 trie DFS into contiguous per-pattern *match programs*, following the
 table-driven search-core technique of Cookiecutter's C++ trie and the
@@ -39,7 +39,7 @@ mutation touched and no others) turns it into:
   pattern, which joins the frontier of every sufficiently long length,
   drops them all.
 
-The rank construction is what makes the backend bit-identical *by
+The rank construction is what makes the result bit-identical *by
 construction*: the reference search is a fixed-order stack DFS over a
 trie whose states are visited at most once, so the candidates it folds
 for any message form a subsequence of the all-edges-accept fold order —
@@ -51,7 +51,7 @@ it.
 
 Enrichment (k=v pairs, e-mail addresses, host names) is semantically
 identical to :func:`repro.analyzer.enrich.enrich_tokens`; the compiled
-backend memoises the two pure text classifiers (``is_email``,
+parser memoises the two pure text classifiers (``is_email``,
 ``is_hostname``) per distinct literal, which removes the dominant
 per-message enrichment cost for recurring vocabulary.
 """
@@ -122,8 +122,6 @@ class CompiledParser(Parser):
     fields, same static count — asserted by the differential suite in
     ``tests/parser/test_compiled.py``, not assumed.
     """
-
-    backend_name = "compiled"
 
     def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
         #: bucket keys whose sub-trie changed since they were lowered

@@ -27,18 +27,19 @@ the stored set.
 
 Each pattern-set mutation bumps :attr:`Parser.version`; the fast lane's
 match caches (:mod:`repro.core.fastpath`) use the version to invalidate
-cached outcomes whenever the pattern set changes.  The version contract
-is backend-agnostic: :class:`repro.parser.compiled.CompiledParser`, the
-table-driven second backend selected by :attr:`ParserConfig.backend`
-through :func:`repro.parser.build_parser`, bumps it identically and
-produces identical :class:`MatchResult`\\ s by construction.  Variable
+cached outcomes whenever the pattern set changes.
+:class:`repro.parser.compiled.CompiledParser`, the table-driven subclass
+the miner runs (:func:`repro.parser.build_parser`), inherits the version
+contract and produces identical :class:`MatchResult`\\ s by
+construction; this class is the oracle it is diffed against.  Variable
 acceptance is answered by the precomputed tables of
-:mod:`repro.parser.acceptance`, shared by both backends.
+:mod:`repro.parser.acceptance`, shared by both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.pattern import Pattern, VarClass
@@ -50,12 +51,8 @@ __all__ = [
     "Parser",
     "ParserConfig",
     "MatchResult",
-    "PARSER_BACKENDS",
     "REST_BUCKET",
 ]
-
-#: Recognised values of :attr:`ParserConfig.backend`.
-PARSER_BACKENDS = ("reference", "compiled")
 
 #: Sentinel distinguishing "no cached outcome" from a cached None miss.
 _MISS = object()
@@ -67,25 +64,16 @@ REST_BUCKET = -1
 
 @dataclass(slots=True)
 class ParserConfig:
-    """Parser behaviour switches.
+    """Parser configuration: no settings today.
 
-    Mirrors :class:`repro.scanner.scanner.ScannerConfig`: the backend
-    string selects one of two implementations with identical match
-    output, resolved by :func:`repro.parser.build_parser`.
+    Kept as the ``parser`` part of :class:`repro.core.config.RTGConfig`
+    and the *config* argument of :func:`repro.parser.build_parser`.
     """
 
-    #: Matcher implementation: ``"reference"`` is the pointer-chasing
-    #: trie DFS (the executable specification), ``"compiled"`` the
-    #: table-driven flattened backend
-    #: (:class:`repro.parser.compiled.CompiledParser`) with identical
-    #: :class:`MatchResult` output.
-    backend: str = "reference"
-
-    def __post_init__(self) -> None:
-        if self.backend not in PARSER_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {PARSER_BACKENDS}, got {self.backend!r}"
-            )
+    #: Not a setting: the ``backend`` label on parse-stage metrics, naming
+    #: the one matcher the miner runs
+    #: (:class:`repro.parser.compiled.CompiledParser`).
+    backend: ClassVar[str] = "compiled"
 
 
 @dataclass(slots=True)
@@ -186,9 +174,6 @@ class _Candidate:
 class Parser:
     """Match scanned messages against a set of known patterns."""
 
-    #: implementation label on parse-stage metrics samples
-    backend_name = "reference"
-
     def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
         #: one sub-trie per exact pattern token count, plus the shared
         #: ignore-rest sub-trie under :data:`REST_BUCKET`; a bucket
@@ -197,14 +182,12 @@ class Parser:
         #: pattern id -> the bucket holding it, the membership record
         self._where: dict[str, _Bucket] = {}
         self._enrich = enrich
-        #: bumped on every pattern-set mutation; match caches key their
-        #: validity on this — a backend-agnostic contract: every backend
-        #: bumps it identically, so the fast lane's version-pinned match
-        #: caches work unchanged whichever implementation serves a service
+        #: bumped on every pattern-set mutation; the fast lane's match
+        #: caches key their validity on this
         self.version = 0
         #: candidate-frontier size of the last :meth:`match` call (trie
         #: states visited here; candidate programs considered in the
-        #: compiled backend) — the ``rtg_parse_candidates`` telemetry
+        #: compiled subclass) — the ``rtg_parse_candidates`` telemetry
         self.last_frontier = 0
         #: frontier sizes of the matches the last :meth:`match_many`
         #: call actually performed (one entry per distinct signature)

@@ -14,26 +14,21 @@ Sequence-RTG additions:
   FSM for filesystem paths (paper §VI) — disabled by default to match the
   published behaviour.
 
-Two interchangeable backends implement the tokeniser —
-:class:`Scanner`, the reference character-by-character FSM cascade, and
+The miner tokenises with
 :class:`~repro.scanner.compiled.CompiledScanner`, a regex-program
-rewrite with bit-identical output — selected by
-:attr:`ScannerConfig.backend` through :func:`build_scanner`.
+rewrite of the cascade; :class:`Scanner`, the character-by-character FSM
+cascade it subclasses, is the reference oracle the differential suite
+(``tests/scanner/test_compiled.py``) diffs it against, token for token.
 """
 
-from repro.scanner.scanner import (
-    SCANNER_BACKENDS,
-    ScannedMessage,
-    Scanner,
-    ScannerConfig,
-)
+from repro.scanner.compiled import CompiledScanner
+from repro.scanner.scanner import ScannedMessage, Scanner, ScannerConfig
 from repro.scanner.token_types import Token, TokenType
 
 __all__ = [
     "Scanner",
     "ScannerConfig",
     "ScannedMessage",
-    "SCANNER_BACKENDS",
     "Token",
     "TokenType",
     "build_scanner",
@@ -41,26 +36,5 @@ __all__ = [
 
 
 def build_scanner(config: ScannerConfig | None = None) -> Scanner:
-    """Construct the scanner backend *config* selects.
-
-    ``"fsm"`` (the default) is the reference FSM cascade; ``"compiled"``
-    is the regex-program backend.  Both emit bit-identical token
-    streams; the compiled one trades a little import/compile time for
-    much higher per-message throughput.
-    """
-    config = config or ScannerConfig()
-    if config.backend not in SCANNER_BACKENDS:
-        # config validates at construction, but the field is mutable —
-        # an unknown value must fail loudly here, not silently fall
-        # back to the reference backend
-        raise ValueError(
-            f"unknown scanner backend {config.backend!r}; "
-            f"valid choices: {', '.join(SCANNER_BACKENDS)}"
-        )
-    if config.backend == "compiled":
-        # imported lazily so the default path never pays the regex
-        # compilation of a backend it does not use
-        from repro.scanner.compiled import CompiledScanner
-
-        return CompiledScanner(config)
-    return Scanner(config)
+    """Construct the scanner the miner runs."""
+    return CompiledScanner(config)

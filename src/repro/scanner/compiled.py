@@ -1,4 +1,4 @@
-"""Compiled scanner backend: a regex-program tokenizer.
+"""The production scanner: a regex-program tokenizer.
 
 The reference :class:`~repro.scanner.scanner.Scanner` walks every
 message character by character in Python and consults its FSM cascade
@@ -7,7 +7,7 @@ the one cost every message pays on every execution path — the fast lane
 only short-circuits duplicates — which makes it the throughput floor of
 the whole pipeline.
 
-This backend compiles the cascade into a small set of precompiled
+This module compiles the cascade into a small set of precompiled
 ``re`` programs executed left-to-right over each line:
 
 * whitespace runs and general words are consumed by single C-level
@@ -16,7 +16,7 @@ This backend compiles the cascade into a small set of precompiled
   prefilter that can never reject a real match but rejects the vast
   majority of token starts (a plain word or integer) without entering
   the FSM at all.  Gated positions still run the reference FSMs, so the
-  emitted token stream is bit-identical to the FSM backend's by
+  emitted token stream is bit-identical to the FSM cascade's by
   construction: text, type, ``is_space_before`` and ``pos`` all come
   from the same code once a gate opens.
 
@@ -36,7 +36,7 @@ The gates are derived from the FSM entry conditions:
   drive prefix, or a run of component characters reaching a ``/``.
 
 Word classification and text allocation go through the same bounded
-memo + ``sys.intern`` layer as the reference backend
+memo + ``sys.intern`` layer as the reference scanner
 (:class:`~repro.scanner.scanner.WordCache`).
 """
 
@@ -256,8 +256,6 @@ class CompiledScanner(Scanner):
     bit-identical (asserted by the differential property suite in
     ``tests/scanner/test_compiled.py``, not assumed).
     """
-
-    backend_name = "compiled"
 
     def __init__(self, config=None) -> None:
         super().__init__(config)

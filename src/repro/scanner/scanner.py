@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.scanner.hex_fsm import HexFSM
 from repro.scanner.path_fsm import PathFSM
 from repro.scanner.time_fsm import TimeFSM
 from repro.scanner.token_types import Token, TokenType
 
-__all__ = ["Scanner", "ScannerConfig", "ScannedMessage", "WordCache", "SCANNER_BACKENDS"]
-
-#: Recognised values of :attr:`ScannerConfig.backend`.
-SCANNER_BACKENDS = ("fsm", "compiled")
+__all__ = ["Scanner", "ScannerConfig", "ScannedMessage", "WordCache"]
 
 # Punctuation that always forms its own single-character token.  Colons
 # are included so component headers ("sshd[123]:") and host:port splits
@@ -61,17 +59,12 @@ class ScannerConfig:
     #: production had 864 tokens; capping protects the analysis trie
     #: (§III, memory management).
     max_tokens: int = 0
-    #: Tokeniser implementation: ``"fsm"`` is the reference character
-    #: FSM cascade, ``"compiled"`` the regex-program backend
-    #: (:class:`repro.scanner.compiled.CompiledScanner`) with identical
-    #: token output.  Selected by :func:`repro.scanner.build_scanner`.
-    backend: str = "fsm"
+    #: Not a setting: the ``backend`` label on scan-stage metrics, naming
+    #: the one tokeniser the miner runs
+    #: (:class:`repro.scanner.compiled.CompiledScanner`).
+    backend: ClassVar[str] = "compiled"
 
     def __post_init__(self) -> None:
-        if self.backend not in SCANNER_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {SCANNER_BACKENDS}, got {self.backend!r}"
-            )
         if self.max_tokens < 0:
             raise ValueError(f"max_tokens must be >= 0, got {self.max_tokens}")
 
@@ -140,11 +133,8 @@ class Scanner:
     once, so callers should reuse one scanner per configuration.
     """
 
-    #: break set shared with the compiled backend's regex program
+    #: break set shared with the compiled scanner's regex program
     _BREAK_CHARS = _BREAK_CHARS
-
-    #: reported as the ``backend`` metric label (overridden by subclasses)
-    backend_name = "fsm"
 
     def __init__(self, config: ScannerConfig | None = None) -> None:
         self.config = config or ScannerConfig()

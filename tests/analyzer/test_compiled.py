@@ -1,7 +1,8 @@
-"""Differential equivalence suite for the compiled analyser backend.
+"""Differential equivalence suite for the compiled analyser.
 
-The compiled backend's contract is *byte-identical* pattern output to
-the reference per-node analysis trie: same pattern list order (the DFS
+:class:`CompiledAnalyzer` is the analyser the miner runs; its contract
+is *byte-identical* pattern output to the reference per-node analysis
+trie (:class:`Analyzer`): same pattern list order (the DFS
 emission walk over identical dict orders), same texts, supports,
 examples, token structures and semantic names, and the same
 ``last_trie_nodes`` telemetry.  These tests enforce the contract on
@@ -15,12 +16,11 @@ examples, token structures and semantic names, and the same
   overflow, fold-support boundaries, and double merges colliding on one
   ``V`` key;
 * the **weighted-insert property** (satellite): one insert with ``n=k``
-  must equal ``k`` single inserts on both backends — patterns, node
+  must equal ``k`` single inserts on both analysers — patterns, node
   counts, observed values, captured examples.
 
 Structural properties ride along: scratch-state reset-and-reuse across
-partitions (satellite regression), and backend selection via the
-factory.
+partitions (satellite regression), and the factory.
 """
 
 import random
@@ -28,13 +28,9 @@ import random
 import pytest
 
 from tests.conftest import MessageGenerator
-from repro.analyzer import (
-    ANALYZER_BACKENDS,
-    Analyzer,
-    AnalyzerConfig,
-    build_analyzer,
-)
+from repro.analyzer import Analyzer, AnalyzerConfig, build_analyzer
 from repro.analyzer.compiled import CompiledAnalyzer
+from repro.core.pipeline import SequenceRTG
 from repro.loghub.corpus import DATASET_NAMES, load_dataset
 from repro.scanner import Scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
@@ -86,10 +82,8 @@ CONFIG_VARIATIONS = (
 def assert_backends_agree(partitions, **config_kwargs):
     """One analyser instance per backend mines every partition in
     sequence (exercising scratch reuse); outputs must be identical."""
-    ref = Analyzer(AnalyzerConfig(**config_kwargs))
-    comp = CompiledAnalyzer(
-        AnalyzerConfig(backend="compiled", **config_kwargs)
-    )
+    config = AnalyzerConfig(**config_kwargs)
+    ref, comp = Analyzer(config), CompiledAnalyzer(config)
     mined_something = False
     for partition in partitions:
         a = ref.analyze(partition)
@@ -98,6 +92,18 @@ def assert_backends_agree(partitions, **config_kwargs):
         assert [fingerprint(p) for p in b] == [fingerprint(p) for p in a]
         mined_something = mined_something or bool(a)
     assert mined_something  # the corpus must actually produce patterns
+
+
+def stream_by_service(n_services, duplicate_fraction, n, seed=41):
+    """Each service's messages from the first *n* stream records."""
+    stream = ProductionStream(StreamConfig(
+        n_services=n_services, seed=seed,
+        duplicate_fraction=duplicate_fraction,
+    ))
+    by_service = {}
+    for record in stream.records(n):
+        by_service.setdefault(record.service, []).append(record.message)
+    return list(by_service.values())
 
 
 class TestMinedCorpora:
@@ -111,16 +117,17 @@ class TestMinedCorpora:
                 assert_backends_agree(partitions_for(messages), **kwargs)
 
     def test_production_stream(self):
-        stream = ProductionStream(
-            StreamConfig(n_services=6, seed=41, duplicate_fraction=0.3)
-        )
-        records = list(stream.records(500))
-        by_service = {}
-        for record in records:
-            by_service.setdefault(record.service, []).append(record.message)
-        for kwargs in CONFIG_VARIATIONS:
-            for messages in by_service.values():
-                assert_backends_agree(partitions_for(messages), **kwargs)
+        # a small stream under every variation, then the e2e steady
+        # workloads' 40-service shape with enrichment on and off
+        for n_services, duplicate_fraction, n, variations in (
+            (6, 0.3, 500, CONFIG_VARIATIONS),
+            (40, 0.25, 5000, CONFIG_VARIATIONS[:2]),
+        ):
+            for kwargs in variations:
+                for messages in stream_by_service(
+                    n_services, duplicate_fraction, n
+                ):
+                    assert_backends_agree(partitions_for(messages), **kwargs)
 
     def test_loghub_datasets(self):
         for name in DATASET_NAMES:
@@ -208,15 +215,13 @@ class TestHandcraftedMergeFamilies:
 
 
 class TestWeightedInsertEquivalence:
-    """Satellite: one insert with n=k ≡ k single inserts, per backend."""
+    """Satellite: one insert with n=k ≡ k single inserts, per analyser."""
 
     def corpora(self):
         gen_records = MessageGenerator(seed=31).records(300, n_services=1)
         yield [r.message for r in gen_records]
-        stream = ProductionStream(
-            StreamConfig(n_services=1, seed=13, duplicate_fraction=0.6)
-        )
-        yield [r.message for r in stream.records(300)]
+        yield from stream_by_service(1, 0.6, 300, seed=13)
+        yield from stream_by_service(40, 0.25, 5000)
         yield load_dataset(DATASET_NAMES[0], 80, seed=5).contents()
 
     def test_weighted_equals_repeated(self):
@@ -226,7 +231,7 @@ class TestWeightedInsertEquivalence:
             repeated = []
             for message in messages:
                 repeated.extend([message] * rng.randint(1, 4))
-            for backend in ANALYZER_BACKENDS:
+            for cls in (Analyzer, CompiledAnalyzer):
                 for partition in partitions_for(repeated):
                     dedup: dict[str, int] = {}
                     uniques = []
@@ -237,7 +242,7 @@ class TestWeightedInsertEquivalence:
                         dedup[msg.original] += 1
                     counts = [dedup[m.original] for m in uniques]
 
-                    analyzer = build_analyzer(AnalyzerConfig(backend=backend))
+                    analyzer = cls()
                     plain = analyzer.analyze(partition)
                     plain_nodes = analyzer.last_trie_nodes
                     weighted = analyzer.analyze(uniques, counts=counts)
@@ -251,14 +256,16 @@ class TestScratchReuse:
     """Satellite regression: resetting and reusing one analyser across
     partitions changes nothing versus a fresh instance per partition."""
 
-    @pytest.mark.parametrize("backend", ANALYZER_BACKENDS)
-    def test_reused_instance_matches_fresh_instances(self, backend):
+    @pytest.mark.parametrize(
+        "cls", [Analyzer, CompiledAnalyzer], ids=["reference", "compiled"]
+    )
+    def test_reused_instance_matches_fresh_instances(self, cls):
         records = MessageGenerator(seed=47).records(250, n_services=1)
         partitions = partitions_for([r.message for r in records])
         assert len(partitions) > 1  # reuse must actually be exercised
-        reused = build_analyzer(AnalyzerConfig(backend=backend))
+        reused = cls()
         for partition in partitions:
-            fresh = build_analyzer(AnalyzerConfig(backend=backend))
+            fresh = cls()
             a = fresh.analyze(partition)
             b = reused.analyze(partition)
             assert reused.last_trie_nodes == fresh.last_trie_nodes
@@ -278,27 +285,24 @@ class TestScratchReuse:
 
 
 class TestBackendSelection:
+    """There is none: the factory builds the compiled analyser, and the
+    configuration has no ``backend`` to set."""
+
     def test_factory_builds_each_backend(self):
-        assert type(build_analyzer()) is Analyzer
-        assert isinstance(
-            build_analyzer(AnalyzerConfig(backend="compiled")),
-            CompiledAnalyzer,
-        )
-        assert build_analyzer().backend_name == "reference"
-        assert (
-            build_analyzer(AnalyzerConfig(backend="compiled")).backend_name
-            == "compiled"
-        )
-        assert set(ANALYZER_BACKENDS) == {"reference", "compiled"}
+        assert type(build_analyzer()) is CompiledAnalyzer
+        evolving = SequenceRTG().engine.analyze_stage.evolving
+        assert type(evolving._analyzer) is CompiledAnalyzer
 
     def test_factory_passes_config(self):
-        config = AnalyzerConfig(backend="compiled", merge_threshold=2)
+        config = AnalyzerConfig(merge_threshold=2)
         assert build_analyzer(config).config is config
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            AnalyzerConfig(backend="hyperspeed")
+        with pytest.raises(TypeError, match="backend"):
+            AnalyzerConfig(backend="reference")
+        with pytest.raises(AttributeError, match="backend"):
+            AnalyzerConfig().backend = "reference"
 
     def test_empty_partition(self):
-        for backend in ANALYZER_BACKENDS:
-            assert build_analyzer(AnalyzerConfig(backend=backend)).analyze([]) == []
+        for cls in (Analyzer, CompiledAnalyzer):
+            assert cls().analyze([]) == []

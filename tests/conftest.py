@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from repro.analyzer import evolving
 from repro.analyzer.analyzer import Analyzer
+from repro.core import pipeline
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
+from repro.parser.parser import Parser
 from repro.scanner.scanner import Scanner, ScannerConfig
 
 
@@ -138,6 +141,19 @@ def analyzer() -> Analyzer:
 def rtg() -> SequenceRTG:
     """Pipeline over a fresh in-memory database."""
     return SequenceRTG(db=PatternDB())
+
+
+@pytest.fixture()
+def reference_stages(monkeypatch) -> None:
+    """Every ``SequenceRTG`` built in this process while the test runs
+    mines with the reference oracles: the three ``build_*`` names are
+    patched, in the modules that call them, to construct ``Scanner``,
+    ``Parser`` and ``Analyzer``.  (Spawned pool workers are untouched.)"""
+    monkeypatch.setattr(pipeline, "build_scanner", Scanner)
+    monkeypatch.setattr(
+        pipeline, "build_parser", lambda patterns, config: Parser(patterns)
+    )
+    monkeypatch.setattr(evolving, "build_analyzer", Analyzer)
 
 
 @pytest.fixture()

@@ -4,14 +4,18 @@ The tentpole invariant: the serial front end and the worker pool run the
 *same* :class:`~repro.core.engine.MiningEngine` — a pool worker is a
 serial miner over its own shard file — so their full database dumps
 (ids, texts, token structures, supports, examples, timestamps) are
-bit-identical, with the fast lane on or off.
+bit-identical, with the fast lane on or off.  One differential test ties
+the engine to the reference scanner, parser and analyser: the same
+records mined with the oracles swapped in leave the same database.
 """
 
 from datetime import datetime, timezone
 
 import pytest
 
-from repro.core.config import RTGConfig
+from repro.analyzer.analyzer import Analyzer
+from repro.analyzer.compiled import CompiledAnalyzer
+from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.engine import (
     MiningEngine,
     PersistStage,
@@ -23,9 +27,10 @@ from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
-from repro.analyzer import ANALYZER_BACKENDS, AnalyzerConfig
-from repro.parser import PARSER_BACKENDS, ParserConfig
-from repro.scanner import ScannerConfig
+from repro.parser.compiled import CompiledParser
+from repro.parser.parser import Parser
+from repro.scanner.compiled import CompiledScanner
+from repro.scanner.scanner import Scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
@@ -84,93 +89,64 @@ class TestCrossPathEquivalence:
         assert dumps[0] == dumps[1]
 
     @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_parser_backend_does_not_change_the_dump(self, enable_fastpath):
-        """Both matcher backends mine the identical database."""
+    @pytest.mark.parametrize("mode", ["batch", "stream"])
+    def test_reference_oracles_mine_the_same_database(
+        self, mode, enable_fastpath, request
+    ):
+        """The compiled scanner, parser and analyser against the
+        reference classes, through the whole engine: stream mode adds
+        deferred flushes and drift merges (whose probes and retirements
+        go through the parser) on top of batch mode, and with the fast
+        lane off the analyser receives raw per-occurrence partitions."""
         batches = batches_for_test()
-        dumps = []
-        for backend in PARSER_BACKENDS:
-            rtg = SequenceRTG(
-                db=PatternDB(),
-                config=RTGConfig(
-                    enable_fastpath=enable_fastpath,
-                    parser=ParserConfig(backend=backend),
-                ),
-            )
-            for batch in batches:
-                rtg.analyze_by_service(batch, now=NOW)
-            dumps.append(full_dump(rtg.db))
-        assert dumps[0]
-        assert dumps[0] == dumps[1]
-
-    def test_serial_and_pool_bit_identical_with_compiled_parser(self):
-        """The compiled matcher keeps both execution paths on the
-        reference backend's exact database."""
-        batches = batches_for_test()
-        reference = SequenceRTG(db=PatternDB(), config=RTGConfig())
-        for _ in reference.process_stream(batches, now=NOW):
-            pass
-        expected = full_dump(reference.db)
-        assert expected
-
-        config = RTGConfig(parser=ParserConfig(backend="compiled"))
-        serial = SequenceRTG(db=PatternDB(), config=config)
-        for _ in serial.process_stream(batches, now=NOW):
-            pass
-        assert full_dump(serial.db) == expected
-
-        with PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=3
-        ) as pool:
-            for _ in pool.process_stream(batches, now=NOW):
-                pass
-            assert full_dump(pool.db) == expected
-
-    @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_analyzer_backend_does_not_change_the_dump(self, enable_fastpath):
-        """Both miner backends produce the identical database.  With the
-        fast lane off the analyser receives raw per-occurrence
-        partitions, exercising the compiled backend's in-batch
-        signature grouping."""
-        batches = batches_for_test()
-        dumps = []
-        for backend in ANALYZER_BACKENDS:
-            rtg = SequenceRTG(
-                db=PatternDB(),
-                config=RTGConfig(
-                    enable_fastpath=enable_fastpath,
-                    analyzer=AnalyzerConfig(backend=backend),
-                ),
-            )
-            for batch in batches:
-                rtg.analyze_by_service(batch, now=NOW)
-            dumps.append(full_dump(rtg.db))
-        assert dumps[0]
-        assert dumps[0] == dumps[1]
-
-    def test_serial_and_pool_bit_identical_all_compiled(self):
-        """Satellite: scanner, parser and analyser all compiled at once —
-        the three backends compose, and both execution paths stay on
-        the all-reference database."""
-        batches = batches_for_test()
-        reference = SequenceRTG(db=PatternDB(), config=RTGConfig())
-        for _ in reference.process_stream(batches, now=NOW):
-            pass
-        expected = full_dump(reference.db)
-        assert expected
-
         config = RTGConfig(
-            scanner=ScannerConfig(backend="compiled"),
-            parser=ParserConfig(backend="compiled"),
-            analyzer=AnalyzerConfig(backend="compiled"),
+            mode=mode,
+            enable_fastpath=enable_fastpath,
+            streaming=StreamingConfig(micro_batch_size=64, flush_pending=32),
         )
-        serial = SequenceRTG(db=PatternDB(), config=config)
-        for _ in serial.process_stream(batches, now=NOW):
-            pass
-        assert full_dump(serial.db) == expected
 
-        with PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=3
-        ) as pool:
+        def mine():
+            rtg = SequenceRTG(db=PatternDB(), config=config)
+            if mode == "stream":
+                driver = rtg.stream_driver(clock=lambda: 0.0)
+                for batch in batches:
+                    driver.feed(batch, now=NOW)
+                driver.close()
+            else:
+                for batch in batches:
+                    rtg.analyze_by_service(batch, now=NOW)
+            return rtg, full_dump(rtg.db)
+
+        def stage_classes(rtg):
+            return (
+                type(rtg.scanner),
+                type(rtg.parser_for(batches[0][0].service)),
+                type(rtg.engine.analyze_stage.evolving._analyzer),
+            )
+
+        production, expected = mine()
+        assert expected
+        assert stage_classes(production) == (
+            CompiledScanner, CompiledParser, CompiledAnalyzer,
+        )
+        request.getfixturevalue("reference_stages")
+        oracle, dump = mine()
+        assert stage_classes(oracle) == (Scanner, Parser, Analyzer)
+        assert dump == expected
+
+    def test_serial_and_pool_bit_identical_all_compiled(self, reference_stages):
+        """The pool against the oracles directly: its workers are fresh
+        processes running the compiled classes, the serial miner here
+        runs the reference ones."""
+        batches = batches_for_test()
+        oracle = SequenceRTG(db=PatternDB())
+        assert type(oracle.scanner) is Scanner
+        for _ in oracle.process_stream(batches, now=NOW):
+            pass
+        expected = full_dump(oracle.db)
+        assert expected
+
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as pool:
             for _ in pool.process_stream(batches, now=NOW):
                 pass
             assert full_dump(pool.db) == expected

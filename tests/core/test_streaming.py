@@ -4,8 +4,8 @@ The tentpole invariants:
 
 * batch mode is a special case of the incremental core — a stream
   driver flushing at exactly the batch boundaries (drift/TTL off)
-  produces a bit-identical database dump, under either analyzer
-  backend, fast lane on or off;
+  produces a bit-identical database dump, fast lane on or off, on the
+  compiled stage classes and on the reference oracles;
 * free-running stream mode *converges*: on the 60-day production
   simulation its pattern set agrees with batch output on >= 95% of
   messages by template;
@@ -17,7 +17,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from repro.analyzer import ANALYZER_BACKENDS, AnalyzerConfig, build_analyzer
+from repro.analyzer import AnalyzerConfig, build_analyzer
 from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.parallel import PersistentParallelSequenceRTG
@@ -25,7 +25,7 @@ from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.core.streaming import StreamDriver, ValueDriftTracker
-from repro.parser import PARSER_BACKENDS, ParserConfig, build_parser
+from repro.parser.compiled import CompiledParser
 from repro.parser.parser import Parser
 from repro.scanner import build_scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
@@ -139,16 +139,17 @@ class TestStreamEqualsBatch:
     reproduce the batch-mode database bit-for-bit — supports, examples,
     timestamps, everything."""
 
-    @pytest.mark.parametrize("analyzer_backend", ANALYZER_BACKENDS)
+    @pytest.mark.parametrize("stages", ["compiled", "reference"])
     @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_dump_bit_identical(self, analyzer_backend, enable_fastpath):
+    def test_dump_bit_identical(self, stages, enable_fastpath, request):
+        if stages == "reference":
+            request.getfixturevalue("reference_stages")
         batches = batches_for_test()
         per_batch = len(batches[0])
-        analyzer = AnalyzerConfig(backend=analyzer_backend)
 
-        batch_rtg = SequenceRTG(db=PatternDB(), config=RTGConfig(
-            enable_fastpath=enable_fastpath, analyzer=analyzer,
-        ))
+        batch_rtg = SequenceRTG(
+            db=PatternDB(), config=RTGConfig(enable_fastpath=enable_fastpath)
+        )
         for batch in batches:
             batch_rtg.analyze_by_service(batch, now=NOW)
 
@@ -160,7 +161,6 @@ class TestStreamEqualsBatch:
                 drift_split=False,
             ),
             enable_fastpath=enable_fastpath,
-            analyzer=analyzer,
         )
         driver = rtg.stream_driver(clock=FakeClock())
         for batch in batches:
@@ -581,13 +581,15 @@ class TestValueDriftTracker:
 # ----------------------------------------------------------------------
 
 class TestRemovePatterns:
-    @pytest.mark.parametrize("backend", PARSER_BACKENDS)
-    def test_removal_rebuilds_and_version_stays_monotone(self, backend):
+    @pytest.mark.parametrize(
+        "cls", [Parser, CompiledParser], ids=["reference", "compiled"]
+    )
+    def test_removal_rebuilds_and_version_stays_monotone(self, cls):
         from repro.analyzer.pattern import Pattern
 
         keep = Pattern.from_text("transfer %integer% completed", service="s")
         drop = Pattern.from_text("user %user% logged in", service="s")
-        parser = build_parser([keep, drop], ParserConfig(backend=backend))
+        parser = cls([keep, drop])
         scanner = build_scanner()
         assert parser.match(scanner.scan("user bob logged in")) is not None
         version_before = parser.version
@@ -748,8 +750,7 @@ def undated(db):
 
 
 class TestIndexedDriftMergeMatchesBruteForce:
-    @pytest.mark.parametrize("parser_backend", PARSER_BACKENDS)
-    def test_same_retirements_same_database(self, parser_backend):
+    def test_same_retirements_same_database(self):
         streaming = StreamingConfig(
             micro_batch_size=64,
             flush_pending=32,
@@ -761,9 +762,7 @@ class TestIndexedDriftMergeMatchesBruteForce:
         dumps = {}
         stats = {}
         for cls in (StreamDriver, BruteForceMergeDriver):
-            rtg = stream_rtg(
-                streaming, parser=ParserConfig(backend=parser_backend)
-            )
+            rtg = stream_rtg(streaming)
             log = retired[cls] = []
             retire = rtg.retire_patterns
 

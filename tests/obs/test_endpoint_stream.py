@@ -91,6 +91,16 @@ class TestPoolAggregation:
             samples = snap["rtg_stage_latency_seconds"]["samples"]
             workers = {dict(key).get("worker") for key in samples}
             assert workers - {None}, "no worker-labelled stage samples"
+            backends = {
+                dict(key)["stage"]: dict(key).get("backend") for key in samples
+            }
+            assert backends == {
+                "scan": "compiled",
+                "parse": "compiled",
+                "analyze": "compiled",
+                "partition_length": None,
+                "persist": None,
+            }
 
     def test_mining_counters_match_across_paths(self):
         """The same stream yields identical mining counters (records,

@@ -51,27 +51,24 @@ class TestSerialPath:
         """One observation per stage per service group."""
         rtg, result = mined()
         hist = rtg.metrics.histogram("rtg_stage_latency_seconds")
-        # scan, parse and analyze samples additionally carry their
-        # backend label
-        assert hist.count(stage="scan", backend="fsm") == result.n_services
-        assert (
-            hist.count(stage="parse", backend="reference") == result.n_services
-        )
-        assert (
-            hist.count(stage="analyze", backend="reference")
-            == result.n_services
-        )
+        # scan, parse and analyze samples additionally carry the name of
+        # the stage's implementation as their backend label
+        for stage in ("scan", "parse", "analyze"):
+            assert (
+                hist.count(stage=stage, backend="compiled")
+                == result.n_services
+            )
         for stage in ("partition_length", "persist"):
             assert hist.count(stage=stage) == result.n_services
 
     def test_analyze_trie_nodes_histogram(self):
         """One trie-node observation per mined length partition, labelled
-        with the analyser backend."""
+        ``backend="compiled"``."""
         rtg, result = mined()
         hist = rtg.metrics.histogram("rtg_analyze_trie_nodes")
         assert result.n_partitions > 0
-        assert hist.count(backend="reference") == result.n_partitions
-        assert hist.sum(backend="reference") >= result.n_partitions
+        assert hist.count(backend="compiled") == result.n_partitions
+        assert hist.sum(backend="compiled") >= result.n_partitions
 
     def test_counters_agree_with_batch_result(self):
         rtg, result = mined()

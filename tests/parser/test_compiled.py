@@ -1,7 +1,8 @@
-"""Differential equivalence suite for the compiled parser backend.
+"""Differential equivalence suite for the compiled parser.
 
-The compiled backend's contract is *bit-identical* match results to the
-reference parse-trie DFS: same winning pattern under the full tie-break
+:class:`CompiledParser` is the parser the miner runs; its contract is
+*bit-identical* match results to the reference parse-trie DFS
+(:class:`Parser`): same winning pattern under the full tie-break
 order (most static tokens, then fewest variables, then the reference
 fold order), same extracted fields, same static count — and ``None``
 exactly when the reference misses.  These tests enforce the contract on
@@ -18,7 +19,7 @@ exactly when the reference misses.  These tests enforce the contract on
 
 Structural properties ride along: ``match_many`` positional parity and
 duplicate sharing, incremental ``add_pattern`` recompilation, frontier
-telemetry, and backend selection via the factory.
+telemetry, and the factory.
 """
 
 import random
@@ -31,7 +32,7 @@ from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.loghub.corpus import DATASET_NAMES, load_dataset
-from repro.parser import PARSER_BACKENDS, Parser, ParserConfig, build_parser
+from repro.parser import Parser, ParserConfig, build_parser
 from repro.parser.compiled import CompiledParser
 from repro.scanner import Scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
@@ -106,14 +107,20 @@ class TestMinedCorpora:
             )
 
     def test_production_stream(self):
-        stream = ProductionStream(
-            StreamConfig(n_services=6, seed=41, duplicate_fraction=0.3)
-        )
-        records = list(stream.records(500))
-        for patterns, messages in mined_by_service(records):
-            assert_backends_agree(
-                patterns, messages + mutated(messages, seed=17)
-            )
+        # a small stream, then the e2e steady workloads' 40-service shape
+        # at a lower duplicate fraction (a duplicate adds no comparison:
+        # matching is a pure function of the message)
+        for n_services, duplicate_fraction, n in ((6, 0.3, 500), (40, 0.25, 6000)):
+            stream = ProductionStream(StreamConfig(
+                n_services=n_services, seed=41,
+                duplicate_fraction=duplicate_fraction,
+            ))
+            records = list(stream.records(n))
+            for patterns, messages in mined_by_service(records):
+                messages = list(dict.fromkeys(messages))
+                probes = messages + mutated(messages, seed=17)
+                for enrich in (True, False):
+                    assert_backends_agree(patterns, probes, enrich=enrich)
 
     def test_loghub_datasets(self):
         for name in DATASET_NAMES:
@@ -500,28 +507,23 @@ class TestFrontierTelemetry:
 
 
 class TestBackendSelection:
+    """There is none: the factory builds the compiled parser, and the
+    configuration has no ``backend`` to set."""
+
     def test_factory_builds_each_backend(self):
-        assert type(build_parser()) is Parser
-        assert isinstance(
-            build_parser(config=ParserConfig(backend="compiled")),
-            CompiledParser,
-        )
-        assert build_parser().backend_name == "reference"
-        assert (
-            build_parser(config=ParserConfig(backend="compiled")).backend_name
-            == "compiled"
-        )
-        assert set(PARSER_BACKENDS) == {"reference", "compiled"}
+        assert type(build_parser()) is CompiledParser
+        assert type(build_parser(config=ParserConfig())) is CompiledParser
+        assert type(SequenceRTG().parser_for("svc")) is CompiledParser
 
     def test_factory_passes_patterns_and_enrich(self):
         patterns = patterns_from(["mail from %email%"])
-        for backend in PARSER_BACKENDS:
-            config = ParserConfig(backend=backend)
-            on = build_parser(patterns, config=config)
-            off = build_parser(patterns, config=config, enrich=False)
-            assert on.match(SC.scan("mail from ops@example.com")) is not None
-            assert off.match(SC.scan("mail from ops@example.com")) is None
+        on = build_parser(patterns, config=ParserConfig())
+        off = build_parser(patterns, config=ParserConfig(), enrich=False)
+        assert on.match(SC.scan("mail from ops@example.com")) is not None
+        assert off.match(SC.scan("mail from ops@example.com")) is None
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParserConfig(backend="hyperspeed")
+        with pytest.raises(TypeError, match="backend"):
+            ParserConfig(backend="reference")
+        with pytest.raises(AttributeError, match="backend"):
+            ParserConfig().backend = "reference"

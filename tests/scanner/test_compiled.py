@@ -1,10 +1,11 @@
-"""Differential equivalence suite for the compiled scanner backend.
+"""Differential equivalence suite for the compiled scanner.
 
-The compiled backend's contract is *bit-identical* token streams to the
-reference FSM scanner — same text, type, ``is_space_before`` and ``pos``
-on every message, under every configuration.  These tests enforce the
-contract on seeded generator corpora, the bundled loghub corpora, and a
-hand-written adversarial set, across all four scanner flag combinations.
+:class:`CompiledScanner` is the scanner the miner runs; its contract is
+*bit-identical* token streams to the reference FSM :class:`Scanner` —
+same text, type, ``is_space_before`` and ``pos`` on every message, under
+every configuration.  These tests enforce the contract on seeded
+generator corpora, the bundled loghub corpora, and a hand-written
+adversarial set, across all four scanner flag combinations.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import re
 import pytest
 
 from tests.conftest import MessageGenerator
+from repro.core.pipeline import SequenceRTG
 from repro.loghub.corpus import DATASET_NAMES, load_dataset
 from repro.scanner import ScannerConfig, build_scanner
 from repro.scanner.compiled import CompiledScanner, CompiledTimeFSM
@@ -65,6 +67,13 @@ def corpus():
         StreamConfig(n_services=10, seed=41, duplicate_fraction=0.3)
     )
     msgs.extend(r.message for r in stream.records(400))
+    # the e2e steady workloads' stream shape (40 services, half the
+    # records duplicates); scanning is a pure function of the message,
+    # so each distinct one is compared once
+    steady = ProductionStream(
+        StreamConfig(n_services=40, seed=41, duplicate_fraction=0.5)
+    )
+    msgs.extend(dict.fromkeys(r.message for r in steady.records(6000)))
     for name in DATASET_NAMES:
         msgs.extend(load_dataset(name, 80, seed=3).contents())
     msgs.extend(ADVERSARIAL)
@@ -78,20 +87,10 @@ def token_keys(scanned):
 class TestBackendEquivalence:
     @pytest.mark.parametrize("single_digit,path_fsm", FLAG_COMBOS)
     def test_identical_token_streams(self, single_digit, path_fsm):
-        fsm = build_scanner(
-            ScannerConfig(
-                allow_single_digit_time=single_digit,
-                enable_path_fsm=path_fsm,
-                backend="fsm",
-            )
+        config = ScannerConfig(
+            allow_single_digit_time=single_digit, enable_path_fsm=path_fsm
         )
-        compiled = build_scanner(
-            ScannerConfig(
-                allow_single_digit_time=single_digit,
-                enable_path_fsm=path_fsm,
-                backend="compiled",
-            )
-        )
+        fsm, compiled = Scanner(config), CompiledScanner(config)
         for message in corpus():
             a = fsm.scan(message, service="svc")
             b = compiled.scan(message, service="svc")
@@ -101,10 +100,8 @@ class TestBackendEquivalence:
 
     def test_max_tokens_equivalence(self):
         for cap in (1, 2, 3, 5, 100):
-            fsm = build_scanner(ScannerConfig(max_tokens=cap, backend="fsm"))
-            compiled = build_scanner(
-                ScannerConfig(max_tokens=cap, backend="compiled")
-            )
+            config = ScannerConfig(max_tokens=cap)
+            fsm, compiled = Scanner(config), CompiledScanner(config)
             for message in ADVERSARIAL:
                 a, b = fsm.scan(message), compiled.scan(message)
                 assert token_keys(a) == token_keys(b), (cap, message)
@@ -112,7 +109,7 @@ class TestBackendEquivalence:
                 assert len(b.tokens) <= cap
 
     def test_scan_many_matches_scan(self):
-        compiled = build_scanner(ScannerConfig(backend="compiled"))
+        compiled = CompiledScanner()
         batch = compiled.scan_many(ADVERSARIAL, service="s")
         assert [token_keys(m) for m in batch] == [
             token_keys(compiled.scan(m, service="s")) for m in ADVERSARIAL
@@ -189,19 +186,21 @@ class TestWordCache:
 
 
 class TestBackendSelection:
+    """There is none: the factory builds the compiled scanner, and the
+    configuration has no ``backend`` to set."""
+
     def test_factory_builds_each_backend(self):
-        assert type(build_scanner(ScannerConfig(backend="fsm"))) is Scanner
-        assert isinstance(
-            build_scanner(ScannerConfig(backend="compiled")), CompiledScanner
-        )
-        assert build_scanner().backend_name == "fsm"
-        assert build_scanner(ScannerConfig(backend="compiled")).backend_name == (
-            "compiled"
-        )
+        config = ScannerConfig(enable_path_fsm=True)
+        built = build_scanner(config)
+        assert type(built) is CompiledScanner and built.config is config
+        assert type(build_scanner()) is CompiledScanner
+        assert type(SequenceRTG().scanner) is CompiledScanner
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ScannerConfig(backend="simd")
+        with pytest.raises(TypeError, match="backend"):
+            ScannerConfig(backend="fsm")
+        with pytest.raises(AttributeError, match="backend"):
+            ScannerConfig().backend = "fsm"
 
     def test_negative_max_tokens_rejected(self):
         with pytest.raises(ValueError, match="max_tokens"):

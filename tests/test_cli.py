@@ -161,6 +161,14 @@ class TestFlags:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("stage", ["scanner", "parser", "analyzer"])
+    def test_backend_flags_are_gone(self, stage, tmp_path, db_path):
+        log = write_log(tmp_path, SSH_LINES)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--db", db_path, f"--{stage}-backend", "compiled",
+                  "mine", log, "--service", "sshd"])
+        assert exit_.value.code == 2
+
 
 class TestMaintenance:
     def test_prune(self, tmp_path, db_path, capsys):
@@ -192,10 +200,13 @@ class TestMaintenance:
 
 
 class TestEvaluateAndArtifact:
-    def test_evaluate_prints_scores(self, db_path, capsys):
-        main(["--db", db_path, "evaluate", "Apache", "--mode", "both"])
+    def test_evaluate_prints_scores(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        main(["evaluate", "Apache", "--mode", "both"])
         out = capsys.readouterr().out
         assert "Apache raw:" in out and "Apache preprocessed:" in out
+        # evaluation mines in memory: the default --db is never opened
+        assert list(tmp_path.iterdir()) == []
 
     def test_artifact_export(self, tmp_path, db_path, capsys):
         out_dir = str(tmp_path / "bundle")
