@@ -11,13 +11,8 @@ paper's sustained production rate for the routing stages (scan + parse,
 which every message pays), remembering that in the deployed workflow
 only the *unmatched* messages ever reach the miner.
 
-The duplicate-aware fast lane (``repro.core.fastpath``) is additionally
-gated here: on a duplicate-heavy stream (≥80% repeats — the shape of
-real production traffic) the cached scan+parse path must be ≥3× the
-uncached baseline, and on an all-unique stream it must not regress by
-more than 5%.  Every measurement is also written to
-``results/BENCH_throughput.json`` (msgs/s per stage, cache hit rates)
-so future PRs can track the performance trajectory machine-readably.
+Every measurement is also written to ``results/BENCH_throughput.json``
+(msgs/s per stage) so the performance trajectory stays machine-readable.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 
-from repro.core.config import RTGConfig
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.workflow.stream import ProductionStream, StreamConfig
@@ -113,87 +107,3 @@ def test_mining_batch_latency(benchmark):
 
     _record_bench("mine", {"msgs_per_s": round(len(records) / seconds)})
 
-
-# ----------------------------------------------------------------------
-# Duplicate-aware fast lane gates
-# ----------------------------------------------------------------------
-
-def _fastlane_measure(enable_fastpath, duplicate_fraction, n_batches=4,
-                      per_batch=3_000, rounds=3, seed=41):
-    """Min-of-rounds cold measurement of the scan+parse hot path.
-
-    Each round builds a fresh pipeline, learns the stream's patterns
-    from a warmup batch (untimed), then routes *n_batches* consecutive
-    batches; the scan+parse stage seconds come from the pipeline's own
-    stage timers, so mining time on residual unmatched messages does not
-    blur the routing-stage comparison.
-    """
-    stream = ProductionStream(StreamConfig(
-        n_services=40, seed=seed, duplicate_fraction=duplicate_fraction))
-    warm = list(stream.records(5_000))
-    batches = [list(stream.records(per_batch)) for _ in range(n_batches)]
-    n_routed = n_batches * per_batch
-
-    best = float("inf")
-    cache_totals: dict[str, int] = {}
-    for _ in range(rounds):
-        config = RTGConfig(enable_fastpath=enable_fastpath)
-        rtg = SequenceRTG(db=PatternDB(), config=config)
-        rtg.analyze_by_service(warm)
-        seconds = 0.0
-        round_cache: dict[str, int] = {}
-        for batch in batches:
-            result = rtg.analyze_by_service(batch)
-            seconds += (result.timings.get("scan", 0.0)
-                        + result.timings.get("parse", 0.0))
-            for key, value in result.cache.items():
-                round_cache[key] = round_cache.get(key, 0) + value
-        if seconds < best:
-            best = seconds
-            cache_totals = round_cache
-    return n_routed / best, cache_totals
-
-
-def _hit_rate(cache: dict[str, int]) -> float:
-    served = cache.get("scan_hits", 0) + cache.get("dedup_duplicates", 0)
-    total = served + cache.get("scan_misses", 0)
-    return served / total if total else 0.0
-
-
-def test_fastpath_duplicate_heavy_speedup():
-    """≥2× cached scan+parse on a ≥80%-repeats stream.  (ISSUE 1 set
-    the gate at 3× over the FSM scanner and trie parser; the uncached
-    lane now runs the compiled ones, three times as fast, and the
-    ratio measures about 3.0.)"""
-    fast, cache = _fastlane_measure(True, duplicate_fraction=0.85)
-    naive, _ = _fastlane_measure(False, duplicate_fraction=0.85)
-    speedup = fast / naive
-    hit_rate = _hit_rate(cache)
-    print(f"\nduplicate-heavy scan+parse: fastpath {fast:,.0f} msgs/s, "
-          f"uncached {naive:,.0f} msgs/s ({speedup:.1f}x, "
-          f"{hit_rate:.0%} served without scanning)")
-    _record_bench("fastpath_duplicate_heavy", {
-        "fast_msgs_per_s": round(fast),
-        "naive_msgs_per_s": round(naive),
-        "speedup": round(speedup, 2),
-        "scan_hit_rate": round(hit_rate, 4),
-        "cache": cache,
-    })
-    assert hit_rate >= 0.8  # the stream really is duplicate-heavy
-    assert speedup >= 2.0
-
-
-def test_fastpath_all_unique_no_regression():
-    """The fast lane must not cost >5% on a stream with no repeats."""
-    fast, cache = _fastlane_measure(True, duplicate_fraction=0.0)
-    naive, _ = _fastlane_measure(False, duplicate_fraction=0.0)
-    ratio = naive / fast
-    print(f"\nall-unique scan+parse: fastpath {fast:,.0f} msgs/s, "
-          f"uncached {naive:,.0f} msgs/s (overhead ratio {ratio:.3f})")
-    _record_bench("fastpath_all_unique", {
-        "fast_msgs_per_s": round(fast),
-        "naive_msgs_per_s": round(naive),
-        "naive_over_fast": round(ratio, 3),
-        "scan_hit_rate": round(_hit_rate(cache), 4),
-    })
-    assert ratio <= 1.05

@@ -108,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         "after SIGTERM before being cancelled",
     )
     serve.add_argument(
-        "--ingest-join-timeout",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="file mode: seconds to wait for the pipelined reader "
-        "thread on shutdown before declaring it leaked",
-    )
-    serve.add_argument(
         "--mode",
         dest="exec_mode",
         choices=EXECUTION_MODES,
@@ -172,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="persistent worker processes for analysis "
         "(1 = in-process serial; 0 = one per CPU minus one)",
-    )
-    serve.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help="disable background ingest prefetch (parse batches inline)",
     )
     serve.add_argument(
         "--metrics-port",
@@ -297,7 +284,6 @@ def _make_config(args: argparse.Namespace, batch_size: int = 100_000) -> RTGConf
     return RTGConfig(
         batch_size=batch_size,
         save_threshold=getattr(args, "save_threshold", 1),
-        db_durable=args.durable_db,
         mode=mode,
         streaming=(
             _streaming_config(args) if mode == "stream" else StreamingConfig()
@@ -502,17 +488,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"metrics: {metrics_server.url}", file=sys.stderr)
         ingester = StreamIngester(
             batch_size=args.batch_size,
-            join_timeout=args.ingest_join_timeout,
             metrics=miner.metrics if rtg.config.enable_metrics else None,
         )
         with _DrainRequest() as drain, _open_input(args.input) as stream:
-            lines = _interruptible(stream, drain.stop)
-            if args.no_pipeline:
-                batches = ingester.batches(lines)
-            else:
-                batches = ingester.batches_pipelined(
-                    lines, prefetch=rtg.config.ingest_prefetch
-                )
+            batches = ingester.batches_pipelined(
+                _interruptible(stream, drain.stop)
+            )
             results = miner.process_stream(batches)
             try:
                 for result in results:
@@ -547,13 +528,15 @@ def main(argv: list[str] | None = None) -> int:
                 for line in stream
                 if line.strip()
             ]
-        result = rtg.analyze_by_service(records)
-        for pattern in result.new_patterns:
-            print(f"{pattern.id}  {pattern.text}")
-        print(
-            f"{result.n_records} messages -> {result.n_new_patterns} new patterns",
-            file=sys.stderr,
-        )
+        size = rtg.config.batch_size
+        batches = (records[k:k + size] for k in range(0, len(records), size))
+        n_records = n_new = 0
+        for result in rtg.process_stream(batches):
+            for pattern in result.new_patterns:
+                print(f"{pattern.id}  {pattern.text}")
+            n_records += result.n_records
+            n_new += result.n_new_patterns
+        print(f"{n_records} messages -> {n_new} new patterns", file=sys.stderr)
         return 0
 
     if args.command == "parse":

@@ -10,6 +10,7 @@ the evaluation settles on 100,000 messages for production at CC-IN2P3
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.analyzer.analyzer import AnalyzerConfig
 from repro.parser.parser import ParserConfig
@@ -111,50 +112,28 @@ class StreamingConfig:
 
 @dataclass(slots=True)
 class RTGConfig:
-    """All Sequence-RTG knobs in one place."""
+    """All Sequence-RTG knobs in one place.
+
+    Settings of the pattern database (example cap, durability) belong
+    to :class:`~repro.core.patterndb.PatternDB`, the worker count to the
+    pool, the ingest prefetch depth to the ingester.
+    """
+
+    #: Not a setting: the duplicate-aware fast lane
+    #: (:mod:`repro.core.fastpath`) is the hot path of every configuration.
+    enable_fastpath: ClassVar[bool] = True
 
     #: messages accumulated before an analysis run is triggered
     batch_size: int = 100_000
     #: patterns supported by fewer messages than this are considered
     #: useless and not saved (§IV "Limitations", save threshold)
     save_threshold: int = 1
-    #: maximum number of unique examples stored per pattern
-    max_examples: int = 3
-    #: export-time filters: only patterns matched at least this often ...
-    export_min_count: int = 1
-    #: ... with complexity at most this are exported for review
-    export_max_complexity: float = 1.0
-    #: duplicate-aware fast lane (batch dedup + scan/match caching); off
-    #: reproduces the naive per-occurrence hot path — the equivalence
-    #: tests assert both lanes mine byte-identical results
-    enable_fastpath: bool = True
-    #: entries kept in the cross-batch ``(service, message)`` scan cache
-    #: (0 disables the cache; batch dedup still applies)
-    scan_cache_size: int = 8192
-    #: entries kept per service in the token-signature match cache
-    #: (0 disables the cache; batch dedup still applies)
-    match_cache_size: int = 8192
     #: runtime metrics (:mod:`repro.obs`): per-stage latency histograms,
     #: match/fast-lane counters and pattern-DB gauges published through a
     #: :class:`~repro.obs.metrics.MetricsRegistry` on every execution
     #: path; off removes the observer entirely for overhead comparisons
     #: (``benchmarks/smoke_obs.py`` gates the cost of leaving it on)
     enable_metrics: bool = True
-    #: worker processes of the pool
-    #: (:class:`repro.core.parallel.PersistentParallelSequenceRTG`) —
-    #: also the number of shard files the pattern database is laid out
-    #: over; 0 means one per available CPU minus one for the parent
-    pool_workers: int = 0
-    #: batches the pipelined ingester's reader thread keeps ready ahead
-    #: of analysis (:meth:`repro.core.ingest.StreamIngester.batches_pipelined`)
-    ingest_prefetch: int = 2
-    #: full-durability pattern DB: keep SQLite's default rollback journal
-    #: and ``synchronous=FULL`` (fsync per commit).  Off by default — the
-    #: DB opens in WAL mode with ``synchronous=NORMAL``, which keeps the
-    #: database consistent across crashes (the last batch's counts may
-    #: need re-mining) but stops ``record_matches``/persist paying an
-    #: fsync per transaction on the hot path
-    db_durable: bool = False
     #: execution mode: ``"batch"`` runs the paper's workflow (analysis
     #: after every batch); ``"stream"`` defers analysis into the
     #: engine's evolving state and flushes it per the
@@ -176,25 +155,4 @@ class RTGConfig:
         if self.save_threshold < 1:
             raise ValueError(
                 f"save_threshold must be >= 1, got {self.save_threshold}"
-            )
-        if not (0.0 <= self.export_max_complexity <= 1.0):
-            raise ValueError(
-                "export_max_complexity must be within [0, 1], got "
-                f"{self.export_max_complexity}"
-            )
-        if self.scan_cache_size < 0:
-            raise ValueError(
-                f"scan_cache_size must be >= 0, got {self.scan_cache_size}"
-            )
-        if self.match_cache_size < 0:
-            raise ValueError(
-                f"match_cache_size must be >= 0, got {self.match_cache_size}"
-            )
-        if self.pool_workers < 0:
-            raise ValueError(
-                f"pool_workers must be >= 0, got {self.pool_workers}"
-            )
-        if self.ingest_prefetch < 1:
-            raise ValueError(
-                f"ingest_prefetch must be >= 1, got {self.ingest_prefetch}"
             )

@@ -78,9 +78,8 @@ class BatchResult:
     #: per-stage wall-clock seconds, filled by :class:`TimingObserver`
     timings: dict[str, float] = field(default_factory=dict)
     #: fast-lane effectiveness for this batch: scan/match cache hits,
-    #: misses and evictions plus dedup savings (empty when the fast lane
-    #: is disabled) — filled by :class:`FastPathObserver` from
-    #: :meth:`repro.core.fastpath.FastPath.snapshot` deltas
+    #: misses and evictions plus dedup savings — filled by
+    #: :class:`FastPathObserver` from :meth:`FastPath.snapshot` deltas
     cache: dict[str, int] = field(default_factory=dict)
     #: worker-pool telemetry for this batch (empty for in-process runs):
     #: workers used, spawns, respawns — see
@@ -113,12 +112,10 @@ class ServiceBatchContext:
     now: datetime | None = None
     #: distinct scanned messages in first-occurrence order (ScanStage)
     scanned: list[ScannedMessage] = field(default_factory=list)
-    #: dedup multiplicities parallel to ``scanned``; None when the fast
-    #: lane is disabled (every message counts once)
-    counts: list[int] | None = None
-    #: per-message flag: scan served from the cross-batch cache; None
-    #: when the fast lane is disabled
-    from_cache: list[bool] | None = None
+    #: dedup multiplicities parallel to ``scanned`` (ScanStage)
+    counts: list[int] = field(default_factory=list)
+    #: per-message flag: scan served from the cross-batch cache (ScanStage)
+    from_cache: list[bool] = field(default_factory=list)
     #: messages no known pattern matched, with their multiplicities
     unmatched: list[ScannedMessage] = field(default_factory=list)
     unmatched_counts: list[int] = field(default_factory=list)
@@ -167,20 +164,15 @@ class Stage:
 
 
 class ScanStage(Stage):
-    """Tokenize the group — deduplicated through the fast lane when on."""
+    """Tokenize the group, deduplicated through the fast lane."""
 
     name = "scan"
 
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
-        if rtg.config.enable_fastpath:
-            ctx.scanned, ctx.counts, ctx.from_cache = rtg.fastpath.scan_group(
-                rtg.scanner, ctx.service, ctx.records
-            )
-        else:
-            ctx.scanned = rtg.scanner.scan_many(
-                [r.message for r in ctx.records], service=ctx.service
-            )
+        ctx.scanned, ctx.counts, ctx.from_cache = rtg.fastpath.scan_group(
+            rtg.scanner, ctx.service, ctx.records
+        )
 
 
 class ParseStage(Stage):
@@ -206,7 +198,7 @@ class ParseStage(Stage):
         rtg = self.rtg
         tracker = self.field_tracker
         parser = rtg.parser_for(ctx.service)
-        lane = rtg.fastpath if rtg.config.enable_fastpath else None
+        lane = rtg.fastpath
         example_cap = rtg.db.max_examples
         counts, from_cache = ctx.counts, ctx.from_cache
         scanned = ctx.scanned
@@ -216,12 +208,11 @@ class ParseStage(Stage):
             # through the cross-batch match cache — the only ones worth
             # its signature cost; everything else is matched as one
             # batch, where ``match_many`` computes each distinct token
-            # signature once, so in-batch duplicates stop re-walking the
-            # pattern set even with the fast lane disabled
+            # signature once
             fresh: list[ScannedMessage] = []
             fresh_at: list[int] = []
             for i, msg in enumerate(scanned):
-                if from_cache is not None and from_cache[i]:
+                if from_cache[i]:
                     hits[i] = lane.match(ctx.service, parser, msg)
                 else:
                     fresh.append(msg)
@@ -230,9 +221,7 @@ class ParseStage(Stage):
                 for i, hit in zip(fresh_at, parser.match_many(fresh)):
                     hits[i] = hit
                 ctx.parse_frontiers.extend(parser.last_frontiers)
-        for i, msg in enumerate(scanned):
-            n = 1 if counts is None else counts[i]
-            hit = hits[i]
+        for msg, n, hit in zip(scanned, counts, hits):
             if hit is None:
                 ctx.unmatched.append(msg)
                 ctx.unmatched_counts.append(n)
@@ -291,14 +280,8 @@ class AnalyzeStage(Stage):
 
     def run(self, ctx: ServiceBatchContext) -> None:
         evolving = self.evolving
-        weighted = ctx.counts is not None
         for length, (partition, partition_counts) in sorted(ctx.by_length.items()):
-            evolving.absorb(
-                ctx.service,
-                length,
-                partition,
-                counts=partition_counts if weighted else None,
-            )
+            evolving.absorb(ctx.service, length, partition, counts=partition_counts)
             if not self.deferred:
                 patterns, n_nodes = evolving.flush_partition(ctx.service, length)
                 self._record(ctx, patterns, n_nodes)
@@ -433,13 +416,14 @@ class FastPathObserver(StageObserver):
 # ----------------------------------------------------------------------
 
 def default_observers(rtg: "SequenceRTG") -> list[StageObserver]:
-    """The serial driver's instrumentation: timings, cache deltas when
-    the fast lane is enabled, then metrics — last, because the metrics
-    observer folds ``result.timings``/``result.cache`` the earlier
-    observers publish at batch end."""
-    observers: list[StageObserver] = [TimingObserver()]
-    if rtg.config.enable_fastpath:
-        observers.append(FastPathObserver(rtg.fastpath))
+    """The serial driver's instrumentation: timings, fast-lane cache
+    deltas, then metrics — last, because the metrics observer folds
+    ``result.timings``/``result.cache`` the earlier observers publish at
+    batch end."""
+    observers: list[StageObserver] = [
+        TimingObserver(),
+        FastPathObserver(rtg.fastpath),
+    ]
     if rtg.config.enable_metrics:
         # imported here: repro.obs.observer subclasses this module's
         # StageObserver, so a top-level import would be circular

@@ -72,10 +72,9 @@ def token_signature(tokens) -> tuple:
 class LRUCache:
     """Bounded least-recently-used map with hit/miss/eviction counters.
 
-    ``maxsize`` must be positive; callers model "cache disabled" by not
-    constructing one.  :meth:`clear` empties the entries but keeps the
-    counters — invalidation is part of a cache's life, not a reset of
-    its telemetry.
+    ``maxsize`` must be positive.  :meth:`clear` empties the entries but
+    keeps the counters — invalidation is part of a cache's life, not a
+    reset of its telemetry.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
@@ -136,11 +135,19 @@ class FastPath:
     """Scan/match caching and batch dedup state of one pipeline instance.
 
     Not shared across processes: each :class:`~repro.core.pipeline.SequenceRTG`
-    owns one, exactly like its parser cache.
+    owns one, exactly like its parser cache.  The two cache sizes are
+    entries of the cross-batch scan cache and of each service's match
+    cache; both must be positive.
     """
 
-    def __init__(self, scan_cache_size: int, match_cache_size: int) -> None:
-        self._scan = LRUCache(scan_cache_size) if scan_cache_size > 0 else None
+    def __init__(
+        self, scan_cache_size: int = 8192, match_cache_size: int = 8192
+    ) -> None:
+        if match_cache_size <= 0:
+            raise ValueError(
+                f"match_cache_size must be positive, got {match_cache_size}"
+            )
+        self._scan = LRUCache(scan_cache_size)
         self._match_size = match_cache_size
         self._match: dict[str, _ServiceMatchCache] = {}
         # counters of caches retired by invalidate_service(), so the
@@ -152,18 +159,6 @@ class FastPath:
         self.dedup_duplicates = 0
 
     # -- scanning --------------------------------------------------------
-    def scan(self, scanner: Scanner, service: str, message: str) -> ScannedMessage:
-        """Scan through the LRU cache (or directly when disabled)."""
-        cache = self._scan
-        if cache is None:
-            return scanner.scan(message, service=service)
-        key = (service, message)
-        scanned = cache.get(key)
-        if scanned is None:
-            scanned = scanner.scan(message, service=service)
-            cache.put(key, scanned)
-        return scanned
-
     def scan_group(
         self, scanner: Scanner, service: str, group
     ) -> tuple[list[ScannedMessage], list[int], list[bool]]:
@@ -191,15 +186,11 @@ class FastPath:
                 continue
             message = record.message
             index[message] = len(scanned)
-            if lru is None:
-                hit = None
-            else:
-                key = (service, message)
-                hit = lru.get(key)
+            key = (service, message)
+            hit = lru.get(key)
             if hit is None:
                 hit = scanner.scan(message, service=service)
-                if lru is not None:
-                    lru.put(key, hit)
+                lru.put(key, hit)
                 cached.append(False)
             else:
                 cached.append(True)
@@ -213,8 +204,6 @@ class FastPath:
     def match(self, service: str, parser, scanned: ScannedMessage):
         """Match through the per-service LRU, validated against the
         parser's pattern-set version."""
-        if self._match_size <= 0:
-            return parser.match(scanned)
         entry = self._match.get(service)
         if entry is None:
             entry = _ServiceMatchCache(
@@ -249,11 +238,6 @@ class FastPath:
             self._retired_misses += entry.lru.misses
             self._retired_evictions += entry.lru.evictions
 
-    def invalidate_all(self) -> None:
-        """Drop every match cache (after external DB mutation)."""
-        for service in list(self._match):
-            self.invalidate_service(service)
-
     # -- telemetry -------------------------------------------------------
     @staticmethod
     def snapshot_delta(
@@ -278,9 +262,9 @@ class FastPath:
             match_misses += entry.lru.misses
             match_evictions += entry.lru.evictions
         return {
-            "scan_hits": scan.hits if scan else 0,
-            "scan_misses": scan.misses if scan else 0,
-            "scan_evictions": scan.evictions if scan else 0,
+            "scan_hits": scan.hits,
+            "scan_misses": scan.misses,
+            "scan_evictions": scan.evictions,
             "match_hits": match_hits,
             "match_misses": match_misses,
             "match_evictions": match_evictions,

@@ -63,12 +63,15 @@ def shard_records(
     return shards
 
 
-def _worker_main(conn, path: str, config: RTGConfig, index: int) -> None:
-    """Loop of one long-lived worker process: a serial miner on *path*.
+def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
+    """Loop of one long-lived worker process: a serial miner on one file.
 
-    Every request is ``(token, call, *args)`` and is answered with the
-    pickled ``(token, value, metrics delta)`` of the call; ``None``
-    stops the loop.  Calls:
+    *shard* is the ``PatternDB`` arguments of that file — its path and
+    the example cap and durability of the database the pool was handed,
+    so a shard stores what the serial miner would.  Every request is
+    ``(token, call, *args)`` and is answered with the pickled ``(token,
+    value, metrics delta)`` of the call; ``None`` stops the loop.
+    Calls:
 
     * ``"batch", services, messages, now`` — mine the records the two
       parallel string lists spell, stamped with *now*; the value is the
@@ -85,9 +88,7 @@ def _worker_main(conn, path: str, config: RTGConfig, index: int) -> None:
     summed :class:`BatchResult`.
     """
     rtg = SequenceRTG(
-        db=PatternDB(
-            path, max_examples=config.max_examples, durable=config.db_durable
-        ),
+        db=PatternDB(*shard),
         config=config,
         metrics=MetricsRegistry(const_labels={"worker": str(index)}),
     )
@@ -139,8 +140,9 @@ class _Worker:
 class PersistentParallelSequenceRTG:
     """Service-sharded Sequence-RTG over a persistent worker pool.
 
-    Constructing the pool lays *db* out as ``n_workers`` shard files
-    (:meth:`PatternDB.shard` — rows a serial miner or a pool of another
+    Constructing the pool lays *db* out as *n_workers* shard files (by
+    default one per CPU minus one for the parent;
+    :meth:`PatternDB.shard` — rows a serial miner or a pool of another
     size left elsewhere move to their owner first); from then on *db*,
     and any later ``PatternDB(path)``, reads the union of the shards and
     refuses per-pattern writes.  Workers are spawned on first use and
@@ -175,15 +177,8 @@ class PersistentParallelSequenceRTG:
                 "worker pools run batch mode only; stream mode is served "
                 f"by the serial StreamDriver (got mode={self.config.mode!r})"
             )
-        self.db = db or PatternDB(
-            max_examples=self.config.max_examples,
-            durable=self.config.db_durable,
-        )
-        self.n_workers = (
-            n_workers
-            or self.config.pool_workers
-            or max(1, multiprocessing.cpu_count() - 1)
-        )
+        self.db = db or PatternDB()
+        self.n_workers = n_workers or max(1, multiprocessing.cpu_count() - 1)
         self._shard_paths = self.db.shard(self.n_workers)
         #: the one registry behind ``/metrics``: worker deltas are merged
         #: in as replies arrive, batch aggregates folded by the
@@ -241,9 +236,10 @@ class PersistentParallelSequenceRTG:
 
     def _spawn(self, index: int, event: str = "spawns") -> _Worker:
         parent_conn, child_conn = self._context.Pipe()
+        shard = (self._shard_paths[index], self.db.max_examples, self.db.durable)
         process = self._context.Process(
             target=self._worker_main,
-            args=(child_conn, self._shard_paths[index], self.config, index),
+            args=(child_conn, shard, self.config, index),
             name=f"sequence-rtg-worker-{index}",
             daemon=True,
         )

@@ -53,15 +53,10 @@ class SequenceRTG:
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.config = config or RTGConfig()
-        self.db = db or PatternDB(
-            max_examples=self.config.max_examples,
-            durable=self.config.db_durable,
-        )
+        self.db = db or PatternDB()
         self.scanner = build_scanner(self.config.scanner)
         self._parsers: dict[str, Parser] = {}
-        self.fastpath = FastPath(
-            self.config.scan_cache_size, self.config.match_cache_size
-        )
+        self.fastpath = FastPath()
         #: runtime metrics registry (:mod:`repro.obs`); pool front ends
         #: pass theirs in so the in-process instance shares it
         self.metrics = metrics or MetricsRegistry()
@@ -160,13 +155,12 @@ class SequenceRTG:
     ) -> BatchResult:
         """Run the Fig. 2 workflow over one batch of records.
 
-        With ``RTGConfig.enable_fastpath`` (the default) the scan→parse
-        stages run through the duplicate-aware fast lane: identical
-        messages are scanned and parsed once per batch (and cached
-        across batches), with multiplicities folded into match counts
-        and — via weighted trie insertion — into pattern support.  The
-        mined output is identical either way; ``result.cache`` reports
-        the lane's effectiveness.
+        The scan→parse stages run through the duplicate-aware fast
+        lane: identical messages are scanned and parsed once per batch
+        (and cached across batches), with multiplicities folded into
+        match counts and — via weighted trie insertion — into pattern
+        support, so the mined output is that of a per-occurrence run;
+        ``result.cache`` reports the lane's effectiveness.
         """
         return self.engine.run(records, now=now)
 

@@ -9,6 +9,7 @@ import pytest
 from repro.analyzer import evolving
 from repro.analyzer.analyzer import Analyzer
 from repro.core import pipeline
+from repro.core.fastpath import FastPath
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
@@ -154,6 +155,19 @@ def reference_stages(monkeypatch) -> None:
         pipeline, "build_parser", lambda patterns, config: Parser(patterns)
     )
     monkeypatch.setattr(evolving, "build_analyzer", Analyzer)
+
+
+@pytest.fixture()
+def per_occurrence_lane(monkeypatch) -> None:
+    """The fast lane's oracle: while the test runs, every ``SequenceRTG``
+    in this process scans record by record — every count 1, no cache
+    consulted.  (Spawned pool workers are untouched.)"""
+
+    def scan_group(self, scanner, service, group):
+        scanned = scanner.scan_many([r.message for r in group], service=service)
+        return scanned, [1] * len(scanned), [False] * len(scanned)
+
+    monkeypatch.setattr(FastPath, "scan_group", scan_group)
 
 
 @pytest.fixture()

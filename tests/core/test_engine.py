@@ -4,9 +4,10 @@ The tentpole invariant: the serial front end and the worker pool run the
 *same* :class:`~repro.core.engine.MiningEngine` — a pool worker is a
 serial miner over its own shard file — so their full database dumps
 (ids, texts, token structures, supports, examples, timestamps) are
-bit-identical, with the fast lane on or off.  One differential test ties
-the engine to the reference scanner, parser and analyser: the same
-records mined with the oracles swapped in leave the same database.
+bit-identical.  Differential tests tie the engine to its oracles: the
+same records mined with the reference scanner, parser and analyser
+swapped in, or through the per-occurrence lane instead of the fast
+lane, leave the same database.
 """
 
 from datetime import datetime, timezone
@@ -57,51 +58,46 @@ def full_dump(db):
 class TestCrossPathEquivalence:
     """Same engine + same batches ⇒ same database, whatever drives it."""
 
-    @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_serial_and_pool_dumps_bit_identical(self, enable_fastpath):
-        config = RTGConfig(enable_fastpath=enable_fastpath)
+    def test_serial_and_pool_dumps_bit_identical(self):
         batches = batches_for_test()
 
-        serial = SequenceRTG(db=PatternDB(), config=config)
+        serial = SequenceRTG(db=PatternDB())
         for _ in serial.process_stream(batches, now=NOW):
             pass
 
-        with PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=3
-        ) as pool:
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as pool:
             for _ in pool.process_stream(batches, now=NOW):
                 pass
             reference = full_dump(serial.db)
             assert reference  # the stream must actually mine something
             assert full_dump(pool.db) == reference
 
-    def test_fastpath_does_not_change_the_dump(self):
+    def test_fastpath_does_not_change_the_dump(self, request):
         batches = batches_for_test()
         dumps = []
-        for enable_fastpath in (True, False):
-            rtg = SequenceRTG(
-                db=PatternDB(),
-                config=RTGConfig(enable_fastpath=enable_fastpath),
-            )
+        for lane in ("fast", "per_occurrence"):
+            if lane == "per_occurrence":
+                request.getfixturevalue("per_occurrence_lane")
+            rtg = SequenceRTG(db=PatternDB())
             for batch in batches:
                 rtg.analyze_by_service(batch, now=NOW)
             dumps.append(full_dump(rtg.db))
         assert dumps[0] == dumps[1]
 
-    @pytest.mark.parametrize("enable_fastpath", [True, False])
+    @pytest.mark.parametrize("lane", ["fast", "per_occurrence"])
     @pytest.mark.parametrize("mode", ["batch", "stream"])
-    def test_reference_oracles_mine_the_same_database(
-        self, mode, enable_fastpath, request
-    ):
+    def test_reference_oracles_mine_the_same_database(self, mode, lane, request):
         """The compiled scanner, parser and analyser against the
         reference classes, through the whole engine: stream mode adds
         deferred flushes and drift merges (whose probes and retirements
-        go through the parser) on top of batch mode, and with the fast
-        lane off the analyser receives raw per-occurrence partitions."""
+        go through the parser) on top of batch mode, and through the
+        per-occurrence lane the analyser receives raw, undeduplicated
+        partitions."""
+        if lane == "per_occurrence":
+            request.getfixturevalue("per_occurrence_lane")
         batches = batches_for_test()
         config = RTGConfig(
             mode=mode,
-            enable_fastpath=enable_fastpath,
             streaming=StreamingConfig(micro_batch_size=64, flush_pending=32),
         )
 
@@ -208,16 +204,6 @@ class TestObserverContract:
             for stage in STAGE_ORDER:
                 assert timing.timer.count(stage) == result.n_services
             assert set(result.timings) == set(STAGE_ORDER)
-
-    def test_timings_survive_with_fastpath_disabled(self):
-        rtg = SequenceRTG(
-            db=PatternDB(), config=RTGConfig(enable_fastpath=False)
-        )
-        result = rtg.analyze_by_service(
-            [LogRecord("svc", "hello world one two")]
-        )
-        assert set(result.timings) == set(STAGE_ORDER)
-        assert result.cache == {}  # no FastPathObserver without the lane
 
 
 class TestSnapshotDelta:

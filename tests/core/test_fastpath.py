@@ -1,18 +1,19 @@
 """Duplicate-aware fast lane: LRU caches, dedup, invalidation, equivalence.
 
-The load-bearing guarantee is byte-identical mining output with the fast
-lane on versus off — pattern ids, match counts, examples and every
-``BatchResult`` aggregate — over shuffled, duplicate-heavy streams, both
-serial and service-sharded.  Equivalence is asserted here, not assumed.
+The load-bearing guarantee is byte-identical mining output through the
+fast lane and the ``per_occurrence_lane`` fixture — pattern ids, match
+counts, examples and every ``BatchResult`` aggregate — over shuffled,
+duplicate-heavy streams, serial and service-sharded.  Asserted, not assumed.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
-from repro.core.config import RTGConfig
+from repro.core import pipeline
 from repro.core.fastpath import FastPath, LRUCache, token_signature
 from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
@@ -92,22 +93,21 @@ class TestLRUCache:
 class TestScanCache:
     def test_identical_message_scanned_once(self, scanner):
         lane = FastPath(scan_cache_size=16, match_cache_size=16)
-        first = lane.scan(scanner, "svc", "connection from 10.0.0.1 closed")
-        again = lane.scan(scanner, "svc", "connection from 10.0.0.1 closed")
+        group = [LogRecord("svc", "connection from 10.0.0.1 closed")]
+        (first,), _, _ = lane.scan_group(scanner, "svc", group)
+        (again,), _, _ = lane.scan_group(scanner, "svc", group)
         assert again is first  # the cached object is shared
         snap = lane.snapshot()
         assert snap["scan_hits"] == 1 and snap["scan_misses"] == 1
 
     def test_eviction_keeps_results_correct(self, scanner):
-        lane = FastPath(scan_cache_size=2, match_cache_size=0)
-        messages = [f"event {i} done" for i in range(5)]
-        token_lists = [
-            lane.scan(scanner, "svc", m).token_texts() for m in messages
-        ]
+        lane = FastPath(scan_cache_size=2)
+        group = [LogRecord("svc", f"event {i} done") for i in range(5)]
+        first, _, _ = lane.scan_group(scanner, "svc", group)
+        again, _, _ = lane.scan_group(scanner, "svc", group)
         # every entry was evicted and rescanned at least once by the end
         assert lane.snapshot()["scan_evictions"] >= 3
-        for m, texts in zip(messages, token_lists):
-            assert lane.scan(scanner, "svc", m).token_texts() == texts
+        assert [m.token_texts() for m in again] == [m.token_texts() for m in first]
 
     def test_dedup_groups_and_counts(self, scanner):
         lane = FastPath(scan_cache_size=16, match_cache_size=16)
@@ -136,7 +136,7 @@ class TestMatchCache:
     def test_outcomes_cached_by_token_signature(self, ssh_records, scanner):
         rtg = self._warm_rtg(ssh_records)
         parser = rtg.parser_for("sshd")
-        lane = FastPath(scan_cache_size=0, match_cache_size=16)
+        lane = FastPath(match_cache_size=16)
         msg = scanner.scan(ssh_records[0].message, service="sshd")
         first = lane.match("sshd", parser, msg)
         second = lane.match("sshd", parser, msg)
@@ -147,7 +147,7 @@ class TestMatchCache:
     def test_negative_outcomes_cached(self, ssh_records, scanner):
         rtg = self._warm_rtg(ssh_records)
         parser = rtg.parser_for("sshd")
-        lane = FastPath(scan_cache_size=0, match_cache_size=16)
+        lane = FastPath(match_cache_size=16)
         msg = scanner.scan("no pattern knows this shape", service="sshd")
         assert lane.match("sshd", parser, msg) is None
         assert lane.match("sshd", parser, msg) is None
@@ -158,7 +158,7 @@ class TestMatchCache:
 
         rtg = self._warm_rtg(ssh_records)
         parser = rtg.parser_for("sshd")
-        lane = FastPath(scan_cache_size=0, match_cache_size=16)
+        lane = FastPath(match_cache_size=16)
         msg = scanner.scan("session sess01 throttled hard", service="sshd")
         assert lane.match("sshd", parser, msg) is None  # cached negative
         pattern = Pattern.from_text("session %alphanum% throttled hard", "sshd")
@@ -168,7 +168,7 @@ class TestMatchCache:
 
     def test_invalidation_is_per_service(self, ssh_records, hdfs_records, scanner):
         rtg = self._warm_rtg(ssh_records + hdfs_records)
-        lane = FastPath(scan_cache_size=0, match_cache_size=16)
+        lane = FastPath(match_cache_size=16)
         ssh_msg = scanner.scan(ssh_records[0].message, service="sshd")
         hdfs_msg = scanner.scan(hdfs_records[0].message, service="hdfs")
         lane.match("sshd", rtg.parser_for("sshd"), ssh_msg)
@@ -182,7 +182,7 @@ class TestMatchCache:
     def test_signature_shares_outcomes_across_whitespace(self, ssh_records, scanner):
         rtg = self._warm_rtg(ssh_records)
         parser = rtg.parser_for("sshd")
-        lane = FastPath(scan_cache_size=0, match_cache_size=16)
+        lane = FastPath(match_cache_size=16)
         a = scanner.scan(
             "Accepted password for eve from 9.9.9.9 port 22 ssh2", service="sshd"
         )
@@ -227,18 +227,13 @@ class TestPipelineInvalidation:
         assert second.cache["match_misses"] == len(ssh_records)
         third = rtg.analyze_by_service(ssh_records)  # matches cached too
         assert third.cache["match_hits"] == len(ssh_records)
-        disabled = SequenceRTG(
-            db=PatternDB(), config=RTGConfig(enable_fastpath=False)
-        )
-        assert disabled.analyze_by_service(ssh_records).cache == {}
 
 
 class TestEquivalence:
-    """Fast lane on vs off must be indistinguishable in mined output."""
+    """The fast lane mines exactly what the per-occurrence lane mines."""
 
-    def _run_serial(self, enable_fastpath, batches, **config_kwargs):
-        config = RTGConfig(enable_fastpath=enable_fastpath, **config_kwargs)
-        rtg = SequenceRTG(db=PatternDB(), config=config)
+    def _run_serial(self, batches):
+        rtg = SequenceRTG(db=PatternDB())
         aggregates = [
             result_aggregates(rtg.analyze_by_service(batch)) for batch in batches
         ]
@@ -253,31 +248,26 @@ class TestEquivalence:
             random.Random(i).shuffle(batch)
         return batches
 
-    def test_serial_duplicate_heavy_stream(self):
+    def test_serial_duplicate_heavy_stream(self, request):
         batches = self._shuffled_batches()
-        fast = self._run_serial(True, batches)
-        naive = self._run_serial(False, batches)
-        assert fast == naive
+        fast = self._run_serial(batches)
+        request.getfixturevalue("per_occurrence_lane")
+        assert self._run_serial(batches) == fast
 
-    def test_serial_with_tiny_caches_forcing_eviction(self):
+    def test_serial_with_tiny_caches_forcing_eviction(self, monkeypatch, request):
         batches = self._shuffled_batches(n_batches=2)
-        fast = self._run_serial(True, batches, scan_cache_size=8, match_cache_size=8)
-        naive = self._run_serial(False, batches)
-        assert fast == naive
+        monkeypatch.setattr(pipeline, "FastPath", partial(FastPath, 8, 8))
+        fast = self._run_serial(batches)
+        request.getfixturevalue("per_occurrence_lane")
+        assert self._run_serial(batches) == fast
 
-    def test_serial_with_caches_disabled_dedup_only(self):
-        batches = self._shuffled_batches(n_batches=2)
-        fast = self._run_serial(True, batches, scan_cache_size=0, match_cache_size=0)
-        naive = self._run_serial(False, batches)
-        assert fast == naive
-
-    def test_parallel_duplicate_heavy_stream(self):
+    def test_parallel_duplicate_heavy_stream(self, request):
         batches = self._shuffled_batches(n_batches=2, per_batch=600)
-        _, naive_db = self._run_serial(False, batches)
+        # the pool's workers are fresh processes: they run the fast lane
+        request.getfixturevalue("per_occurrence_lane")
+        _, naive_db = self._run_serial(batches)
 
-        with PersistentParallelSequenceRTG(
-            db=PatternDB(), config=RTGConfig(enable_fastpath=True), n_workers=3
-        ) as parallel:
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as parallel:
             results = [parallel.analyze_by_service(batch) for batch in batches]
             # the union of the shards is the serial truth
             naive_counts = {pid: count for pid, _, count, _ in naive_db}
@@ -329,14 +319,7 @@ class TestConfigValidation:
     )
     def test_negative_cache_sizes_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            RTGConfig(**kwargs)
-
-
-class TestPoolConfigValidation:
-    def test_negative_pool_workers_rejected(self):
-        with pytest.raises(ValueError):
-            RTGConfig(pool_workers=-1)
-
-    def test_zero_ingest_prefetch_rejected(self):
-        with pytest.raises(ValueError):
-            RTGConfig(ingest_prefetch=0)
+            FastPath(**kwargs)
+        (name,) = kwargs
+        with pytest.raises(ValueError):  # a cache may shrink, not vanish
+            FastPath(**{name: 0})

@@ -119,6 +119,18 @@ class TestEquivalence:
         )
         assert PatternDB(path).dump() == serial.db.dump()
 
+    def test_shards_take_the_databases_example_cap(self):
+        """Shard files open with the settings of the database the pool
+        was handed, so a non-default example cap stores what the serial
+        miner stores."""
+        serial = SequenceRTG(db=PatternDB(max_examples=8))
+        with PersistentParallelSequenceRTG(PatternDB(max_examples=8), n_workers=2) as engine:
+            for miner in (serial, engine):
+                for now in DAYS[:2]:
+                    miner.analyze_by_service(sshd_records(n=20), now=now)
+            assert [len(entry["examples"]) for entry in serial.db.dump()] == [8]
+            assert engine.db.dump() == serial.db.dump()
+
     def test_second_batch_parses_against_known(self):
         records = records_for_test()
         with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
@@ -233,7 +245,7 @@ class TestReshard:
         assert PatternDB(path).dump() == before
 
 
-def _dying_worker(conn, path, config, index, *, victim, point, at_call, marker):
+def _dying_worker(conn, shard, config, index, *, victim, point, at_call, marker):
     """Worker target whose *victim* ``kill -9``s itself at *point* of
     its *at_call*-th call: ``"before_commit"`` — every write of the call
     made, the transaction still open — or ``"before_reply"`` — the call
@@ -270,7 +282,7 @@ def _dying_worker(conn, path, config, index, *, victim, point, at_call, marker):
                 die()
                 pipe.send_bytes(reply)
 
-    _worker_main(conn, path, config, index)
+    _worker_main(conn, shard, config, index)
 
 
 class TestWorkerCrash:

@@ -1,5 +1,7 @@
 """AnalyzeByService pipeline: the Fig. 2 workflow semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import RTGConfig
@@ -139,12 +141,29 @@ class TestConfigValidation:
         [
             {"batch_size": 0},
             {"save_threshold": 0},
-            {"export_max_complexity": 1.5},
+            {"mode": "online"},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             RTGConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", [
+        "max_examples", "db_durable", "export_min_count", "export_max_complexity",
+        "enable_fastpath", "scan_cache_size", "match_cache_size", "pool_workers",
+        "ingest_prefetch",
+    ])
+    def test_deleted_fields_rejected(self, name):
+        with pytest.raises(TypeError):
+            RTGConfig(**{name: 1})
+
+    def test_fast_lane_is_a_constant(self):
+        with pytest.raises(AttributeError):
+            RTGConfig().enable_fastpath = False
+        assert [f.name for f in dataclasses.fields(RTGConfig)] == [
+            "batch_size", "save_threshold", "enable_metrics", "mode",
+            "streaming", "scanner", "parser", "analyzer",
+        ]
 
 
 class TestDeterminism:

@@ -4,8 +4,8 @@ The tentpole invariants:
 
 * batch mode is a special case of the incremental core — a stream
   driver flushing at exactly the batch boundaries (drift/TTL off)
-  produces a bit-identical database dump, fast lane on or off, on the
-  compiled stage classes and on the reference oracles;
+  produces a bit-identical database dump, on the compiled stage classes
+  and on the reference oracles;
 * free-running stream mode *converges*: on the 60-day production
   simulation its pattern set agrees with batch output on >= 95% of
   messages by template;
@@ -13,7 +13,7 @@ The tentpole invariants:
   version-safe against the fast lane's cached match entries.
 """
 
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 
 import pytest
 
@@ -29,8 +29,7 @@ from repro.parser.compiled import CompiledParser
 from repro.parser.parser import Parser
 from repro.scanner import build_scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
-
-NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
+from tests.core.test_engine import NOW, batches_for_test, full_dump
 
 
 class FakeClock:
@@ -46,21 +45,8 @@ class FakeClock:
         self.t += dt
 
 
-def full_dump(db):
-    return sorted(db.dump(), key=lambda entry: entry["id"])
-
-
-def batches_for_test(n_batches=4, per_batch=250, n_services=9, seed=11,
-                     duplicate_fraction=0.5):
-    stream = ProductionStream(StreamConfig(
-        n_services=n_services, seed=seed,
-        duplicate_fraction=duplicate_fraction,
-    ))
-    return [list(stream.records(per_batch)) for _ in range(n_batches)]
-
-
-def stream_rtg(streaming: StreamingConfig, **config_kwargs) -> SequenceRTG:
-    config = RTGConfig(mode="stream", streaming=streaming, **config_kwargs)
+def stream_rtg(streaming: StreamingConfig) -> SequenceRTG:
+    config = RTGConfig(mode="stream", streaming=streaming)
     return SequenceRTG(db=PatternDB(), config=config)
 
 
@@ -140,28 +126,22 @@ class TestStreamEqualsBatch:
     timestamps, everything."""
 
     @pytest.mark.parametrize("stages", ["compiled", "reference"])
-    @pytest.mark.parametrize("enable_fastpath", [True, False])
-    def test_dump_bit_identical(self, stages, enable_fastpath, request):
+    def test_dump_bit_identical(self, stages, request):
         if stages == "reference":
             request.getfixturevalue("reference_stages")
         batches = batches_for_test()
         per_batch = len(batches[0])
 
-        batch_rtg = SequenceRTG(
-            db=PatternDB(), config=RTGConfig(enable_fastpath=enable_fastpath)
-        )
+        batch_rtg = SequenceRTG(db=PatternDB())
         for batch in batches:
             batch_rtg.analyze_by_service(batch, now=NOW)
 
-        rtg = stream_rtg(
-            StreamingConfig(
-                micro_batch_size=per_batch,
-                flush_pending=1,  # flush after every micro-batch
-                drift_merge=False,
-                drift_split=False,
-            ),
-            enable_fastpath=enable_fastpath,
-        )
+        rtg = stream_rtg(StreamingConfig(
+            micro_batch_size=per_batch,
+            flush_pending=1,  # flush after every micro-batch
+            drift_merge=False,
+            drift_split=False,
+        ))
         driver = rtg.stream_driver(clock=FakeClock())
         for batch in batches:
             driver.feed(batch, now=NOW)

@@ -3,7 +3,7 @@
 The heart of this file is the differential test: records fed through a
 socket must leave the pattern database byte-identical to the same
 records fed through the file path — pattern ids, texts, supports and
-stored examples, fastpath on and off, serial and pooled.
+stored examples, serial and pooled.
 """
 
 import json
@@ -332,11 +332,10 @@ class TestDrainExactness:
 class TestBitIdentity:
     """Network-fed mining must be byte-identical to file-fed mining."""
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_serial_network_equals_file(self, fastpath):
+    def test_serial_network_equals_file(self):
         records = records_for_test(n=300, n_services=10, seed=33)
         batch = 100
-        config = RTGConfig(batch_size=batch, enable_fastpath=fastpath)
+        config = RTGConfig(batch_size=batch)
 
         reference = SequenceRTG(db=PatternDB(), config=config)
         for k in range(0, len(records), batch):
@@ -353,13 +352,12 @@ class TestBitIdentity:
 
         assert db_fingerprint(rtg.db) == db_fingerprint(reference.db)
 
-    @pytest.mark.parametrize("fastpath", [True, False])
-    def test_pool_network_equals_file(self, fastpath):
+    def test_pool_network_equals_file(self):
         """The tentpole invariant: socket → shard queues → warm pool
         mines identically to file → shard_records → warm pool."""
         records = records_for_test(n=300, n_services=12, seed=44)
         batch = 100
-        config = RTGConfig(batch_size=batch, enable_fastpath=fastpath)
+        config = RTGConfig(batch_size=batch)
 
         reference_pool = PersistentParallelSequenceRTG(
             db=PatternDB(), config=config, n_workers=2

@@ -1,6 +1,8 @@
 """Command-line interface."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +41,19 @@ class TestMine:
         main(["--db", db_path, "stats"])
         out = capsys.readouterr().out
         assert "patterns: 1" in out
+
+    def test_mine_honours_batch_size(self, tmp_path, capsys):
+        """One message per mining call never meets the siblings it would
+        generalise with: a pattern per user instead of one for all."""
+        log = write_log(tmp_path, SSH_LINES)
+        mined = {}
+        for size in ("1", "100000"):
+            db = str(tmp_path / f"batch{size}.db")
+            main(["--db", db, "mine", log, "--service", "sshd", "--batch-size", size])
+            mined[size] = capsys.readouterr()
+        assert len(mined["100000"].out.splitlines()) == 1
+        assert len(mined["1"].out.splitlines()) == len(SSH_LINES)
+        assert "8 messages -> 8 new patterns" in mined["1"].err
 
 
 class TestParse:
@@ -160,6 +175,12 @@ class TestFlags:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_python_dash_m_repro(self):
+        proc = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: sequence-rtg" in proc.stdout
 
     @pytest.mark.parametrize("stage", ["scanner", "parser", "analyzer"])
     def test_backend_flags_are_gone(self, stage, tmp_path, db_path):

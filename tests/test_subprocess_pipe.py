@@ -103,13 +103,11 @@ class TestServeWithWorkerPool:
         assert fingerprint(db_path) == fingerprint(serial_path)
 
     def test_no_pipeline_flag(self, db_path):
-        proc = run_cli(
-            ["--db", db_path, "serve", "-", "--batch-size", "10", "--no-pipeline"],
-            stream_text(40),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "ingested 40 records" in proc.stderr
-        assert proc.stderr.count("batch:") == 4
+        """The file feed has one path: its bypass and tuning flags are gone."""
+        flags = ["--no-pipeline", "--ingest-join-timeout=1"]
+        proc = run_cli(["--db", db_path, "serve", "-", *flags], stream_text(4))
+        assert proc.returncode == 2
+        assert "unrecognized arguments: " + " ".join(flags) in proc.stderr
 
 
 class TestParseOverPipe:
