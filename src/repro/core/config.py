@@ -132,7 +132,7 @@ class RTGConfig:
     #: match/fast-lane counters and pattern-DB gauges published through a
     #: :class:`~repro.obs.metrics.MetricsRegistry` on every execution
     #: path; off removes the observer entirely for overhead comparisons
-    #: (``benchmarks/smoke_obs.py`` gates the cost of leaving it on)
+    #: (``benchmarks/gates.py`` gates the cost of leaving it on)
     enable_metrics: bool = True
     #: execution mode: ``"batch"`` runs the paper's workflow (analysis
     #: after every batch); ``"stream"`` defers analysis into the

@@ -23,6 +23,7 @@ Structural properties ride along: scratch-state reset-and-reuse across
 partitions (satellite regression), and the factory.
 """
 
+import functools
 import random
 
 import pytest
@@ -36,6 +37,13 @@ from repro.scanner import Scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 SC = Scanner()
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def scan(message, service):
+    """``SC.scan``, memoised: scanning is a pure function of the text and
+    the suites feed one corpus to the analysers under many configs."""
+    return SC.scan(message, service=service)
 
 
 def fingerprint(pattern):
@@ -58,7 +66,7 @@ def partitions_for(messages, service="svc"):
     length order."""
     by_length = {}
     for message in messages:
-        scanned = SC.scan(message, service=service)
+        scanned = scan(message, service)
         by_length.setdefault(scanned.token_count(), []).append(scanned)
     return [partition for _, partition in sorted(by_length.items())]
 
@@ -116,17 +124,16 @@ class TestMinedCorpora:
             for messages in by_service.values():
                 assert_backends_agree(partitions_for(messages), **kwargs)
 
-    def test_production_stream(self):
+    def test_production_stream(self, steady_corpus):
         # a small stream under every variation, then the e2e steady
         # workloads' 40-service shape with enrichment on and off
-        for n_services, duplicate_fraction, n, variations in (
-            (6, 0.3, 500, CONFIG_VARIATIONS),
-            (40, 0.25, 5000, CONFIG_VARIATIONS[:2]),
+        steady = [messages for _, messages in steady_corpus.values()]
+        for corpus, variations in (
+            (stream_by_service(6, 0.3, 500), CONFIG_VARIATIONS),
+            (steady, CONFIG_VARIATIONS[:2]),
         ):
             for kwargs in variations:
-                for messages in stream_by_service(
-                    n_services, duplicate_fraction, n
-                ):
+                for messages in corpus:
                     assert_backends_agree(partitions_for(messages), **kwargs)
 
     def test_loghub_datasets(self):
@@ -217,15 +224,15 @@ class TestHandcraftedMergeFamilies:
 class TestWeightedInsertEquivalence:
     """Satellite: one insert with n=k ≡ k single inserts, per analyser."""
 
-    def corpora(self):
+    def corpora(self, steady_corpus):
         gen_records = MessageGenerator(seed=31).records(300, n_services=1)
         yield [r.message for r in gen_records]
         yield from stream_by_service(1, 0.6, 300, seed=13)
-        yield from stream_by_service(40, 0.25, 5000)
+        yield from (messages for _, messages in steady_corpus.values())
         yield load_dataset(DATASET_NAMES[0], 80, seed=5).contents()
 
-    def test_weighted_equals_repeated(self):
-        for messages in self.corpora():
+    def test_weighted_equals_repeated(self, steady_corpus):
+        for messages in self.corpora(steady_corpus):
             # duplicate-heavy stream: replicate each message a few times
             rng = random.Random(77)
             repeated = []

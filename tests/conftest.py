@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import random
+import socketserver
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.parser.parser import Parser
 from repro.scanner.scanner import Scanner, ScannerConfig
+from repro.workflow.stream import ProductionStream, StreamConfig
 
 
 class MessageGenerator:
@@ -142,6 +145,44 @@ def analyzer() -> Analyzer:
 def rtg() -> SequenceRTG:
     """Pipeline over a fresh in-memory database."""
     return SequenceRTG(db=PatternDB())
+
+
+@pytest.fixture(scope="session", autouse=True)
+def prompt_http_shutdown():
+    """``MetricsServer.close`` waits for ``serve_forever`` to notice the
+    shutdown request, by default up to its 0.5 s poll interval; a short
+    interval keeps the many start/scrape/close tests quick."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            socketserver.BaseServer,
+            "serve_forever",
+            functools.partialmethod(
+                socketserver.BaseServer.serve_forever, poll_interval=0.02
+            ),
+        )
+        yield
+
+
+@pytest.fixture(scope="session")
+def steady_corpus() -> dict[str, tuple[list, list[str]]]:
+    """The e2e steady workloads' 40-service shape at a lower duplicate
+    fraction, mined once per session: each service's stored pattern set
+    and its messages in stream order.  The compiled parser and analyser
+    differential suites share it read-only."""
+    records = list(
+        ProductionStream(
+            StreamConfig(n_services=40, seed=41, duplicate_fraction=0.25)
+        ).records(6000)
+    )
+    rtg = SequenceRTG(db=PatternDB())
+    rtg.analyze_by_service(records)
+    by_service: dict[str, list[str]] = {}
+    for record in records:
+        by_service.setdefault(record.service, []).append(record.message)
+    return {
+        service: (rtg.db.load_service(service), messages)
+        for service, messages in by_service.items()
+    }
 
 
 @pytest.fixture()

@@ -6,11 +6,7 @@ story, with margins wide enough to be stable across refactors but tight
 enough to catch a broken merge rule or scanner regression.
 """
 
-import pytest
-
 from repro.loghub import evaluate_sequence_rtg, load_dataset
-
-pytestmark = pytest.mark.slow
 
 
 class TestHeadlineDatasets:

@@ -22,6 +22,7 @@ duplicate sharing, incremental ``add_pattern`` recompilation, frontier
 telemetry, and the factory.
 """
 
+import functools
 import random
 
 import pytest
@@ -40,6 +41,13 @@ from repro.workflow.stream import ProductionStream, StreamConfig
 SC = Scanner()
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def scan(message):
+    """``SC.scan``, memoised: scanning is a pure function of the text and
+    the suites replay one message against several parsers."""
+    return SC.scan(message)
+
+
 def assert_backends_agree(patterns, messages, enrich=True):
     """Both backends, loaded with the *same* pattern objects, produce
     identical results — winner identity, fields, static count — on every
@@ -47,7 +55,7 @@ def assert_backends_agree(patterns, messages, enrich=True):
     ref = Parser(patterns, enrich=enrich)
     comp = CompiledParser(patterns, enrich=enrich)
     for message in messages:
-        scanned = SC.scan(message)
+        scanned = scan(message)
         a = ref.match(scanned)
         b = comp.match(scanned)
         if a is None:
@@ -106,21 +114,22 @@ class TestMinedCorpora:
                 patterns, messages + mutated(messages, seed=13)
             )
 
-    def test_production_stream(self):
+    def test_production_stream(self, steady_corpus):
         # a small stream, then the e2e steady workloads' 40-service shape
         # at a lower duplicate fraction (a duplicate adds no comparison:
         # matching is a pure function of the message)
-        for n_services, duplicate_fraction, n in ((6, 0.3, 500), (40, 0.25, 6000)):
-            stream = ProductionStream(StreamConfig(
-                n_services=n_services, seed=41,
-                duplicate_fraction=duplicate_fraction,
-            ))
-            records = list(stream.records(n))
-            for patterns, messages in mined_by_service(records):
-                messages = list(dict.fromkeys(messages))
-                probes = messages + mutated(messages, seed=17)
-                for enrich in (True, False):
-                    assert_backends_agree(patterns, probes, enrich=enrich)
+        small = ProductionStream(
+            StreamConfig(n_services=6, seed=41, duplicate_fraction=0.3)
+        )
+        corpora = [
+            *mined_by_service(list(small.records(500))),
+            *steady_corpus.values(),
+        ]
+        for patterns, messages in corpora:
+            messages = list(dict.fromkeys(messages))
+            probes = messages + mutated(messages, seed=17)
+            for enrich in (True, False):
+                assert_backends_agree(patterns, probes, enrich=enrich)
 
     def test_loghub_datasets(self):
         for name in DATASET_NAMES:

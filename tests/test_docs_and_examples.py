@@ -10,8 +10,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
 
@@ -70,14 +68,14 @@ class TestExamplesRun:
         assert proc.returncode == 0, proc.stderr
         assert "worker restarts triggered: 2" in proc.stdout
 
-    @pytest.mark.slow
     def test_anomaly_detection(self):
         proc = _run_example("anomaly_detection.py")
         assert proc.returncode == 0, proc.stderr
         assert "0 false alarms" in proc.stdout
 
-    @pytest.mark.slow
     def test_production_simulation_short(self):
-        proc = _run_example("production_simulation.py", "6")
+        # two days run bootstrap, routing and batch mining; the review
+        # dynamics are pinned by tests/workflow/test_simulation.py
+        proc = _run_example("production_simulation.py", "2")
         assert proc.returncode == 0, proc.stderr
         assert "unmatched fraction:" in proc.stdout
