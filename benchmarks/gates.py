@@ -8,7 +8,8 @@ e2e run's (``{"header": ..., "workloads": {name: record}}``) and returns
 record comes from ``benchmarks.e2e.run.measure`` on the ``steady_file``
 and ``steady_pool`` workloads at ``GATE_SCALE``, plus the one comparison
 e2e does not make: ``metrics_pairs_s``, alternating timings of the same
-batches mined with metrics on and off.  Exits 1 if any gate fails.
+batches mined with and without the engine's metrics observer.  Exits 1
+if any gate fails.
 
 The legacy checks the gates do not repeat are pinned elsewhere:
 convergence ≥ 0.95 by ``tests/core/test_streaming.py::TestConvergence``,
@@ -19,7 +20,6 @@ fingerprint trio.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import statistics
 import sys
@@ -63,7 +63,7 @@ def pool_pays(result: dict) -> tuple[str, str]:
 
 
 def metrics_overhead(result: dict) -> tuple[str, str]:
-    """Leaving metrics on costs at most ``MAX_METRICS_OVERHEAD``."""
+    """The engine's metrics observer costs at most ``MAX_METRICS_OVERHEAD``."""
     pairs = result["metrics_pairs_s"]
     if len(pairs) < MIN_OVERHEAD_PAIRS:
         return FAIL, f"{len(pairs)} timing pairs, need >= {MIN_OVERHEAD_PAIRS}"
@@ -79,20 +79,17 @@ GATES = (paper_floor, pool_pays, metrics_overhead)
 
 def metrics_pairs(seed: int, sizes: dict) -> list[tuple[float, float]]:
     """``(on_s, off_s)`` per measured batch of e2e's steady input: two
-    miners, ``production_config()`` and the same with metrics off, fed
-    the same batches in turn (the order alternates pair by pair).  A
-    collection before each call keeps one miner's garbage from being
-    charged to the other."""
+    ``production_config()`` miners, the second with its engine's
+    observers removed, fed the same batches in turn (the order alternates
+    pair by pair).  A collection before each call keeps one miner's
+    garbage from being charged to the other."""
     from repro.core.ingest import StreamIngester
     from repro.core.patterndb import PatternDB
     from repro.core.pipeline import SequenceRTG
 
     prefix, measured = inputs.steady(seed, sizes["steady_prefix"], sizes["steady_measured"])
-    on = config.production_config()
-    miners = [
-        SequenceRTG(db=PatternDB(), config=on),
-        SequenceRTG(db=PatternDB(), config=dataclasses.replace(on, enable_metrics=False)),
-    ]
+    miners = [SequenceRTG(db=PatternDB(), config=config.production_config()) for _ in range(2)]
+    miners[1].engine.observers.clear()
     ingester = StreamIngester(batch_size=sizes["batch_size"])
     for batch in ingester.batches(prefix):
         for miner in miners:

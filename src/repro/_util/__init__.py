@@ -2,6 +2,5 @@
 
 from repro._util.hashing import pattern_id
 from repro._util.sampling import ZipfSampler
-from repro._util.timers import StageTimer
 
-__all__ = ["pattern_id", "ZipfSampler", "StageTimer"]
+__all__ = ["pattern_id", "ZipfSampler"]

@@ -63,8 +63,6 @@ class StreamingConfig:
     #: distinct values tracked per pattern variable before the tracker
     #: gives up on it (mirrors the analysis trie's VALUE_CAP)
     drift_max_values: int = 8
-    #: per-message latency samples kept for the driver's quantile report
-    latency_window: int = 8192
 
     def __post_init__(self) -> None:
         if self.micro_batch_size < 1:
@@ -101,10 +99,6 @@ class StreamingConfig:
             raise ValueError(
                 f"drift_max_values must be >= 1, got {self.drift_max_values}"
             )
-        if self.latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {self.latency_window}"
-            )
 
 
 @dataclass(slots=True)
@@ -123,18 +117,17 @@ class RTGConfig:
     #: is the mode — ``analyze_by_service``/``process_stream`` flush after
     #: every batch, ``stream_driver()`` flushes per :class:`StreamingConfig`.
     mode: ClassVar[str] = "stream"
+    #: Not a setting: runtime metrics (:mod:`repro.obs`) — per-stage
+    #: latency histograms, match/fast-lane counters and pattern-DB gauges
+    #: — are published through the miner's
+    #: :class:`~repro.obs.metrics.MetricsRegistry` on every execution path.
+    enable_metrics: ClassVar[bool] = True
 
     #: messages accumulated before an analysis run is triggered
     batch_size: int = 100_000
     #: patterns supported by fewer messages than this are considered
     #: useless and not saved (§IV "Limitations", save threshold)
     save_threshold: int = 1
-    #: runtime metrics (:mod:`repro.obs`): per-stage latency histograms,
-    #: match/fast-lane counters and pattern-DB gauges published through a
-    #: :class:`~repro.obs.metrics.MetricsRegistry` on every execution
-    #: path; off removes the observer entirely for overhead comparisons
-    #: (``benchmarks/gates.py`` gates the cost of leaving it on)
-    enable_metrics: bool = True
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
     scanner: ScannerConfig = field(default_factory=ScannerConfig)
     parser: ParserConfig = field(default_factory=ParserConfig)

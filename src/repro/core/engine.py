@@ -13,12 +13,11 @@ module makes the workflow an explicit object instead:
   :class:`LengthPartitionStage`, :class:`AnalyzeStage`,
   :class:`PersistStage` — each a small object with a ``name`` and a
   ``run(context)``;
-* :class:`StageObserver` — the single instrumentation channel.
-  Stage timings (:class:`TimingObserver`), fast-lane cache deltas
-  (:class:`FastPathObserver`) and metrics
-  (:class:`repro.obs.observer.MetricsObserver`) all feed
-  :class:`BatchResult` through the same four hooks instead of ad-hoc
-  telemetry paths;
+* :class:`StageObserver` — the single instrumentation channel.  The
+  engine's one built-in observer,
+  :class:`repro.obs.observer.MetricsObserver`, times every stage run
+  once and feeds both the metrics registry and :class:`BatchResult`
+  (stage timings, fast-lane cache deltas) from that one measurement;
 * :class:`MiningEngine` — partitions a batch by service and drives each
   group through the stages, notifying observers around every stage.
 
@@ -36,10 +35,8 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
 
-from repro._util.timers import StageTimer
 from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.analyzer.pattern import Pattern
-from repro.core.fastpath import FastPath
 from repro.core.records import LogRecord
 from repro.scanner.scanner import ScannedMessage
 
@@ -56,8 +53,6 @@ __all__ = [
     "AnalyzeStage",
     "PersistStage",
     "StageObserver",
-    "TimingObserver",
-    "FastPathObserver",
     "MiningEngine",
     "drive_stream",
 ]
@@ -75,21 +70,19 @@ class BatchResult:
     n_new_patterns: int = 0  # newly discovered and persisted
     n_below_threshold: int = 0  # discovered but under the save threshold
     max_trie_nodes: int = 0  # memory telemetry (largest analysis trie)
-    #: per-stage wall-clock seconds, filled by :class:`TimingObserver`
+    #: per-stage wall-clock seconds, summed over the service groups —
+    #: filled by :class:`~repro.obs.observer.MetricsObserver` from the
+    #: same measurement as its ``rtg_stage_latency_seconds`` histogram
     timings: dict[str, float] = field(default_factory=dict)
     #: fast-lane effectiveness for this batch: scan/match cache hits,
-    #: misses and evictions plus dedup savings — filled by
-    #: :class:`FastPathObserver` from :meth:`FastPath.snapshot` deltas
+    #: misses and evictions plus dedup savings — the
+    #: :meth:`~repro.core.fastpath.FastPath.snapshot` delta, filled by
+    #: :class:`~repro.obs.observer.MetricsObserver`
     cache: dict[str, int] = field(default_factory=dict)
     #: worker-pool telemetry for this batch (empty for in-process runs):
     #: workers used, spawns, respawns — see
     #: :class:`repro.core.parallel.PersistentParallelSequenceRTG`
     pool: dict[str, int] = field(default_factory=dict)
-    #: JSON-compatible dump of this batch's metrics-registry delta
-    #: (:mod:`repro.obs`): stage latency histograms, per-service
-    #: counters, fast-lane events and DB gauges — empty when
-    #: ``RTGConfig.enable_metrics`` is off
-    metrics: dict = field(default_factory=dict)
     new_patterns: list[Pattern] = field(default_factory=list)
 
     @property
@@ -340,7 +333,9 @@ class StageObserver:
     One batch produces ``on_batch_start``, then for every service group
     a paired ``on_stage_start``/``on_stage_end`` per stage in workflow
     order, then ``on_batch_end`` — the single place per-batch telemetry
-    is folded into the :class:`BatchResult`.
+    is folded into the :class:`BatchResult`.  Observers are independent
+    of each other: none reads what another publishes, so their order in
+    ``MiningEngine.observers`` does not matter.
     """
 
     def on_batch_start(self, result: BatchResult) -> None:
@@ -356,69 +351,18 @@ class StageObserver:
         """Called once after the last stage; fill *result* here."""
 
 
-class TimingObserver(StageObserver):
-    """Per-stage wall-clock timings → ``BatchResult.timings``.
-
-    Replaces the pipeline's inline ``StageTimer`` blocks: the timer is
-    reset per batch and driven purely by the stage events, so its
-    per-stage counts equal the number of stage executions.
-    """
-
-    def __init__(self, timer: StageTimer | None = None) -> None:
-        self.timer = timer or StageTimer()
-
-    def on_batch_start(self, result: BatchResult) -> None:
-        self.timer.reset()
-
-    def on_stage_start(self, stage: str, ctx: ServiceBatchContext) -> None:
-        self.timer.begin(stage)
-
-    def on_stage_end(self, stage: str, ctx: ServiceBatchContext) -> None:
-        self.timer.end(stage)
-
-    def on_batch_end(self, result: BatchResult) -> None:
-        result.timings = self.timer.report()
-
-
-class FastPathObserver(StageObserver):
-    """Fast-lane cache effectiveness → ``BatchResult.cache``.
-
-    Snapshots the lane's cumulative counters at batch start and
-    publishes the per-batch delta; a counter that first appears
-    mid-batch deltas against zero instead of raising.
-    """
-
-    def __init__(self, lane: FastPath) -> None:
-        self.lane = lane
-        self._before: dict[str, int] = {}
-
-    def on_batch_start(self, result: BatchResult) -> None:
-        self._before = self.lane.snapshot()
-
-    def on_batch_end(self, result: BatchResult) -> None:
-        result.cache = FastPath.snapshot_delta(self._before, self.lane.snapshot())
-
-
 # ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
 
 def default_observers(rtg: "SequenceRTG") -> list[StageObserver]:
-    """The serial driver's instrumentation: timings, fast-lane cache
-    deltas, then metrics — last, because the metrics observer folds
-    ``result.timings``/``result.cache`` the earlier observers publish at
-    batch end."""
-    observers: list[StageObserver] = [
-        TimingObserver(),
-        FastPathObserver(rtg.fastpath),
-    ]
-    if rtg.config.enable_metrics:
-        # imported here: repro.obs.observer subclasses this module's
-        # StageObserver, so a top-level import would be circular
-        from repro.obs.observer import MetricsObserver
+    """The engine's one built-in observer: metrics, stage timings and
+    fast-lane cache deltas from one measurement per stage run."""
+    # imported here: repro.obs.observer subclasses this module's
+    # StageObserver, so a top-level import would be circular
+    from repro.obs.observer import MetricsObserver
 
-        observers.append(MetricsObserver(rtg.metrics, db=rtg.db))
-    return observers
+    return [MetricsObserver(rtg.metrics, rtg.fastpath, db=rtg.db)]
 
 
 class MiningEngine:

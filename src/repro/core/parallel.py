@@ -33,12 +33,12 @@ from dataclasses import dataclass
 from datetime import datetime
 
 from repro.core.config import RTGConfig
-from repro.core.engine import BatchResult, StageObserver, drive_stream
+from repro.core.engine import BatchResult, drive_stream
 from repro.core.patterndb import PatternDB, route_service
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import MetricsObserver
+from repro.obs.observer import fold_batch_result
 
 __all__ = [
     "PersistentParallelSequenceRTG",
@@ -92,10 +92,9 @@ def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
         config=config,
         metrics=MetricsRegistry(const_labels={"worker": str(index)}),
     )
-    for observer in rtg.engine.observers:
-        if isinstance(observer, MetricsObserver):
-            observer.batch_level = False
-            observer.db = None
+    (observer,) = rtg.engine.observers
+    observer.batch_level = False
+    observer.db = None
     db, registry = rtg.db, rtg.metrics
     while True:
         try:
@@ -160,9 +159,8 @@ class PersistentParallelSequenceRTG:
     Either way every record is counted exactly once.
 
     Cumulative counters live in :attr:`telemetry`; per-batch values are
-    published as ``BatchResult.pool``.  Extend :attr:`observers` for
-    custom per-batch instrumentation (stage-level hooks fire inside the
-    workers).
+    published as ``BatchResult.pool``.  Stage-level hooks fire inside
+    the workers; their registry deltas merge into :attr:`metrics`.
     """
 
     def __init__(
@@ -176,8 +174,8 @@ class PersistentParallelSequenceRTG:
         self.n_workers = n_workers or max(1, multiprocessing.cpu_count() - 1)
         self._shard_paths = self.db.shard(self.n_workers)
         #: the one registry behind ``/metrics``: worker deltas are merged
-        #: in as replies arrive, batch aggregates folded by the
-        #: pool-level :class:`~repro.obs.observer.MetricsObserver`
+        #: in as replies arrive, batch aggregates folded once per batch
+        #: by :func:`~repro.obs.observer.fold_batch_result`
         self.metrics = MetricsRegistry()
         # spawn, not fork: the parent runs threads (pipelined ingest
         # reader, serving tier) by the time workers start
@@ -190,9 +188,6 @@ class PersistentParallelSequenceRTG:
         self._seq = [0] * self.n_workers
         self._closed = False
         self.telemetry = {"batches": 0, "spawns": 0, "respawns": 0}
-        self.observers: list[StageObserver] = []
-        if self.config.enable_metrics:
-            self.observers.append(MetricsObserver(self.metrics, db=self.db))
 
     # -- lifecycle -------------------------------------------------------
     def __enter__(self) -> "PersistentParallelSequenceRTG":
@@ -332,8 +327,6 @@ class PersistentParallelSequenceRTG:
                 f"expected {self.n_workers} shards, got {len(shards)}"
             )
         result = BatchResult(n_records=sum(len(s) for s in shards))
-        for observer in self.observers:
-            observer.on_batch_start(result)
         before = dict(self.telemetry)
 
         sent = [
@@ -373,8 +366,7 @@ class PersistentParallelSequenceRTG:
             "spawns": self.telemetry["spawns"] - before["spawns"],
             "respawns": self.telemetry["respawns"] - before["respawns"],
         }
-        for observer in self.observers:
-            observer.on_batch_end(result)
+        fold_batch_result(self.metrics, result, db=self.db)
         return result
 
     # ------------------------------------------------------------------

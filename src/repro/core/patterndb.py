@@ -755,10 +755,11 @@ class PatternDB:
             for shard in self._shards:
                 merged.update(shard.counts_by_service())
             return dict(sorted(merged.items()))
+        # the count runs on idx_patterns_service alone (a join counting
+        # p.id reads every pattern row): it is published after every batch
         return dict(
             self._conn.execute(
-                "SELECT s.name, COUNT(p.id) FROM services s"
-                " LEFT JOIN patterns p ON p.service_id = s.id"
-                " GROUP BY s.name ORDER BY s.name"
+                "SELECT s.name, (SELECT COUNT(*) FROM patterns p"
+                " WHERE p.service_id = s.id) FROM services s ORDER BY s.name"
             ).fetchall()
         )

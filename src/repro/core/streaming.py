@@ -11,7 +11,8 @@ Stream mode removes the barrier with two clocks instead of one:
 * **micro-batches** (1..N records, flush-on-timeout) run the engine's
   scan → parse → persist-match-stats path immediately, so per-message
   latency is bounded by ``micro_batch_size``/``micro_batch_timeout_s``
-  and reported as a p99 histogram;
+  and recorded in the ``rtg_stream_message_latency_seconds`` histogram,
+  whose :meth:`~repro.obs.metrics.Histogram.quantile` reports the p99;
 * **flushes** mine the evolving analysis state the
   :class:`~repro.core.engine.AnalyzeStage` accumulates across
   micro-batches, once enough unmatched evidence is pending (or a
@@ -44,7 +45,6 @@ strictly monotone across removals (see
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from datetime import datetime
 from typing import TYPE_CHECKING
@@ -53,6 +53,7 @@ from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.pattern import Pattern, PatternToken, VarClass
 from repro.core.engine import BatchResult
 from repro.core.records import LogRecord
+from repro.obs.observer import METRIC_HELP
 from repro.parser.parser import Parser
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -192,39 +193,26 @@ class StreamDriver:
             )
         self.clock = clock
         self.stats = StreamStats()
-        #: per-message latency samples (seconds), most recent
-        #: ``latency_window`` messages
-        self.latencies: deque[float] = deque(maxlen=self.config.latency_window)
         self._buffer: list[LogRecord] = []
         self._buffer_at: float | None = None
         self._last_flush = clock()
         self._now: datetime | None = None
         self._closed = False
-        registry = rtg.metrics if rtg.config.enable_metrics else None
-        if registry is not None:
-            from repro.obs.observer import METRIC_HELP
-
-            self._latency_hist = registry.histogram(
-                "rtg_stream_message_latency_seconds",
-                METRIC_HELP["rtg_stream_message_latency_seconds"],
-            )
-            self._flush_counter = registry.counter(
-                "rtg_stream_flushes_total",
-                METRIC_HELP["rtg_stream_flushes_total"],
-            )
-            self._evict_counter = registry.counter(
-                "rtg_stream_evictions_total",
-                METRIC_HELP["rtg_stream_evictions_total"],
-            )
-            self._drift_counter = registry.counter(
-                "rtg_stream_drift_total",
-                METRIC_HELP["rtg_stream_drift_total"],
-            )
-        else:
-            self._latency_hist = None
-            self._flush_counter = None
-            self._evict_counter = None
-            self._drift_counter = None
+        registry = rtg.metrics
+        self._latency_hist = registry.histogram(
+            "rtg_stream_message_latency_seconds",
+            METRIC_HELP["rtg_stream_message_latency_seconds"],
+        )
+        self._flush_counter = registry.counter(
+            "rtg_stream_flushes_total", METRIC_HELP["rtg_stream_flushes_total"]
+        )
+        self._evict_counter = registry.counter(
+            "rtg_stream_evictions_total",
+            METRIC_HELP["rtg_stream_evictions_total"],
+        )
+        self._drift_counter = registry.counter(
+            "rtg_stream_drift_total", METRIC_HELP["rtg_stream_drift_total"]
+        )
 
     # -- ingestion -------------------------------------------------------
     @property
@@ -292,9 +280,7 @@ class StreamDriver:
         stats.n_messages += len(batch)
         stats.n_matched += result.n_matched
         stats.n_micro_batches += 1
-        self.latencies.extend([per_message] * len(batch))
-        if self._latency_hist is not None:
-            self._latency_hist.observe(per_message, n=len(batch))
+        self._latency_hist.observe(per_message, n=len(batch))
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
@@ -315,8 +301,7 @@ class StreamDriver:
         self._last_flush = self.clock()
         self.stats.n_flushes += 1
         self.stats.n_new_patterns += result.n_new_patterns
-        if self._flush_counter is not None:
-            self._flush_counter.inc(trigger=trigger)
+        self._flush_counter.inc(trigger=trigger)
         self._maintain(result)
         return result
 
@@ -381,8 +366,7 @@ class StreamDriver:
             if retired:
                 rtg.retire_patterns(service, retired)
                 self.stats.n_drift_merges += len(retired)
-                if self._drift_counter is not None:
-                    self._drift_counter.inc(len(retired), event="merge")
+                self._drift_counter.inc(len(retired), event="merge")
 
     def _merge_candidates(self, service: str) -> dict[int, list[tuple]]:
         """``(row, variable count)`` of *service*'s stored rows that
@@ -442,8 +426,7 @@ class StreamDriver:
             rtg.retire_patterns(service, [pid])
             rtg.add_known_pattern(folded, now=self._now)
             self.stats.n_drift_splits += 1
-            if self._drift_counter is not None:
-                self._drift_counter.inc(event="split")
+            self._drift_counter.inc(event="split")
 
     def _evict_stale(self) -> None:
         """TTL eviction off the ``last_matched`` dates the DB tracks."""
@@ -458,16 +441,4 @@ class StreamDriver:
         for service, ids in by_service.items():
             self.rtg.retire_patterns(service, ids)
             self.stats.n_evicted += len(ids)
-            if self._evict_counter is not None:
-                self._evict_counter.inc(len(ids), service=service)
-
-    # -- latency report --------------------------------------------------
-    def latency_quantile(self, q: float) -> float:
-        """The *q*-quantile (0..1) of recent per-message latencies."""
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
-
-    def p99(self) -> float:
-        return self.latency_quantile(0.99)
+            self._evict_counter.inc(len(ids), service=service)

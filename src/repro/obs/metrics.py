@@ -55,6 +55,8 @@ def _label_key(const: tuple, labels: dict) -> tuple:
     """Canonical hashable key of one sample's label set."""
     if not labels:
         return const
+    if not const:
+        return tuple(sorted(labels.items()))
     merged = dict(const)
     merged.update(labels)
     return tuple(sorted(merged.items()))
@@ -157,6 +159,24 @@ class Histogram(_Metric):
         with self._lock:
             state = self._samples.get(_label_key(self._const, labels))
             return float(state[1]) if state is not None else 0.0
+
+    def quantile(self, q: float, **labels: str) -> float:
+        """Upper bound of the bucket holding the *q*-quantile (0..1)
+        observation of one sample: an over-estimate by at most one
+        bucket's width.  0.0 when the sample is empty, ``inf`` when that
+        observation fell in the overflow bucket."""
+        with self._lock:
+            state = self._samples.get(_label_key(self._const, labels))
+            if state is None or not state[2]:
+                return 0.0
+            # 0-based rank of the observation, as in a sorted list
+            rank = min(state[2] - 1, int(q * state[2]))
+            seen = 0
+            for bound, n in zip(self.buckets, state[0]):
+                seen += n
+                if seen > rank:
+                    return bound
+            return float("inf")
 
 
 class MetricsRegistry:

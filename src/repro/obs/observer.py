@@ -1,23 +1,25 @@
 """Engine instrumentation: the metrics seam of the staged workflow.
 
-:class:`MetricsObserver` rides the same four :class:`StageObserver`
-hooks as the timing and fast-lane observers and turns them into
-first-class metrics:
+:class:`MetricsObserver` is the engine's one built-in
+:class:`StageObserver`.  It times every stage run once and turns the
+four hooks into first-class metrics and into the :class:`BatchResult`
+telemetry, both from that one measurement:
 
-* per-stage latency histograms, timed around every stage run;
+* per-stage latency histograms, and ``BatchResult.timings`` (the same
+  seconds, summed per stage over the call's service groups);
 * per-service rows-in / matched / unmatched / patterns-out counters,
   tallied when a service group's ``persist`` stage completes;
+* ``BatchResult.cache``, the fast lane's snapshot delta over the call;
 * batch-level aggregates — batches total, parse matched-fraction gauge,
   fast-lane hit/miss/eviction/dedup counters, pattern-DB size gauges —
-  folded from the finished :class:`BatchResult` (which the timing and
-  fast-lane observers have already filled, so this observer must run
-  after them, where :func:`repro.core.engine.default_observers` puts it).
+  folded from the finished :class:`BatchResult` by
+  :func:`fold_batch_result`.
 
-Inside pool workers ``batch_level`` is switched off: a worker only
-accumulates the stage-level signal and ships the registry delta with
-its reply; the parent folds the batch-level aggregates exactly once
-from the summed result via :func:`fold_batch_result`, so nothing is
-double-counted.
+Inside pool workers ``batch_level`` is switched off: a worker still
+fills its ``BatchResult`` timings and cache and accumulates the
+stage-level signal, and ships the registry delta with its reply; the
+parent folds the batch-level aggregates exactly once from the summed
+result via :func:`fold_batch_result`, so nothing is double-counted.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from collections import Counter
 
 from repro.analyzer.analyzer import AnalyzerConfig
 from repro.core.engine import BatchResult, ServiceBatchContext, StageObserver
-from repro.obs.metrics import MetricsRegistry, snapshot_to_dict
+from repro.core.fastpath import FastPath
+from repro.obs.metrics import MetricsRegistry
 from repro.parser.parser import ParserConfig
 from repro.scanner.scanner import ScannerConfig
 
@@ -50,7 +53,7 @@ METRIC_HELP = {
     "rtg_unmatched_total": "Record occurrences passed on to the analyser, by service",
     "rtg_patterns_total": "Newly discovered patterns persisted, by service",
     "rtg_batches_total": "Batches analysed",
-    "rtg_matched_fraction": "Fraction of the last batch's records matched by known patterns",
+    "rtg_matched_fraction": "Fraction of the last batch's records matched by known patterns (a flush, which carries no records, leaves it alone)",
     "rtg_fastlane_events_total": "Duplicate-aware fast lane events (scan/match cache hits, misses, evictions; dedup outcomes)",
     "rtg_patterndb_rows": "Pattern database row counts, by table",
     "rtg_patterndb_patterns": "Stored patterns, by service",
@@ -98,16 +101,20 @@ _TRIE_NODE_BUCKETS: tuple[float, ...] = (
 
 
 class MetricsObserver(StageObserver):
-    """Publish the staged engine's execution into a metrics registry."""
+    """Publish the staged engine's execution into a metrics registry
+    and fill each call's ``BatchResult.timings`` and ``.cache``."""
 
-    def __init__(self, registry: MetricsRegistry, db=None,
+    def __init__(self, registry: MetricsRegistry, lane: FastPath, db=None,
                  batch_level: bool = True) -> None:
         self.registry = registry
+        #: the miner's fast lane, whose counters ``BatchResult.cache``
+        #: reports the per-call delta of
+        self.lane = lane
         #: pattern database whose sizes are published at batch end
         #: (``None`` inside pool workers: the parent publishes the union)
         self.db = db
-        #: fold batch-level aggregates and fill ``BatchResult.metrics``;
-        #: off inside pool workers, whose deltas the parent folds once
+        #: fold batch-level aggregates into the registry; off inside pool
+        #: workers, whose summed results the parent folds once
         self.batch_level = batch_level
         self._stage_latency = registry.histogram(
             "rtg_stage_latency_seconds",
@@ -138,19 +145,22 @@ class MetricsObserver(StageObserver):
         self._patterns = registry.counter(
             "rtg_patterns_total", METRIC_HELP["rtg_patterns_total"]
         )
-        self._before: dict = {}
+        self._cache_before: dict[str, int] = {}
+        self._timings: dict[str, float] = {}
         self._stage_t0 = 0.0
 
     # -- stage-level -----------------------------------------------------
     def on_batch_start(self, result: BatchResult) -> None:
-        if self.batch_level:
-            self._before = self.registry.snapshot()
+        self._cache_before = self.lane.snapshot()
+        self._timings = result.timings
 
     def on_stage_start(self, stage: str, ctx: ServiceBatchContext) -> None:
         self._stage_t0 = time.perf_counter()
 
     def on_stage_end(self, stage: str, ctx: ServiceBatchContext) -> None:
         elapsed = time.perf_counter() - self._stage_t0
+        timings = self._timings
+        timings[stage] = timings.get(stage, 0.0) + elapsed
         if stage == "scan":
             self._stage_latency.observe(
                 elapsed, stage=stage, backend=ScannerConfig.backend
@@ -194,12 +204,11 @@ class MetricsObserver(StageObserver):
 
     # -- batch-level -----------------------------------------------------
     def on_batch_end(self, result: BatchResult) -> None:
-        if not self.batch_level:
-            return
-        fold_batch_result(self.registry, result, db=self.db)
-        result.metrics = snapshot_to_dict(
-            MetricsRegistry.snapshot_delta(self._before, self.registry.snapshot())
+        result.cache = FastPath.snapshot_delta(
+            self._cache_before, self.lane.snapshot()
         )
+        if self.batch_level:
+            fold_batch_result(self.registry, result, db=self.db)
 
 
 def _observe_each(histogram, values: list[int], backend: str) -> None:
@@ -216,16 +225,20 @@ def fold_batch_result(registry: MetricsRegistry, result: BatchResult,
     """Fold one finished batch's aggregates into *registry*.
 
     The batch-level half of the metrics seam, shared by the serial
-    observer and the pool front end (which has no stage events of
-    its own — its stage-level signal arrives as merged worker deltas).
+    observer and the pool front end, which calls it directly (it has no
+    stage events of its own — its stage-level signal arrives as merged
+    worker deltas).
     Must run exactly once per batch per registry.
     """
     registry.counter(
         "rtg_batches_total", METRIC_HELP["rtg_batches_total"]
     ).inc()
-    registry.gauge(
-        "rtg_matched_fraction", METRIC_HELP["rtg_matched_fraction"]
-    ).set(result.matched_fraction)
+    if result.n_records:
+        # a stream flush mines pending evidence, not records: it has no
+        # matched fraction of its own to report
+        registry.gauge(
+            "rtg_matched_fraction", METRIC_HELP["rtg_matched_fraction"]
+        ).set(result.matched_fraction)
 
     if result.cache:
         fastlane = registry.counter(

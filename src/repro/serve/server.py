@@ -42,12 +42,12 @@ import signal
 import stat
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro.core.ingest import parse_record
 from repro.core.streaming import StreamDriver
+from repro.obs.observer import METRIC_HELP
 from repro.serve.framing import MAX_FRAME_BYTES
 from repro.serve.listeners import (
     ListenSpec,
@@ -111,29 +111,32 @@ class ServeConfig:
 
 @dataclass(slots=True)
 class ServeStats:
-    """Counters of one server's lifetime (updated in place)."""
+    """Counters of one server's lifetime (updated in place).
 
+    ``accepted`` and ``shed`` are the shard router's own totals, so a
+    ``drop_oldest`` eviction — which the router reports as an accepted
+    offer — is counted as shed exactly once.
+    """
+
+    router: ShardRouter = field(repr=False)
     connections: int = 0
     frames: int = 0
-    accepted: int = 0
-    shed: int = 0
     malformed: int = 0
     protocol_errors: int = 0
     batches: int = 0
     records_mined: int = 0
     new_patterns: int = 0
     drained: bool = False
-    #: recent ingest latencies (seconds, arrival → queue admission)
-    latencies: deque = field(default_factory=lambda: deque(maxlen=65536))
 
-    def latency_quantile(self, q: float) -> float:
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
+    @property
+    def accepted(self) -> int:
+        """Records admitted into a shard queue."""
+        return self.router.accepted_total
 
-    def p99(self) -> float:
-        return self.latency_quantile(0.99)
+    @property
+    def shed(self) -> int:
+        """Records refused or evicted at a high-water mark."""
+        return self.router.shed_total
 
 
 class ServeServer:
@@ -153,7 +156,6 @@ class ServeServer:
         self.miner = miner
         self.config = config
         self.clock = clock
-        self.stats = ServeStats()
         # the one per-miner difference: what a dispatch cycle waits for
         # and takes, and how it hands the records over; *core* is the
         # miner that holds the configuration and the metrics registry
@@ -176,7 +178,7 @@ class ServeServer:
             self._poll = self._close = _idle
         #: a pool mines one shard per worker, a serial miner one
         self.n_shards = getattr(core, "n_workers", 1)
-        registry = core.metrics if core.config.enable_metrics else None
+        registry = core.metrics
         high_water = config.high_water or max(
             1024, (2 * config.batch_size) // self.n_shards
         )
@@ -187,28 +189,22 @@ class ServeServer:
             policy=config.overload,
             metrics=registry,
         )
-        self._latency_hist = None
-        self._lines_counter = None
-        self._malformed_counter = None
-        self._connections_counter = None
-        if registry is not None:
-            from repro.obs.observer import METRIC_HELP
-
-            self._latency_hist = registry.histogram(
-                "rtg_serve_ingest_latency_seconds",
-                METRIC_HELP["rtg_serve_ingest_latency_seconds"],
-            )
-            self._lines_counter = registry.counter(
-                "rtg_ingest_lines_total", METRIC_HELP["rtg_ingest_lines_total"]
-            )
-            self._malformed_counter = registry.counter(
-                "rtg_ingest_malformed_total",
-                METRIC_HELP["rtg_ingest_malformed_total"],
-            )
-            self._connections_counter = registry.counter(
-                "rtg_serve_connections_total",
-                METRIC_HELP["rtg_serve_connections_total"],
-            )
+        self.stats = ServeStats(self.router)
+        self._latency_hist = registry.histogram(
+            "rtg_serve_ingest_latency_seconds",
+            METRIC_HELP["rtg_serve_ingest_latency_seconds"],
+        )
+        self._lines_counter = registry.counter(
+            "rtg_ingest_lines_total", METRIC_HELP["rtg_ingest_lines_total"]
+        )
+        self._malformed_counter = registry.counter(
+            "rtg_ingest_malformed_total",
+            METRIC_HELP["rtg_ingest_malformed_total"],
+        )
+        self._connections_counter = registry.counter(
+            "rtg_serve_connections_total",
+            METRIC_HELP["rtg_serve_connections_total"],
+        )
         #: resolved endpoints after binding (scheme, address) — ports are
         #: concrete even when a spec asked for port 0
         self.endpoints: list[tuple[str, str]] = []
@@ -230,8 +226,7 @@ class ServeServer:
 
     def connection_opened(self, source: str) -> None:
         self.stats.connections += 1
-        if self._connections_counter is not None:
-            self._connections_counter.inc(listener=source)
+        self._connections_counter.inc(listener=source)
 
     def protocol_error(self, source: str) -> None:
         self.stats.protocol_errors += 1
@@ -248,13 +243,11 @@ class ServeServer:
         """
         stats = self.stats
         stats.frames += 1
-        if self._lines_counter is not None:
-            self._lines_counter.inc(source=source)
+        self._lines_counter.inc(source=source)
         record = parse_record(frame.decode("utf-8", errors="replace"))
         if record is None:
             stats.malformed += 1
-            if self._malformed_counter is not None:
-                self._malformed_counter.inc(source=source)
+            self._malformed_counter.inc(source=source)
             return "malformed"
         while True:
             outcome = self.router.offer(record)
@@ -264,13 +257,7 @@ class ServeServer:
                 return "shed"
             await asyncio.sleep(0.002)
         if outcome == "accepted":
-            stats.accepted += 1
-            latency = self.clock() - arrived
-            stats.latencies.append(latency)
-            if self._latency_hist is not None:
-                self._latency_hist.observe(latency)
-        else:
-            stats.shed += 1
+            self._latency_hist.observe(self.clock() - arrived)
         return outcome
 
     # -- dispatcher thread -------------------------------------------------
@@ -507,12 +494,13 @@ class ServeServer:
             "connections": stats.connections,
             "frames": stats.frames,
             "accepted": stats.accepted,
-            "shed": self.router.shed_total,
+            "shed": stats.shed,
             "malformed": stats.malformed,
             "protocol_errors": stats.protocol_errors,
             "batches": stats.batches,
             "records_mined": stats.records_mined,
             "new_patterns": stats.new_patterns,
-            "p99_ingest_latency_s": stats.p99(),
+            # upper bound of the histogram bucket holding the p99
+            "p99_ingest_latency_s": self._latency_hist.quantile(0.99),
             "drained": stats.drained,
         }

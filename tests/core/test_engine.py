@@ -20,13 +20,13 @@ from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.engine import (
     PersistStage,
     StageObserver,
-    TimingObserver,
 )
 from repro.core.fastpath import FastPath
 from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
+from repro.obs.observer import MetricsObserver
 from repro.parser.compiled import CompiledParser
 from repro.parser.parser import Parser
 from repro.scanner.compiled import CompiledScanner
@@ -190,19 +190,38 @@ class TestObserverContract:
                 for kind in ("start", "end")
             ]
 
+    def test_default_engine_has_exactly_one_metrics_observer(self):
+        observers = SequenceRTG(db=PatternDB()).engine.observers
+        assert [type(o) for o in observers] == [MetricsObserver]
+
     def test_timing_observer_counts_stage_executions(self):
+        """One clock: each stage's ``result.timings`` entry is the very
+        seconds the call added to that stage's latency histogram."""
         rtg = SequenceRTG(db=PatternDB())
-        timing = next(
-            o for o in rtg.engine.observers if isinstance(o, TimingObserver)
-        )
+        hist = rtg.metrics.histogram("rtg_stage_latency_seconds")
+
+        def stage_sums():
+            sums = {}
+            for key, (_, seconds, count) in hist.samples().items():
+                stage = dict(key)["stage"]
+                total, n = sums.get(stage, (0.0, 0))
+                sums[stage] = (total + seconds, n + count)
+            return sums
+
         batches = batches_for_test(n_batches=2, per_batch=80, n_services=5)
         for batch in batches:
+            before = stage_sums()
             result = rtg.analyze_by_service(batch)
-            # the timer is reset per batch and driven purely by stage
-            # events: one completed execution per stage per service group
-            for stage in STAGE_ORDER:
-                assert timing.timer.count(stage) == result.n_services
+            after = stage_sums()
             assert set(result.timings) == set(STAGE_ORDER)
+            for stage in STAGE_ORDER:
+                seconds, runs = after[stage]
+                seconds_before, runs_before = before.get(stage, (0.0, 0))
+                # one observation per stage per service group
+                assert runs - runs_before == result.n_services
+                assert result.timings[stage] == pytest.approx(
+                    seconds - seconds_before, abs=1e-9
+                )
 
 
 class TestSnapshotDelta:

@@ -150,7 +150,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("name", [
         "max_examples", "db_durable", "export_min_count", "export_max_complexity",
         "enable_fastpath", "scan_cache_size", "match_cache_size", "pool_workers",
-        "ingest_prefetch", "mode",
+        "ingest_prefetch", "mode", "enable_metrics",
     ])
     def test_deleted_fields_rejected(self, name):
         with pytest.raises(TypeError):
@@ -160,7 +160,7 @@ class TestConfigValidation:
         with pytest.raises(AttributeError):
             RTGConfig().enable_fastpath = False
         assert [f.name for f in dataclasses.fields(RTGConfig)] == [
-            "batch_size", "save_threshold", "enable_metrics",
+            "batch_size", "save_threshold",
             "streaming", "scanner", "parser", "analyzer",
         ]
 

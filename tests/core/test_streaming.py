@@ -346,16 +346,16 @@ class TestStreamDriver:
         driver = rtg.stream_driver(clock=FakeClock())
         driver.feed([self.record(i) for i in range(8)], now=NOW)
         driver.close()
-        assert len(driver.latencies) == 8
-        assert driver.p99() >= driver.latency_quantile(0.5) >= 0.0
-        snapshot = rtg.metrics.snapshot()
-        assert "rtg_stream_message_latency_seconds" in snapshot
-        assert "rtg_stream_flushes_total" in snapshot
+        latency = rtg.metrics.histogram("rtg_stream_message_latency_seconds")
+        assert latency.count() == 8
+        assert latency.quantile(0.99) >= latency.quantile(0.5) > 0.0
+        assert "rtg_stream_flushes_total" in rtg.metrics.snapshot()
 
     def test_empty_driver_quantile_is_zero(self):
         rtg = stream_rtg(quiet_streaming())
-        driver = rtg.stream_driver(clock=FakeClock())
-        assert driver.p99() == 0.0
+        rtg.stream_driver(clock=FakeClock())
+        latency = rtg.metrics.histogram("rtg_stream_message_latency_seconds")
+        assert latency.quantile(0.99) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -643,10 +643,12 @@ class TestStreamingConfigValidation:
         {"pattern_ttl_days": -0.5},
         {"split_min_matches": 0},
         {"drift_max_values": 0},
-        {"latency_window": 0},
+        # a deleted knob: latency quantiles come from the registry histogram
+        {"latency_window": 8192},
     ])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        error = TypeError if "latency_window" in kwargs else ValueError
+        with pytest.raises(error):
             StreamingConfig(**kwargs)
 
 

@@ -134,14 +134,3 @@ class TestPoolAggregation:
             for batch in batches(n_batches=4):
                 warm.analyze_by_service(batch)
             assert warm.metrics.counter("rtg_batches_total").value() == 4
-
-    def test_metrics_disabled_end_to_end(self):
-        from repro.core.config import RTGConfig
-
-        config = RTGConfig(enable_metrics=False)
-        with PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=2
-        ) as warm:
-            result = warm.analyze_by_service(batches(n_batches=1)[0])
-            assert result.metrics == {}
-            assert warm.metrics.collect() == []

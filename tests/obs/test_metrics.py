@@ -74,6 +74,39 @@ class TestHistogram:
             MetricsRegistry().histogram("lat", buckets=(1.0, 0.1))
 
 
+class TestHistogramQuantile:
+    def test_empty_sample_is_zero(self):
+        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        assert hist.quantile(0.99) == 0.0
+
+    def test_returns_the_bound_of_the_bucket_holding_the_rank(self):
+        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0, 10.0))
+        hist.observe(0.05, n=90)
+        hist.observe(0.5, n=9)
+        hist.observe(5.0)
+        # 0-based ranks 0-89 sit in the first bucket, 90-98 in the
+        # second, 99 in the third
+        assert hist.quantile(0.0) == 0.1
+        assert hist.quantile(0.5) == 0.1
+        assert hist.quantile(0.9) == 1.0
+        assert hist.quantile(0.99) == 10.0
+        assert hist.quantile(1.0) == 10.0  # clamped to the last rank
+
+    def test_reads_one_labelled_sample(self):
+        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        hist.observe(0.05, stage="scan")
+        hist.observe(0.5, stage="parse")
+        assert hist.quantile(0.99, stage="scan") == 0.1
+        assert hist.quantile(0.99, stage="parse") == 1.0
+        assert hist.quantile(0.99) == 0.0  # the unlabelled sample is empty
+
+    def test_overflow_bucket_is_infinite(self):
+        hist = MetricsRegistry().histogram("lat", buckets=(0.1, 1.0))
+        hist.observe(0.05)
+        hist.observe(50.0)
+        assert hist.quantile(0.99) == float("inf")
+
+
 class TestRegistry:
     def test_get_or_create_returns_same_family(self):
         registry = MetricsRegistry()

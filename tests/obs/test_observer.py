@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import RTGConfig
+from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.engine import StageObserver
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -93,20 +93,6 @@ class TestSerialPath:
         for service, n in rtg.db.counts_by_service().items():
             assert per_service.value(service=service) == n
 
-    def test_batch_result_carries_metrics_delta(self):
-        """``BatchResult.metrics`` is the per-batch registry delta, not
-        the cumulative state: the second batch reports its own counts."""
-        rtg = SequenceRTG(db=PatternDB())
-        generator = MessageGenerator(seed=3)
-        rtg.analyze_by_service(generator.records(200, n_services=2))
-        second = rtg.analyze_by_service(generator.records(100, n_services=2))
-        batches = second.metrics["rtg_batches_total"]["samples"][0]["value"]
-        assert batches == 1
-        records = sum(
-            s["value"] for s in second.metrics["rtg_records_total"]["samples"]
-        )
-        assert records == second.n_records
-
     def test_matched_fraction_gauge(self):
         rtg = SequenceRTG(db=PatternDB())
         records = MessageGenerator(seed=3).records(200, n_services=2)
@@ -126,10 +112,28 @@ class TestSerialPath:
             "dedup_duplicates"
         ]
 
+    def test_stream_flush_leaves_matched_fraction_alone(self):
+        """A flush carries no records, so it has no matched fraction to
+        publish: the gauge keeps the last micro-batch's value."""
+        rtg = SequenceRTG(
+            db=PatternDB(),
+            config=RTGConfig(streaming=StreamingConfig(micro_batch_size=8)),
+        )
+        known = [LogRecord("svc", f"user {u} logged in") for u in "abcdefg"]
+        rtg.analyze_by_service(known * 2)  # mines the known shape
+        driver = rtg.stream_driver(clock=lambda: 0.0)
+        driver.feed(known + [LogRecord("svc", "disk full on /dev/sda1")])
+        gauge = rtg.metrics.gauge("rtg_matched_fraction")
+        assert gauge.value() == pytest.approx(7 / 8)
+        flushed = driver.flush()
+        assert flushed.n_records == 0 and flushed.n_services == 1
+        assert gauge.value() == pytest.approx(7 / 8)
+
     def test_disabled_metrics_record_nothing(self):
-        rtg, result = mined(enable_metrics=False)
-        assert rtg.metrics.collect() == []
-        assert result.metrics == {}
+        """Metrics are not a setting: the knob is a constant."""
+        with pytest.raises(TypeError):
+            RTGConfig(enable_metrics=False)
+        assert RTGConfig.enable_metrics is True
 
 
 class TestFoldedObservations:
@@ -200,10 +204,10 @@ class TestWorkerMode:
     def test_batch_level_off_skips_batch_aggregates(self):
         registry = MetricsRegistry(const_labels={"worker": "0"})
         rtg = SequenceRTG(db=PatternDB(), metrics=registry)
-        for observer in rtg.engine.observers:
-            if isinstance(observer, MetricsObserver):
-                observer.batch_level = False
-                observer.db = None
+        (observer,) = rtg.engine.observers
+        assert isinstance(observer, MetricsObserver)
+        observer.batch_level = False
+        observer.db = None
         result = rtg.analyze_by_service(
             [LogRecord("svc", f"event {i} done") for i in range(10)]
         )
@@ -211,7 +215,11 @@ class TestWorkerMode:
         assert "rtg_batches_total" not in names
         assert "rtg_patterndb_rows" not in names
         assert "rtg_stage_latency_seconds" in names
-        assert result.metrics == {}
+        # the pool sums these from every worker's reply
+        assert set(result.timings) == {
+            "scan", "parse", "partition_length", "analyze", "persist",
+        }
+        assert result.cache["dedup_unique"] == 10
         # every sample carries the worker const label
         for metric in registry.collect():
             for key in metric.samples():

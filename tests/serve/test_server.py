@@ -297,6 +297,29 @@ class TestHTTPFrontDoor:
         assert stats.records_mined == stats.accepted == 10
         assert stats.shed == 40
 
+    def test_drop_oldest_evictions_count_as_shed(self):
+        """Under drop_oldest every offer is admitted and each eviction is
+        shed: the stats and the summary report the router's one count."""
+        records = records_for_test(n=50, n_services=1)
+        rtg = SequenceRTG(db=PatternDB())
+        server = ServeServer(
+            rtg,
+            serve_config(
+                listen=(ListenSpec(scheme="http", host="127.0.0.1", port=0),),
+                batch_size=1000,
+                high_water=10,
+                overload="drop_oldest",
+                dispatch_timeout_s=30,  # dispatcher sits; queue stays full
+            ),
+        )
+        addr = dict(server.start_in_background())["http"]
+        status, _ = http_post(addr, jsonl(records))
+        assert status == 200
+        stats = server.shutdown()
+        assert stats.records_mined == 10
+        assert stats.frames - stats.malformed == stats.records_mined + stats.shed
+        assert stats.shed == server.summary()["shed"] == 40
+
 
 class TestDrainExactness:
     def test_all_accepted_and_queued_records_are_mined(self):

@@ -29,6 +29,20 @@ class TestDoctests:
         assert results.attempted > 0
 
 
+class TestMetricTable:
+    def test_architecture_table_lists_every_metric_family(self):
+        """docs/architecture.md §8's table names exactly the families
+        ``METRIC_HELP`` registers."""
+        from repro.obs.observer import METRIC_HELP
+
+        path = os.path.join(os.path.dirname(__file__), "..", "docs", "architecture.md")
+        with open(path, encoding="utf-8") as fh:
+            rows = [line for line in fh if line.startswith("| `rtg_")]
+        names = [row.split("`")[1] for row in rows]
+        assert len(names) == len(set(names))
+        assert set(names) == set(METRIC_HELP)
+
+
 def _run_example(name: str, *args: str, timeout: int = 300):
     return subprocess.run(
         [sys.executable, os.path.join(EXAMPLES_DIR, name), *args],
