@@ -118,8 +118,8 @@ class ServiceBatchContext:
     #: pattern id -> occurrences matched this batch (ParseStage)
     match_counts: dict[str, int] = field(default_factory=dict)
     #: candidate-frontier sizes of the parse matches actually performed
-    #: (one entry per distinct token signature matched through the batch
-    #: lane) — the ``rtg_parse_candidates`` telemetry (ParseStage)
+    #: (one entry per message not served by the match cache) — the
+    #: ``rtg_parse_candidates`` telemetry (ParseStage)
     parse_frontiers: list[int] = field(default_factory=list)
     #: pattern id -> originals worth storing as examples (ParseStage)
     match_examples: dict[str, list[str]] = field(default_factory=dict)
@@ -202,9 +202,7 @@ class ParseStage(Stage):
         if len(parser) > 0:
             # recurring messages (the ones the scan cache served) go
             # through the cross-batch match cache — the only ones worth
-            # its signature cost; everything else is matched as one
-            # batch, where ``match_many`` computes each distinct token
-            # signature once
+            # its signature cost; everything else is matched directly
             fresh: list[ScannedMessage] = []
             fresh_at: list[int] = []
             for i, msg in enumerate(scanned):

@@ -7,8 +7,7 @@ table-driven search-core technique of Cookiecutter's C++ trie and the
 evolving-search-tree framing of USTEP.  Construction, the incremental
 ``add_pattern`` contract, the version counter and the ``enrich`` switch
 are all inherited from the reference parser — the trie stays the source
-of truth — and a lowering pass (run lazily, over the length buckets a
-mutation touched and no others) turns it into:
+of truth — and is lowered into:
 
 * **match programs** — one flat step array per matchable pattern, each
   step either a literal text (compared by interned-string equality) or
@@ -16,38 +15,41 @@ mutation touched and no others) turns it into:
   message token's acceptance set is computed once per token (and
   memoised per distinct literal text), not once per trie edge per
   visit;
-* **priority keys** — ``(-static, n_variables, trie, rank)`` per
-  program, where *rank* is the program's position in the reference
-  DFS's candidate fold order.  Numbering programs in sorted key order
-  makes the *lowest-numbered acceptor the winner*, and full ties (same
-  static count, same variable count) resolve to exactly the pattern the
-  reference DFS would keep, because the reference folds candidates in
-  rank order and its tie-break keeps the earlier candidate;
+* **priority keys** — ``(-static, n_variables, trie, path)`` per
+  program, where *path* is its DFS path through its sub-trie (see
+  :func:`_path_element`).  Path order is the reference DFS's candidate
+  fold order, so full ties (same static count, same variable count)
+  resolve to exactly the pattern the reference keeps — it folds
+  candidates in that order and its tie-break keeps the earlier one;
 * **columnar dispatch tables** — per message length, one table per
   token position mapping a literal text (dict lookup) or an acceptance
   bit (mask test) to the *bitset* of programs compatible with it.  A
   match intersects one bitset per token into a surviving set — big-int
   AND/OR, word-parallel over all candidates at once — bailing out the
-  moment the set goes empty; the winner is the surviving set's lowest
-  set bit.  Shared prefixes therefore cost one dict probe per position
+  moment the set goes empty; the winner is the survivor with the lowest
+  key.  Shared prefixes therefore cost one dict probe per position
   regardless of how many programs share them, the columnar analogue of
   the trie's prefix sharing;
-* **a memoised candidate-frontier cache** — the per-message-length
-  merge of the exact bucket with the applicable ignore-rest programs
-  (and its column tables) is built once per length and dropped only
-  when that length's bucket changes; a change to an ignore-rest
-  pattern, which joins the frontier of every sufficiently long length,
-  drops them all.
+* **a candidate frontier per message length** — the exact bucket merged
+  with the applicable ignore-rest programs, with its column tables,
+  built on first use.
 
-The rank construction is what makes the result bit-identical *by
+The pattern set is maintained in O(Δ), the way USTEP keeps its search
+tree current: ``add_pattern`` lowers only the added pattern, inserts it
+into its bucket's key-sorted program list and gives it the next bit of
+every built frontier it joins — no key changes, no bit is renumbered,
+only the memo entries the new bit can change are dropped.  A removal
+rebuilds its buckets' sub-tries, so it re-lowers exactly those buckets
+(an ignore-rest one drops every frontier).
+
+The key construction is what makes the result bit-identical *by
 construction*: the reference search is a fixed-order stack DFS over a
 trie whose states are visited at most once, so the candidates it folds
 for any message form a subsequence of the all-edges-accept fold order —
-precomputing that order and minimising over it is equivalent to
-replaying the DFS.  The differential property suite
-(``tests/parser/test_compiled.py``) asserts the equivalence over
-corpora and adversarially overlapping pattern sets rather than assuming
-it.
+minimising over that order is equivalent to replaying the DFS.  The
+differential property suite (``tests/parser/test_compiled.py``)
+asserts the equivalence over corpora and adversarially overlapping
+pattern sets rather than assuming it.
 
 Enrichment (k=v pairs, e-mail addresses, host names) is semantically
 identical to :func:`repro.analyzer.enrich.enrich_tokens`; the compiled
@@ -58,10 +60,12 @@ per-message enrichment cost for recurring vocabulary.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.analyzer.enrich import enrich_tokens, is_email, is_hostname
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.parser.acceptance import TYPE_MASKS_BY_VALUE, VAR_BITS, literal_mask
-from repro.parser.parser import REST_BUCKET, MatchResult, Parser, _Node
+from repro.parser.parser import REST_BUCKET, MatchResult, Parser
 from repro.scanner.scanner import ScannedMessage
 from repro.scanner.token_types import Token, TokenType
 
@@ -78,6 +82,24 @@ _KEY = TokenType.KEY
 _VALUE = TokenType.VALUE
 _EMAIL = TokenType.EMAIL
 _HOST = TokenType.HOST
+
+
+#: shared path elements (see :func:`_path_element`)
+_PATH_ELEMENTS: dict[tuple[int, int], tuple[int, int]] = {}
+#: path element of a program ending at its own exact leaf
+_OWN_LEAF = (-2,)
+
+
+def _path_element(kind: int, index: int) -> tuple[int, int]:
+    """One level of a program's DFS path key, shared between programs:
+    ``(-1, k)`` the ignore-rest edge at ``node.variables[k]``, ``(0, -k)``
+    the variable child there, ``(1, -m)`` the literal child inserted
+    *m*-th.  Ascending order is the reference DFS's fold order — own
+    leaf, ignore-rest edges forward, variable children backward, then
+    literal children newest first — and no index ever changes while the
+    node lives, so an inserted pattern leaves every other key alone."""
+    key = (kind, index)
+    return _PATH_ELEMENTS.setdefault(key, key)
 
 
 class _Program:
@@ -99,7 +121,7 @@ class _Program:
     ) -> None:
         #: per-position ops: a literal text (str) or an acceptance bit (int)
         self.steps = steps
-        #: ``(-static, n_variables, trie, rank)`` — min() over accepting
+        #: ``(-static, n_variables, trie, path)`` — min() over accepting
         #: programs reproduces the reference DFS winner exactly
         self.key = key
         #: ``(position, name)`` pairs binding variable values to fields
@@ -110,6 +132,71 @@ class _Program:
         #: the id the leaf's pattern was added under
         self.pattern_id = pattern_id
         self.static = static
+
+
+def _program(steps, static, extract, rest_name, leaf, trie, path) -> _Program:
+    # every variable edge on the path binds a field, and a collected
+    # ignore-rest pattern ends at its rest variable
+    n_variables = len(extract) + (rest_name is not None)
+    return _Program(
+        steps=tuple(steps),
+        key=(-static, n_variables, trie, tuple(path)),
+        extract=tuple(extract),
+        rest_name=rest_name,
+        pattern=leaf.pattern,
+        pattern_id=leaf.pattern_id,
+        static=static,
+    )
+
+
+def _key(program: _Program) -> tuple:
+    return program.key
+
+
+def _survivors(progs: list[_Program], bits: int):
+    while bits:
+        low = bits & -bits
+        yield progs[low.bit_length() - 1]
+        bits ^= low
+
+
+class _Frontier:
+    """The candidates of one message length and their dispatch columns.
+
+    Bit *j* of every bitset is ``progs[j]``, the *j*-th program to join;
+    a built frontier numbers its programs in key order and later ones
+    append, so the winner is the minimum key among the surviving bits.
+    Each column is ``[literal text -> bitset, acceptance bit -> bitset,
+    unconstrained bitset, literal-token memo, typed-token memo]``.
+    """
+
+    __slots__ = ("progs", "columns", "full")
+
+    def __init__(self, length: int) -> None:
+        self.progs: list[_Program] = []
+        self.columns = [[{}, {}, 0, {}, {}] for _ in range(length)]
+        self.full = 0
+
+    def join(self, prog: _Program) -> None:
+        """Give *prog* the next bit, touching each column once and
+        dropping only the memo entries the new bit can change."""
+        bit = 1 << len(self.progs)
+        self.progs.append(prog)
+        self.full |= bit
+        steps = prog.steps
+        for i, column in enumerate(self.columns):
+            if i < len(steps) and type(steps[i]) is str:
+                lit = column[0]
+                lit[steps[i]] = lit.get(steps[i], 0) | bit
+                column[3].pop(steps[i], None)
+                continue
+            if i < len(steps):
+                var = column[1]
+                var[steps[i]] = var.get(steps[i], 0) | bit
+            else:
+                column[2] |= bit  # inside an ignore-rest tail
+            column[3].clear()
+            column[4].clear()
 
 
 class CompiledParser(Parser):
@@ -124,15 +211,15 @@ class CompiledParser(Parser):
     """
 
     def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
-        #: bucket keys whose sub-trie changed since they were lowered
+        #: bucket keys whose sub-trie was rebuilt since they were lowered
         self._dirty: set[int] = set()
-        #: bucket key -> lowered programs: per length, the programs
-        #: ending at exactly that many tokens; under ``REST_BUCKET`` the
-        #: ignore-rest programs (applicable to any length >= len(steps))
+        #: bucket key -> lowered programs in key order: per length, the
+        #: programs ending at exactly that many tokens; under
+        #: ``REST_BUCKET`` the ignore-rest programs (applicable to any
+        #: length >= len(steps))
         self._programs: dict[int, list[_Program]] = {}
-        #: candidate-frontier cache: message length -> (programs in
-        #: priority order, per-position column tables, full bitset)
-        self._frontier: dict[int, tuple[list, list, int]] = {}
+        #: candidate-frontier cache: message length -> its frontier
+        self._frontier: dict[int, _Frontier] = {}
         #: literal text -> acceptance bitmask memo
         self._masks: dict[str, int] = {}
         #: literal text -> enrichment token type (EMAIL/HOST/LITERAL) memo
@@ -140,16 +227,73 @@ class CompiledParser(Parser):
         super().__init__(patterns, enrich=enrich)
 
     # -- compilation -----------------------------------------------------
-    def _bucket_changed(self, key: int) -> None:
-        self._dirty.add(key)
+    def _pattern_added(self, bucket, pattern: Pattern) -> None:
+        """Lower the one added pattern and patch it in: O(its length)
+        per frontier it joins, plus a sorted insert into its bucket's
+        program list.  Every other program keeps its key."""
+        key = bucket.key
+        if key in self._dirty:
+            return  # the whole bucket is re-lowered before the next match
+        prog = self._lower(bucket, pattern)
+        if prog is None:
+            return  # tokens after an ignore-rest variable: never matches
+        progs = self._programs.setdefault(key, [])
+        at = bisect_left(progs, prog.key, key=_key)
+        if at < len(progs) and progs[at].key == prog.key:
+            # a twin or re-add took the leaf over: the program (shared
+            # with every frontier holding it) now answers for it
+            progs[at].pattern = prog.pattern
+            progs[at].pattern_id = prog.pattern_id
+            return
+        progs.insert(at, prog)
+        if key != REST_BUCKET:
+            frontier = self._frontier.get(key)
+            if frontier is not None:
+                frontier.join(prog)
+            return
+        for length, frontier in self._frontier.items():
+            if length >= len(prog.steps):
+                frontier.join(prog)
+
+    @staticmethod
+    def _lower(bucket, pattern: Pattern) -> _Program | None:
+        """The program of *pattern*'s leaf, walked down from the root."""
+        rest_trie = 1 if bucket.key == REST_BUCKET else 0
+        node = bucket.root
+        steps: list = []
+        extract: list = []
+        path: list = []
+        static = 0
+        last = len(pattern.tokens) - 1
+        for i, tok in enumerate(pattern.tokens):
+            if not tok.is_variable:
+                node = node.literals[tok.text]
+                steps.append(tok.text)
+                static += 1
+                path.append(_path_element(1, -node.order))
+                continue
+            for k, (vc, name, child) in enumerate(node.variables):
+                if vc is tok.var_class and name == tok.name:
+                    break
+            if vc is _REST:
+                if i != last:
+                    return None
+                path.append(_path_element(-1, k))
+                return _program(steps, static, extract, name, child, rest_trie, path)
+            path.append(_path_element(0, -k))
+            extract.append((len(steps), name))
+            steps.append(VAR_BITS[vc])
+            node = child
+        path.append(_OWN_LEAF)
+        return _program(steps, static, extract, None, node, rest_trie, path)
 
     def _relower(self) -> None:
-        """Lower the dirty buckets into match programs.
+        """Re-lower the buckets a removal rebuilt.
 
         A length's programs, dispatch columns and per-token memos depend
         on that length's sub-trie and on the ignore-rest programs only,
         so every other length's frontier stays warm.  An ignore-rest
-        change is the all-lengths case: its programs join the frontier
+        change is the all-lengths case: its programs sit in the frontier
         of every length they are short enough for.
         """
         dirty = self._dirty
@@ -160,87 +304,39 @@ class CompiledParser(Parser):
             if bucket is None:
                 self._programs.pop(key, None)
             else:
-                self._programs[key] = self._collect(
-                    bucket.root, rest_trie=key == REST_BUCKET
-                )
+                self._programs[key] = self._lower_bucket(bucket)
             self._frontier.pop(key, None)
         dirty.clear()
 
-    @staticmethod
-    def _collect(root: _Node, rest_trie: bool) -> list[_Program]:
-        """Programs of one sub-trie, in reference DFS fold order.
+    def _bucket_changed(self, key: int) -> None:
+        self._dirty.add(key)
 
-        Replays the reference ``_search`` exploration — children popped
-        in reverse variable-edge order, the literal child last — and
-        appends a program wherever that search would fold a candidate:
-        at an exact leaf, or at an ignore-rest edge.  The append index
-        becomes the program's tie-break rank.  Patterns with tokens
-        *after* an ignore-rest variable are unreachable in the reference
-        search and are likewise not collected here.
-        """
-        out: list[_Program] = []
-        trie = 1 if rest_trie else 0
+    @classmethod
+    def _lower_bucket(cls, bucket) -> list[_Program]:
+        """Every program of one bucket, in key order (twins share their
+        leaf's program)."""
+        progs = {}
+        for pattern in bucket.members.values():
+            prog = cls._lower(bucket, pattern)
+            if prog is not None:
+                progs[prog.key] = prog
+        return sorted(progs.values(), key=_key)
 
-        def program(steps, static, extract, rest_name, leaf):
-            # every variable edge on the path binds a field, and a
-            # collected ignore-rest pattern ends at its rest variable
-            n_variables = len(extract) + (rest_name is not None)
-            return _Program(
-                steps=tuple(steps),
-                key=(-static, n_variables, trie, len(out)),
-                extract=tuple(extract),
-                rest_name=rest_name,
-                pattern=leaf.pattern,
-                pattern_id=leaf.pattern_id,
-                static=static,
-            )
-
-        #: (node, steps, static, extract) — tuples, shared by prefix
-        stack = [(root, (), 0, ())]
-        while stack:
-            node, steps, static, extract = stack.pop()
-            if node.pattern is not None and not rest_trie:
-                out.append(program(steps, static, extract, None, node))
-            for vc, name, child in node.variables:
-                if vc is _REST and child.pattern is not None:
-                    out.append(program(steps, static, extract, name, child))
-            # push order is the reverse of the reference's exploration
-            # order (last pushed pops first): literal children first,
-            # then variable edges forward — sibling literal order is
-            # immaterial, at most one can accept any given token
-            for text, child in node.literals.items():
-                stack.append((child, steps + (text,), static + 1, extract))
-            for vc, name, child in node.variables:
-                if vc is not _REST:
-                    stack.append(
-                        (
-                            child,
-                            steps + (VAR_BITS[vc],),
-                            static,
-                            extract + ((len(steps), name),),
-                        )
-                    )
-        return out
-
-    def _frontier_for(self, length: int) -> tuple[list, list, int]:
+    def _frontier_for(self, length: int) -> _Frontier:
         """Candidates for a *length*-token message, built once per length.
 
         Merges the exact bucket with every ignore-rest program short
-        enough to apply, numbers the candidates in priority-key order,
-        and builds one dispatch column per token position:
-
-        ``(literal text -> program bitset, [(class bit, program bitset)],
-        unconstrained bitset, literal-token memo, typed-token memo)``
-
-        where the unconstrained set holds the ignore-rest programs whose
-        constrained prefix already ended before this position.  The two
-        memos cache fully-resolved bitsets per distinct token seen at
-        the position — column resolution is a pure function of the token
-        text (LITERAL) or its text and type — so the steady-state cost
-        per token is one dict probe.  Literal edges match on *text*
-        alone (exactly like the reference trie walk), which is why the
-        typed-token memo stores only the type's class contribution and
-        the literal dispatch is re-probed per text.
+        enough to apply and joins them in priority-key order (see
+        :class:`_Frontier`): a column's unconstrained set holds the
+        ignore-rest programs whose constrained prefix already ended
+        before its position.  The two memos cache fully-resolved bitsets
+        per distinct token seen at the position — column resolution is a
+        pure function of the token text (LITERAL) or its text and type —
+        so the steady-state cost per token is one dict probe.  Literal
+        edges match on *text* alone (exactly like the reference trie
+        walk), which is why the typed-token memo stores only the type's
+        class contribution and the literal dispatch is re-probed per
+        text.
         """
         progs = list(self._programs.get(length, ()))
         progs.extend(
@@ -248,26 +344,9 @@ class CompiledParser(Parser):
             for p in self._programs.get(REST_BUCKET, ())
             if len(p.steps) <= length
         )
-        progs.sort(key=lambda p: p.key)
-        columns = []
-        for i in range(length):
-            lit_map: dict[str, int] = {}
-            var_map: dict[int, int] = {}
-            free = 0
-            for j, prog in enumerate(progs):
-                bit = 1 << j
-                steps = prog.steps
-                if i >= len(steps):
-                    free |= bit  # inside an ignore-rest tail
-                else:
-                    step = steps[i]
-                    if type(step) is str:
-                        lit_map[step] = lit_map.get(step, 0) | bit
-                    else:
-                        var_map[step] = var_map.get(step, 0) | bit
-            columns.append((lit_map, list(var_map.items()), free, {}, {}))
-        frontier = (progs, columns, (1 << len(progs)) - 1)
-        self._frontier[length] = frontier
+        frontier = self._frontier[length] = _Frontier(length)
+        for prog in sorted(progs, key=_key):
+            frontier.join(prog)
         return frontier
 
     # -- matching --------------------------------------------------------
@@ -293,12 +372,13 @@ class CompiledParser(Parser):
         frontier = self._frontier.get(length)
         if frontier is None:
             frontier = self._frontier_for(length)
-        progs, columns, surviving = frontier
+        progs = frontier.progs
+        surviving = frontier.full
         self.last_frontier = len(progs)
         if not surviving:
             return None
 
-        for column, tok in zip(columns, tokens):
+        for column, tok in zip(frontier.columns, tokens):
             text = tok.text
             if tok.type is _LITERAL:
                 ok = column[3].get(text)
@@ -317,8 +397,11 @@ class CompiledParser(Parser):
             if not surviving:
                 return None
 
-        # lowest surviving bit = lowest priority key = the DFS winner
-        best = progs[(surviving & -surviving).bit_length() - 1]
+        # the lowest priority key among the survivors is the DFS winner
+        if surviving & (surviving - 1):
+            best = min(_survivors(progs, surviving), key=_key)
+        else:
+            best = progs[surviving.bit_length() - 1]
         fields = {name: tokens[i].text for i, name in best.extract}
         rest_name = best.rest_name
         if rest_name is not None and length > len(best.steps):
@@ -342,7 +425,7 @@ class CompiledParser(Parser):
         text-keyed literal dispatch on top), because two tokens of one
         type can carry different texts.
         """
-        lit_map, var_masks, free, memo_lit, memo_type = column
+        lit_map, var_map, free, memo_lit, memo_type = column
         if ttype is None:
             masks = self._masks
             mask = masks.get(text)
@@ -357,7 +440,7 @@ class CompiledParser(Parser):
             mask = TYPE_MASKS_BY_VALUE[key]
             ok = free
             memo = memo_type
-        for class_bit, members in var_masks:
+        for class_bit, members in var_map.items():
             if mask & class_bit:
                 ok |= members
         if len(memo) >= _MEMO_SIZE:

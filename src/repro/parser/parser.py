@@ -54,9 +54,6 @@ __all__ = [
     "REST_BUCKET",
 ]
 
-#: Sentinel distinguishing "no cached outcome" from a cached None miss.
-_MISS = object()
-
 #: Bucket key of the shared ignore-rest sub-trie; exact-length sub-tries
 #: are keyed by their token count.
 REST_BUCKET = -1
@@ -91,29 +88,18 @@ class MatchResult:
     pattern_id: str
 
 
-def _signature(tokens: list[Token]) -> tuple:
-    """Hashable ``(text, type)`` signature — the match-cache key.
-
-    Matching depends only on token texts and types (never positions or
-    spacing), so two messages with equal signatures produce the same
-    :class:`MatchResult` or the same miss against any parser; the fast
-    lane's :func:`repro.core.fastpath.token_signature` makes the same
-    promise with the same key.  Types are keyed by their value string —
-    strings cache their hash, the Python-level ``Enum.__hash__`` does
-    not, and this tuple is hashed on every cache probe.
-    """
-    return tuple([(t.text, t.type._value_) for t in tokens])
-
-
 class _Node:
-    __slots__ = ("literals", "variables", "pattern", "pattern_id")
+    __slots__ = ("literals", "variables", "pattern", "pattern_id", "order")
 
-    def __init__(self) -> None:
+    def __init__(self, order: int = 0) -> None:
         self.literals: dict[str, _Node] = {}
         self.variables: list[tuple[VarClass, str, _Node]] = []  # (class, name, node)
         self.pattern: Pattern | None = None
         #: the id ``pattern`` was added under (leaves only)
         self.pattern_id = ""
+        #: insertion index among the parent's literal children — fixed
+        #: for the node's life, so it can key a stable DFS order
+        self.order = order
 
 
 class _Bucket:
@@ -137,7 +123,11 @@ class _Bucket:
         node = self.root
         for tok in pattern.tokens:
             if not tok.is_variable:
-                node = node.literals.setdefault(tok.text, _Node())
+                literals = node.literals
+                child = literals.get(tok.text)
+                if child is None:
+                    child = literals[tok.text] = _Node(len(literals))
+                node = child
             else:
                 for vc, name, child in node.variables:
                     if vc is tok.var_class and name == tok.name:
@@ -189,8 +179,8 @@ class Parser:
         #: states visited here; candidate programs considered in the
         #: compiled subclass) — the ``rtg_parse_candidates`` telemetry
         self.last_frontier = 0
-        #: frontier sizes of the matches the last :meth:`match_many`
-        #: call actually performed (one entry per distinct signature)
+        #: frontier sizes of the matches of the last :meth:`match_many`
+        #: call, one per message
         self.last_frontiers: list[int] = []
         for p in patterns or ():
             self.add_pattern(p)
@@ -215,7 +205,7 @@ class Parser:
         bucket.members[pattern_id] = pattern
         self._where[pattern_id] = bucket
         self.version += 1
-        self._bucket_changed(key)
+        self._pattern_added(bucket, pattern)
 
     def remove_patterns(self, ids) -> int:
         """Remove patterns by id; returns how many were present.
@@ -253,7 +243,11 @@ class Parser:
         return removed
 
     def _bucket_changed(self, key: int) -> None:
-        """Hook: bucket *key* gained, lost or re-ordered patterns."""
+        """Hook: bucket *key* lost patterns and was rebuilt."""
+
+    def _pattern_added(self, bucket: _Bucket, pattern: Pattern) -> None:
+        """Hook: *pattern* was walked into *bucket* (a new leaf, or a
+        twin or re-add taking over an existing one)."""
 
     # ------------------------------------------------------------------
     def match(
@@ -292,31 +286,19 @@ class Parser:
     def match_many(
         self, scanned: list[ScannedMessage]
     ) -> list["MatchResult | None"]:
-        """Match a batch, computing each distinct token signature once.
+        """Match a batch, one message at a time.
 
-        Match outcomes are fully determined by the ``(text, type)``
-        signature, so messages that tokenise identically — duplicates,
-        whitespace variants, truncated multi-line remainders — share one
-        match (and one enrichment pass) instead of re-walking the trie
-        per occurrence.  Results are positionally parallel to *scanned*;
-        shared outcomes are the same :class:`MatchResult` object.
-        ``last_frontiers`` records the frontier size of each match
-        actually performed, in first-occurrence order.
+        Results are positionally parallel to *scanned*, and
+        ``last_frontiers`` holds each match's frontier size.  Nothing is
+        shared between messages: the fast lane hands the parse stage
+        distinct raw messages, and two of those tokenising alike is too
+        rare to pay a signature per message for.
         """
         results: list[MatchResult | None] = []
-        by_signature: dict[tuple, MatchResult | None] = {}
         frontiers: list[int] = []
-        lookup = by_signature.get
-        match = self.match
-        append = results.append
-        miss = _MISS
         for msg in scanned:
-            sig = _signature(msg.tokens)
-            hit = lookup(sig, miss)
-            if hit is miss:
-                hit = by_signature[sig] = match(msg)
-                frontiers.append(self.last_frontier)
-            append(hit)
+            results.append(self.match(msg))
+            frontiers.append(self.last_frontier)
         self.last_frontiers = frontiers
         return results
 

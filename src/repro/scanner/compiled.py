@@ -1,4 +1,4 @@
-"""The production scanner: a regex-program tokenizer.
+"""The production scanner: one master-regex pass per line.
 
 The reference :class:`~repro.scanner.scanner.Scanner` walks every
 message character by character in Python and consults its FSM cascade
@@ -7,37 +7,39 @@ the one cost every message pays on every execution path — the fast lane
 only short-circuits duplicates — which makes it the throughput floor of
 the whole pipeline.
 
-This module compiles the cascade into a small set of precompiled
-``re`` programs executed left-to-right over each line:
+This module tokenises a line with one ``findall`` of a *master regex*,
+built once per :class:`~repro.scanner.scanner.ScannerConfig`.  Each
+match is ``(\\s*)`` — the whitespace before the token, which is its
+``is_space_before`` — followed by exactly one of these groups:
 
-* whitespace runs and general words are consumed by single C-level
-  regex matches instead of per-character Python iterations;
-* each specialised FSM sits behind a *sound gate* — a cheap compiled
-  prefilter that can never reject a real match but rejects the vast
-  majority of token starts (a plain word or integer) without entering
-  the FSM at all.  Gated positions still run the reference FSMs, so the
-  emitted token stream is bit-identical to the FSM cascade's by
-  construction: text, type, ``is_space_before`` and ``pos`` all come
-  from the same code once a gate opens.
+* **break** — a single break character (``:`` only when not opening
+  ``::``);
+* **integer** and **IPv4** — whole words of those shapes, typed in C;
+* **flag** — a word (or ``::``) at which the time, hex or (opt-in) path
+  FSM *could* claim a token.  The flag is a sound superset derived from
+  the FSM entry conditions and the layout catalogue (see
+  :func:`_master_rx`), so the single-digit and path options change the
+  regex, not the loop;
+* **number-shaped word** — classified once per distinct text by the
+  scanner's :class:`~repro.scanner.scanner.WordCache`;
+* **word** — any other word, a literal interned through the same cache
+  without running the classifier; or, when ``://`` follows it, a
+  flagged URL scheme (the scheme's characters are all word characters,
+  so the word is the scheme).
 
-The gates are derived from the FSM entry conditions:
+Only a flagged token runs Python FSM code: the unchanged cascade for
+that one token.  When the claimed token ends where the flagged word
+does, the pass keeps consuming the same ``findall`` tuples; otherwise
+(a timestamp spanning spaces, a URL through a ``:``) it resumes with a
+fresh ``findall`` at the token's end.
 
-* **time** — every digit-led layout in the catalogue starts with 1-4
-  digits followed by a separator (``-/.:``), 1-4 digits then spaces and
-  a month/day name, or a compact 6/8-digit date block; alpha-led
-  layouts start with a known month/day name prefix (the same check
-  :meth:`TimeFSM.match` performs first).
-* **hex** — a successful MAC/IPv6 match always has a hex group of at
-  most four digits followed by ``:`` or ``-`` and another hex digit or
-  colon, or starts with ``::``.
-* **URL** — the scheme is 1-12 characters, so ``://`` must occur
-  within 12 characters of the token start.
-* **path** (opt-in) — a match starts with ``/`` or ``\\``, a Windows
-  drive prefix, or a run of component characters reaching a ``/``.
-
-Word classification and text allocation go through the same bounded
-memo + ``sys.intern`` layer as the reference scanner
-(:class:`~repro.scanner.scanner.WordCache`).
+Integers and IPv4 are typed ahead of the flag, which is sound only
+because no catalogue layout can match at such a word: a layout's
+leading digit run must be followed by the character that ends the word,
+and the two groups exclude exactly the follow-ups the catalogue has
+(:func:`_int_guards`).  ``tests/scanner/test_compiled.py`` asserts that
+against the catalogue, and the whole token stream — text, type,
+``is_space_before``, ``pos`` — against the reference cascade.
 """
 
 from __future__ import annotations
@@ -48,11 +50,15 @@ from repro.scanner.scanner import Scanner
 from repro.scanner.time_fsm import (
     _COMPACT,
     _DAYS,
+    _DAYS_FULL,
     _DIGIT_FIELDS,
     _MONTHS,
     _MONTHS_FULL,
     _NAMES,
+    DEFAULT_LAYOUTS,
+    SINGLE_DIGIT_LAYOUTS,
     TimeFSM,
+    _compile,
 )
 from repro.scanner.token_types import Token, TokenType
 
@@ -70,8 +76,7 @@ __all__ = ["CompiledScanner", "CompiledTimeFSM"]
 #   shorter alternatives of flex fields;
 # * ``FFF`` and spaces consume maximal runs greedily, like the FSM; the
 #   following element can never match a digit or a space, so backtracking
-#   into these runs always fails and greedy equals possessive (possessive
-#   quantifiers themselves would need Python 3.11);
+#   into these runs always fails and greedy equals possessive;
 # * month names use explicit ``[Jj][Aa][Nn]`` character pairs (matching
 #   the FSM's ``.lower()`` comparison, unlike ``re.IGNORECASE`` which
 #   also case-folds exotica like the Kelvin sign);
@@ -81,12 +86,16 @@ __all__ = ["CompiledScanner", "CompiledTimeFSM"]
 #   are final (where ``_boundary_ok`` already rejects letters) — the
 #   layout dies at the same inputs either way.
 #
-# Alpha-led layouts (DAY/MON first) keep the interpreted matchers: they
-# are already gated by a month/day-name prefix check and contribute
-# nothing to the hot path.
+# Alpha-led layouts (DAY/MON first) keep the interpreted matchers: the
+# master regex flags them only at a month or day name.
+
+
+def _case_pairs(name: str) -> str:
+    return "".join(f"[{ch.upper()}{ch}]" for ch in name)
+
 
 _MONTH_RX = "(?:%s)" % "|".join(
-    "".join(f"[{ch.upper()}{ch}]" for ch in name)
+    _case_pairs(name)
     for name in (
         sorted(_MONTHS_FULL, key=lambda n: (-len(n), n)) + sorted(_MONTHS)
     )
@@ -115,6 +124,23 @@ _ELEMENT_RX = {
 }
 
 
+def _elements(layout: str) -> list[str]:
+    """Split *layout* into element names and literal characters, with
+    the longest-first element parse of ``time_fsm._compile``."""
+    out: list[str] = []
+    i = 0
+    while i < len(layout):
+        for name in _NAMES:
+            if layout.startswith(name, i):
+                out.append(name)
+                i += len(name)
+                break
+        else:
+            out.append(layout[i])
+            i += 1
+    return out
+
+
 def _layout_to_regex(layout: str) -> str:
     """Translate one layout into a regex source string.
 
@@ -128,30 +154,30 @@ def _layout_to_regex(layout: str) -> str:
     the interpreted matchers.
     """
     parts: list[str] = []
-    i = 0
     compact = any(run in layout for run in _COMPACT)
     prev = ""
-    while i < len(layout):
-        for name in _NAMES:
-            if layout.startswith(name, i):
-                if prev == "FFF" and name not in ("MON", "AP", "OFF", " "):
-                    raise KeyError(f"FFF followed by {name!r}")
-                if prev == " " and name == " ":
-                    raise KeyError("space followed by space")
-                if compact and name in _DIGIT_FIELDS:
-                    parts.append(r"\d{%d}" % _DIGIT_FIELDS[name])
-                else:
-                    parts.append(_ELEMENT_RX[name])
-                prev = name
-                i += len(name)
-                break
+    for el in _elements(layout):
+        if el in _ELEMENT_RX:
+            if prev == "FFF" and el not in ("MON", "AP", "OFF", " "):
+                raise KeyError(f"FFF followed by {el!r}")
+            if prev == " " and el == " ":
+                raise KeyError("space followed by space")
+            if compact and el in _DIGIT_FIELDS:
+                parts.append(r"\d{%d}" % _DIGIT_FIELDS[el])
+            else:
+                parts.append(_ELEMENT_RX[el])
+        elif el in ("DAY", "ZZZ"):
+            raise KeyError(el)
         else:
-            if prev == "FFF" and layout[i].isdigit():
-                raise KeyError(f"FFF followed by {layout[i]!r}")
-            parts.append(re.escape(layout[i]))
-            prev = ""
-            i += 1
+            if prev == "FFF" and el.isdigit():
+                raise KeyError(f"FFF followed by {el!r}")
+            parts.append(re.escape(el))
+        prev = el
     return "".join(parts)
+
+
+def _is_alpha_led(layout: str) -> bool:
+    return layout[:3] in ("MON", "DAY")
 
 
 class CompiledTimeFSM(TimeFSM):
@@ -170,21 +196,15 @@ class CompiledTimeFSM(TimeFSM):
         allow_single_digit: bool = False,
     ) -> None:
         if layouts is None:
-            from repro.scanner.time_fsm import DEFAULT_LAYOUTS
-
             layouts = DEFAULT_LAYOUTS
         super().__init__(layouts, allow_single_digit)
         if allow_single_digit:
-            from repro.scanner.time_fsm import SINGLE_DIGIT_LAYOUTS
-
             layouts = layouts + SINGLE_DIGIT_LAYOUTS
         self._digit_programs: list[re.Pattern[str]] = []
         self._digit_fallbacks: list[list] = []
-        from repro.scanner.time_fsm import _compile
-
         for layout in layouts:
-            if layout[0].isalpha() and layout[:3] in ("MON", "DAY"):
-                continue  # alpha-led: handled by the parent class
+            if _is_alpha_led(layout):
+                continue  # handled by the parent class
             try:
                 self._digit_programs.append(re.compile(_layout_to_regex(layout)))
             except KeyError:
@@ -213,47 +233,172 @@ class CompiledTimeFSM(TimeFSM):
                     best = j
         return best
 
-# one-or-more whitespace: \s is verified (tests/scanner/test_compiled.py)
-# to agree with str.isspace(), the reference tokeniser's delimiter test
-_WS_RX = re.compile(r"\s+")
 
-# maximal run of non-whitespace, non-break characters — exactly the
-# reference general FSM's word loop (break set mirrors _BREAK_CHARS)
-_WORD_RX = re.compile(r"""[^\s()\[\]{}"'=,;<>|:]+""")
+# --- the master regex -------------------------------------------------------
 
-# sound gate for digit-led timestamp layouts (see module docstring);
-# re.ASCII because the FSM's digit test is ASCII-strict
-_TIME_GATE = re.compile(
-    r"\d{1,4}[-/.:]|\d{1,4} +[A-Za-z]|\d{6} \d|\d{8}-\d", re.ASCII
-)
+_BREAK = "".join(sorted(Scanner._BREAK_CHARS))
+#: one word of the general FSM: a maximal run of non-whitespace,
+#: non-break characters (\s is verified to agree with str.isspace())
+_WORD_CLASS = "[^\\s%s]" % re.escape(_BREAK)
+#: lookahead: the word ends here
+_WORD_END = "(?=[\\s%s]|\\Z)" % re.escape(_BREAK)
 
-# sound gate for MAC/IPv6: a short hex group, a separator, and more
-# address material — or a leading '::' compression
-_HEX_GATE = re.compile(r"[0-9a-fA-F]{1,4}[:-][0-9a-fA-F:]|::")
+#: width range of each digit field, as the FSM's matchers consume it
+_DIGIT_WIDTHS = {name: (n, n) for name, n in _DIGIT_FIELDS.items()}
+_DIGIT_WIDTHS.update({name: (1, 2) for name in ("M", "D", "h", "m", "s")})
+_DIGIT_WIDTHS["FFF"] = (1, 9)
 
-# sound gate for the opt-in path FSM: absolute/UNC/drive starts, or a
-# component run that actually reaches a '/'
-_PATH_GATE = re.compile(r"[/\\]|[A-Za-z]:\\|[A-Za-z0-9._+~@%\-]+/")
 
-# first characters that can open a month or day name (both cases)
-_MONTH_DAY_PREFIXES = frozenset(_MONTHS) | frozenset(_DAYS)
-_MONTH_DAY_INITIALS = frozenset(
-    p[0] for p in _MONTH_DAY_PREFIXES
-) | frozenset(p[0].upper() for p in _MONTH_DAY_PREFIXES)
+def _trie_rx(words) -> str:
+    """Case-pair regex of lower-case ASCII *words*, factored into a trie
+    so that a mismatch costs one character test per level."""
+    trie: dict = {}
+    for word in words:
+        node = trie
+        for ch in word:
+            node = node.setdefault(ch, {})
+        node[""] = {}
 
-_HEX_LETTERS = frozenset("abcdefABCDEF")
+    def emit(node: dict) -> str:
+        alts = [_case_pairs(ch) + emit(node[ch]) for ch in sorted(node) if ch]
+        if not alts:
+            return ""
+        body = alts[0] if len(alts) == 1 else "(?:%s)" % "|".join(alts)
+        return "(?:%s)?" % body if "" in node else body
 
-# trailing sentence punctuation carved off words (Scanner._TRAILING)
-_TRAILING = set(".,!?")
+    return emit(trie)
+
+
+def _digit_leads(layouts) -> list[tuple[int, int, str | None, str | None]]:
+    """Per digit-led layout: the width range of its leading digit run,
+    the element after it and the one after that (None past the end).
+
+    A digit-led layout can only match at a digit, so every timestamp it
+    claims starts with that run followed by that element.
+    """
+    leads = []
+    for layout in layouts:
+        if _is_alpha_led(layout):
+            continue
+        els = _elements(layout)
+        lo = hi = k = 0
+        while k < len(els) and els[k] in _DIGIT_WIDTHS:
+            a, b = _DIGIT_WIDTHS[els[k]]
+            lo, hi, k = lo + a, hi + b, k + 1
+        if not hi:
+            continue  # opens with a non-digit: never matches at a digit
+        nxt = els[k] if k < len(els) else None
+        after = els[k + 1] if k + 1 < len(els) else None
+        leads.append((lo, hi, nxt, after))
+    return leads
+
+
+def _after_first_digit(alts) -> str:
+    """``[0-9]`` and then any of *alts*, given as ``(lo, hi, tail)``: a
+    digit run of lo..hi digits in all (the first included), then tail.
+    Sharing the first digit test lets every other word skip the lot."""
+    rxs = []
+    for lo, hi, tail in alts:
+        lo, hi = lo - 1, hi - 1
+        run = "" if not hi else "[0-9]{%d}" % lo if lo == hi else "[0-9]{%d,%d}" % (lo, hi)
+        rxs.append(run + tail)
+    return "[0-9](?:%s)" % "|".join(dict.fromkeys(rxs))
+
+
+def _time_flag(leads) -> str:
+    """Where a digit-led layout can start: its lead run and what follows
+    (a literal, or spaces then a month name or digit).  Elements whose
+    first character is not pinned add nothing — a looser superset."""
+    alts = []
+    for lo, hi, nxt, after in leads:
+        tail = ""
+        if nxt == " ":
+            tail = " +" + (
+                _trie_rx(_MONTHS | _MONTHS_FULL) if after == "MON"
+                else "[0-9]" if after in _DIGIT_WIDTHS
+                else ""
+            )
+        elif nxt is not None and len(nxt) == 1:  # a literal character
+            tail = re.escape(nxt)
+        alts.append((lo, hi, tail))
+    return _after_first_digit(alts)
+
+
+def _int_guards(leads) -> tuple[str, str]:
+    """Negative lookaheads that keep the integer and IPv4 groups off
+    every word a digit-led layout could claim.
+
+    Such a word is exactly a layout's lead run followed by the character
+    that ends the word, so a layout can only claim an integer word when
+    its lead is followed by whitespace, a break character or nothing,
+    and an IPv4 word when its lead is followed by ``.``.  (``:`` after
+    an integer — clock times, hex groups — is excluded by the integer
+    group's follow set instead.)
+    """
+    ints, ipv4 = [], []
+    for lo, hi, nxt, _after in leads:
+        if nxt is None:
+            ints.append((lo, hi, "(?![0-9])"))
+        elif nxt != ":" and (nxt.isspace() or nxt in Scanner._BREAK_CHARS):
+            ints.append((lo, hi, re.escape(nxt)))
+        elif nxt == ".":
+            ipv4.append((lo, hi, r"\."))
+    return tuple(
+        "(?!%s)" % _after_first_digit(alts) if alts else "" for alts in (ints, ipv4)
+    )
+
+
+#: month or day name as ``TimeFSM``'s alpha branch accepts it: the
+#: name-matchers need it not followed by a letter (ASCII letters are a
+#: subset of str.isalpha(), so the lookahead never rejects a real match)
+_NAME_FLAG = _trie_rx(_MONTHS | _MONTHS_FULL | _DAYS | _DAYS_FULL) + "(?![A-Za-z])"
+#: MAC/IPv6: a hex group of at most four digits, a separator and more
+#: address material (a fifth hex digit fails the FSM too); spelled with
+#: a leading character class, which lets the regex engine skip the
+#: branch on one test
+_HEX_FLAG = "[0-9a-fA-F][0-9a-fA-F]{0,3}+[:-][0-9a-fA-F:]"
+#: path FSM: absolute/UNC, a drive letter, or components reaching a '/'
+_PATH_FLAG = r"[/\\]|[^\W\d_]:\\|[A-Za-z0-9._+~@%\-]+/"
+#: the octets ``Scanner._classify_word`` accepts: leading zeros, <= 255
+_OCTET = "0*(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+
+
+def _master_rx(single_digit: bool, path: bool) -> re.Pattern[str]:
+    """The one tokenising regex for a scanner configuration."""
+    layouts = DEFAULT_LAYOUTS + (SINGLE_DIGIT_LAYOUTS if single_digit else ())
+    leads = _digit_leads(layouts)
+    flags = [_time_flag(leads), _NAME_FLAG, _HEX_FLAG]
+    if path:
+        flags.append(_PATH_FLAG)
+    int_guard, ipv4_guard = _int_guards(leads)
+    no_colon = re.escape(_BREAK.replace(":", ""))
+    return re.compile(
+        "(\\s*)(?:"
+        # 1. break character (``::`` is flagged below)
+        f"([{no_colon}]|:(?!:))"
+        # 2. integer / 3. IPv4, typed here
+        f"|(?=[+\\-0-9])(?:{int_guard}([+-]?[0-9]++)(?=[\\s{no_colon}]|\\Z)"
+        f"|{ipv4_guard}([+-]?{_OCTET}(?:\\.{_OCTET}){{3}}){_WORD_END})"
+        # 4. flagged: the FSM cascade decides
+        f"|((?=(?:{'|'.join(flags)})){_WORD_CLASS}++|::)"
+        # 5. a word shaped like a number: the word cache classifies it
+        f"|([+-]?[0-9][0-9.e+\\-]*+){_WORD_END}"
+        # 6. any other word: a literal — unless ``://`` follows it,
+        # which flags a URL scheme (its letters are all word characters)
+        f"|({_WORD_CLASS}++)(?!://)|({_WORD_CLASS}++))"
+    )
+
+
+_TRAILING = frozenset(".,!?")
 
 
 class CompiledScanner(Scanner):
-    """Drop-in scanner executing compiled regex programs per line.
+    """Drop-in scanner tokenising each line with one master-regex pass.
 
     Construction, configuration, multi-line truncation and the
     ``max_tokens`` cap are all inherited from :class:`Scanner`; only the
-    per-line tokenisation loop differs.  The token streams are
-    bit-identical (asserted by the differential property suite in
+    per-line tokenisation differs.  The token streams are bit-identical
+    (asserted by the differential property suite in
     ``tests/scanner/test_compiled.py``, not assumed).
     """
 
@@ -263,138 +408,54 @@ class CompiledScanner(Scanner):
         self._time_fsm = CompiledTimeFSM(
             allow_single_digit=self.config.allow_single_digit_time
         )
+        self._master = _master_rx(
+            self.config.allow_single_digit_time, self.config.enable_path_fsm
+        )
 
     # ------------------------------------------------------------------
     def _scan_line(self, s: str) -> list[Token]:
         tokens: list[Token] = []
-        n = len(s)
-        i = 0
-        space_before = False
-
-        # hoist every per-iteration attribute lookup out of the loop
         append = tokens.append
-        ws_match = _WS_RX.match
-        word_match = _WORD_RX.match
-        time_gate = _TIME_GATE.match
-        hex_gate = _HEX_GATE.match
-        time_match = self._time_fsm.match
-        hex_match = self._hex_fsm.match
-        path_fsm = self._path_fsm
-        path_gate = _PATH_GATE.match if path_fsm is not None else None
+        findall = self._master.findall
+        cached = self._words._data.get  # a memo hit costs no Python frame
         lookup = self._words.lookup
-        match_url = self._match_url
-        month_day_initials = _MONTH_DAY_INITIALS
-        month_day_prefixes = _MONTH_DAY_PREFIXES
-        hex_letters = _HEX_LETTERS
-        break_chars = self._BREAK_CHARS
         trailing = _TRAILING
-        TIME = TokenType.TIME
-        URL = TokenType.URL
-        PATH = TokenType.PATH
         LITERAL = TokenType.LITERAL
-
-        while i < n:
-            c = s[i]
-            if c.isspace():
-                i = ws_match(s, i).end()
-                space_before = True
-                continue
-
-            if "0" <= c <= "9":
-                # 1. datetime FSM (digit-led layouts)
-                if time_gate(s, i) is not None:
-                    end = time_match(s, i)
-                    if end > 0:
-                        append(Token(s[i:end], TIME, space_before, i))
-                        i = end
-                        space_before = False
-                        continue
-                # 2. hexadecimal FSM (digits are hex digits too)
-                if hex_gate(s, i) is not None:
-                    hit = hex_match(s, i)
-                    if hit is not None:
-                        end, ttype = hit
-                        append(Token(s[i:end], ttype, space_before, i))
-                        i = end
-                        space_before = False
-                        continue
-                # 3. URL: schemes start with a letter — never matches here
-            elif c.isalpha():
-                # 1. datetime FSM (month/day-name-led layouts)
-                if (
-                    c in month_day_initials
-                    and s[i : i + 3].lower() in month_day_prefixes
-                ):
-                    end = time_match(s, i)
-                    if end > 0:
-                        append(Token(s[i:end], TIME, space_before, i))
-                        i = end
-                        space_before = False
-                        continue
-                # 2. hexadecimal FSM (a-f letters open hex groups)
-                if c in hex_letters and hex_gate(s, i) is not None:
-                    hit = hex_match(s, i)
-                    if hit is not None:
-                        end, ttype = hit
-                        append(Token(s[i:end], ttype, space_before, i))
-                        i = end
-                        space_before = False
-                        continue
-                # 3. URL: '://' must sit within the 12-char scheme budget
-                if s.find("://", i + 1, i + 15) != -1:
-                    end = match_url(s, i)
-                    if end > 0:
-                        append(Token(s[i:end], URL, space_before, i))
-                        i = end
-                        space_before = False
-                        continue
-            elif c == ":" and s.startswith("::", i):
-                # 2. hexadecimal FSM: '::'-compressed IPv6
-                hit = hex_match(s, i)
-                if hit is not None:
-                    end, ttype = hit
-                    append(Token(s[i:end], ttype, space_before, i))
-                    i = end
+        INTEGER = TokenType.INTEGER
+        IPV4 = TokenType.IPV4
+        pos = start = 0
+        while True:
+            for ws, brk, num, ip, flag, numeric, word, scheme in findall(s, start):
+                if ws:
+                    pos += len(ws)
+                    space_before = True
+                else:
                     space_before = False
-                    continue
-
-            # 4. path FSM (future-work extension, opt-in)
-            if path_gate is not None and path_gate(s, i) is not None:
-                end = path_fsm.match(s, i)
-                if end > 0:
-                    append(Token(s[i:end], PATH, space_before, i))
-                    i = end
-                    space_before = False
-                    continue
-
-            # 5. general text/number FSM
-            if c in break_chars:
-                append(Token(c, LITERAL, space_before, i))
-                i += 1
-                space_before = False
-                continue
-
-            j = word_match(s, i).end()
-            word = s[i:j]
-
-            # carve trailing sentence punctuation into separate tokens,
-            # but only when the remaining head still carries content
-            if word[-1] in trailing and len(word) > 1:
-                carved: list[tuple[str, int]] = []
-                while (
-                    len(word) > 1
-                    and word[-1] in trailing
-                    and any(ch.isalnum() for ch in word[:-1])
-                ):
-                    carved.append((word[-1], i + len(word) - 1))
-                    word = word[:-1]
-                text, ttype = lookup(word)
-                append(Token(text, ttype, space_before, i))
-                for text, pos in reversed(carved):
-                    append(Token(text, LITERAL, False, pos))
+                word = word or numeric
+                if word:
+                    if word[-1] in trailing and len(word) > 1:
+                        # carving: the cascade's general FSM does it
+                        self._token_at(s, pos, space_before, append)
+                    else:
+                        hit = cached(word) or lookup(word, None if numeric else LITERAL)
+                        append(Token(hit[0], hit[1], space_before, pos))
+                    pos += len(word)
+                elif brk:
+                    append(Token(brk, LITERAL, space_before, pos))
+                    pos += 1
+                elif num:
+                    append(Token(num, INTEGER, space_before, pos))
+                    pos += len(num)
+                elif ip:
+                    append(Token(ip, IPV4, space_before, pos))
+                    pos += len(ip)
+                else:
+                    end = self._token_at(s, pos, space_before, append)
+                    if end != pos + len(flag or scheme):
+                        # the claimed token ends inside or past the
+                        # flagged word: resume the pass at its end
+                        pos = start = end
+                        break
+                    pos = end
             else:
-                text, ttype = lookup(word)
-                append(Token(text, ttype, space_before, i))
-            i = j
-            space_before = False
-        return tokens
+                return tokens

@@ -113,12 +113,13 @@ class WordCache:
     def __len__(self) -> int:
         return len(self._data)
 
-    def lookup(self, word: str) -> tuple[str, TokenType]:
-        """The interned text and scan-time type of one word."""
+    def lookup(self, word: str, known: TokenType | None = None) -> tuple[str, TokenType]:
+        """The interned text and scan-time type of one word (*known*: a
+        type the caller has already established, skipping the classifier)."""
         hit = self._data.get(word)
         if hit is None:
             text = sys.intern(word)
-            hit = (text, Scanner._classify_word(text))
+            hit = (text, known or Scanner._classify_word(text))
             if len(self._data) >= self.maxsize:
                 self._data.clear()
             self._data[text] = hit
@@ -203,76 +204,70 @@ class Scanner:
         i = 0
         space_before = False
         while i < n:
-            c = s[i]
-            if _is_ws(c):
+            if _is_ws(s[i]):
                 space_before = True
                 i += 1
                 continue
-
-            # 1. datetime FSM (may span spaces inside the timestamp)
-            end = self._time_fsm.match(s, i)
-            if end > 0:
-                tokens.append(Token(s[i:end], TokenType.TIME, space_before, i))
-                i = end
-                space_before = False
-                continue
-
-            # 2. hexadecimal FSM (MAC / IPv6)
-            hit = self._hex_fsm.match(s, i)
-            if hit is not None:
-                end, ttype = hit
-                tokens.append(Token(s[i:end], ttype, space_before, i))
-                i = end
-                space_before = False
-                continue
-
-            # 3. URL
-            end = self._match_url(s, i)
-            if end > 0:
-                tokens.append(Token(s[i:end], TokenType.URL, space_before, i))
-                i = end
-                space_before = False
-                continue
-
-            # 4. path FSM (future-work extension, opt-in)
-            if self._path_fsm is not None:
-                end = self._path_fsm.match(s, i)
-                if end > 0:
-                    tokens.append(Token(s[i:end], TokenType.PATH, space_before, i))
-                    i = end
-                    space_before = False
-                    continue
-
-            # 5. general text/number FSM
-            if c in _BREAK_CHARS:
-                tokens.append(Token(c, TokenType.LITERAL, space_before, i))
-                i += 1
-                space_before = False
-                continue
-
-            j = i
-            while j < n and not _is_ws(s[j]) and s[j] not in _BREAK_CHARS:
-                j += 1
-            word = s[i:j]
-
-            # carve trailing sentence punctuation into separate tokens,
-            # but only when the remaining head still carries content
-            carved: list[tuple[str, int]] = []
-            while (
-                len(word) > 1
-                and word[-1] in _TRAILING
-                and any(ch.isalnum() for ch in word[:-1])
-            ):
-                carved.append((word[-1], i + len(word) - 1))
-                word = word[:-1]
-
-            text, ttype = self._words.lookup(word)
-            tokens.append(Token(text, ttype, space_before, i))
-            for text, pos in reversed(carved):
-                tokens.append(Token(text, TokenType.LITERAL, False, pos))
-            i = j
+            i = self._token_at(s, i, space_before, tokens.append)
             space_before = False
         return tokens
+
+    def _token_at(self, s: str, i: int, space_before: bool, append) -> int:
+        """Run the FSM cascade at token start *i*: append the token(s) it
+        yields and return where the next token starts."""
+        # 1. datetime FSM (may span spaces inside the timestamp)
+        end = self._time_fsm.match(s, i)
+        if end > 0:
+            append(Token(s[i:end], TokenType.TIME, space_before, i))
+            return end
+
+        # 2. hexadecimal FSM (MAC / IPv6)
+        hit = self._hex_fsm.match(s, i)
+        if hit is not None:
+            end, ttype = hit
+            append(Token(s[i:end], ttype, space_before, i))
+            return end
+
+        # 3. URL
+        end = self._match_url(s, i)
+        if end > 0:
+            append(Token(s[i:end], TokenType.URL, space_before, i))
+            return end
+
+        # 4. path FSM (future-work extension, opt-in)
+        if self._path_fsm is not None:
+            end = self._path_fsm.match(s, i)
+            if end > 0:
+                append(Token(s[i:end], TokenType.PATH, space_before, i))
+                return end
+
+        # 5. general text/number FSM
+        if s[i] in _BREAK_CHARS:
+            append(Token(s[i], TokenType.LITERAL, space_before, i))
+            return i + 1
+
+        n = len(s)
+        j = i
+        while j < n and not _is_ws(s[j]) and s[j] not in _BREAK_CHARS:
+            j += 1
+        word = s[i:j]
+
+        # carve trailing sentence punctuation into separate tokens,
+        # but only when the remaining head still carries content
+        carved: list[tuple[str, int]] = []
+        while (
+            len(word) > 1
+            and word[-1] in _TRAILING
+            and any(ch.isalnum() for ch in word[:-1])
+        ):
+            carved.append((word[-1], i + len(word) - 1))
+            word = word[:-1]
+
+        text, ttype = self._words.lookup(word)
+        append(Token(text, ttype, space_before, i))
+        for text, pos in reversed(carved):
+            append(Token(text, TokenType.LITERAL, False, pos))
+        return j
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -322,7 +317,8 @@ class Scanner:
 
 
 def _is_ascii_digits(s: str) -> bool:
-    return bool(s) and all("0" <= c <= "9" for c in s)
+    # str.isdigit() alone also accepts "²" or "١"; "".isdigit() is False
+    return s.isascii() and s.isdigit()
 
 
 def _is_float(s: str) -> bool:

@@ -68,7 +68,7 @@ def _fixed_digits(n: int, lo: int, hi: int) -> Callable[[str, int], int]:
         if j > len(s):
             return -1
         run = s[i:j]
-        if not all(_is_digit(c) for c in run):
+        if not (run.isascii() and run.isdigit()):
             return -1
         # reject if the digit run continues (would be a longer number)
         if j < len(s) and _is_digit(s[j]):
@@ -112,7 +112,8 @@ def _raw_digits(n: int) -> Callable[[str, int], int]:
 
     def match(s: str, i: int) -> int:
         j = i + n
-        if j > len(s) or not all(_is_digit(c) for c in s[i:j]):
+        run = s[i:j]
+        if j > len(s) or not (run.isascii() and run.isdigit()):
             return -1
         return j
 

@@ -321,6 +321,29 @@ def _backends():
     return (Parser, CompiledParser)
 
 
+def lowered(programs):
+    return [
+        (p.key, p.pattern_id, p.steps, p.extract, p.rest_name) for p in programs
+    ]
+
+
+def assert_lowering_is_fresh(live, survivors):
+    """Every bucket's programs of the compiled *live* parser equal a
+    from-scratch lowering of a trie built from *survivors*: order, key,
+    ``pattern_id``, steps, extract and ``rest_name``."""
+    if live._dirty:
+        live._relower()
+    fresh = Parser(survivors)
+    expected = {
+        key: lowered(live._lower_bucket(bucket))
+        for key, bucket in fresh._buckets.items()
+    }
+    actual = {key: lowered(progs) for key, progs in live._programs.items()}
+    assert {k: v for k, v in actual.items() if v} == {
+        k: v for k, v in expected.items() if v
+    }
+
+
 _indices = st.integers(0, len(FAMILY) - 1)
 _steps = st.lists(
     st.one_of(
@@ -366,6 +389,8 @@ class TestIncrementalMaintenance:
                 else:
                     assert live.version == version
             assert_same_matcher(live, cls(list(survivors.values())))
+            if cls is not Parser:
+                assert_lowering_is_fresh(live, list(survivors.values()))
             for pid, pattern in survivors.items():
                 assert live.get(pid) is pattern
             # the reference matcher is the specification of both

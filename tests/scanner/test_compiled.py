@@ -8,18 +8,30 @@ generator corpora, the bundled loghub corpora, and a hand-written
 adversarial set, across all four scanner flag combinations.
 """
 
+import functools
 import itertools
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import MessageGenerator
 from repro.core.pipeline import SequenceRTG
 from repro.loghub.corpus import DATASET_NAMES, load_dataset
 from repro.scanner import ScannerConfig, build_scanner
-from repro.scanner.compiled import CompiledScanner, CompiledTimeFSM
+from repro.scanner.compiled import CompiledScanner, CompiledTimeFSM, _elements
 from repro.scanner.scanner import Scanner, WordCache
-from repro.scanner.time_fsm import DEFAULT_LAYOUTS, SINGLE_DIGIT_LAYOUTS, TimeFSM
+from repro.scanner.time_fsm import (
+    _DAYS,
+    _DAYS_FULL,
+    _MONTHS,
+    _MONTHS_FULL,
+    DEFAULT_LAYOUTS,
+    SINGLE_DIGIT_LAYOUTS,
+    TimeFSM,
+)
 from repro.scanner.token_types import TokenType
 from repro.workflow.stream import ProductionStream, StreamConfig
 
@@ -58,6 +70,30 @@ ADVERSARIAL = [
     "multi\nline\nmessage",
     "numbers 42 -17 +3 1e5 2.5e-3 0.5 .5 5.",
     "brackets (a) [b] {c} <d> \"e\" 'f' k=v;x|y:z",
+    # integers, IPv4 and floats next to YYYY.MM.DD (the typed groups
+    # run ahead of the time flag)
+    "2024.01.02 1.2.3.4 2024.01.02.5 3.25 10.0.0.1,2024.01.02",
+    "0255.1.1.1 1000.1.1.1 2024.5 2024.01 12 Jan 2024 12 Janx",
+    "1234 Mar 05 10:11:12 then 123456 203615 and 12 12 ok",
+    "081109  203615 two spaces; 0811093 203615 seven digits",
+    # month and day names, and words that only start like them
+    "mon Monday mounted Mar, 5 Marc Mayday sept Sep 1 12:00:00 2024",
+    "Monday, 01 Jan 2024 10:11:12 +0000 and Tue, 02 Feb 2021 10:11:12 UTC",
+    "MONDAY JANUARY 5 jAn 7 12:13:14 december",
+    # '::'-compressed IPv6 at a break, and dangling groups
+    "::1",
+    "fe80::",
+    "addr fe80:: x ::ffff:10.0.0.1 y ::: z 12:: q a:b:c",
+    "mac aa-bb-cc-dd-ee-ff 0a-1b-2c-3d-4e-5f AB:CD:EF:01:23:45",
+    # URL schemes of 11, 12 and 13 characters
+    "abcdefghijk://x abcdefghijkl://x abcdefghijklm://x",
+    "git+ssh.x-y://h/p é://z",
+    # a drive letter may be any str.isalpha() character
+    "open \u00e9:\\dir\\x now",
+    # carving after numbers
+    "42. 1.2.3.4, v2.0!? 3.5. -7! +8? 1e5.",
+    # Unicode digits: isdigit() but not ASCII
+    "\u0663 \u00b21 \uff11\uff12 12\u0663 \u0663.\u0663.\u0663.\u0663 +\u00b2 2024-01-0\u0663",
 ]
 
 
@@ -116,6 +152,135 @@ class TestBackendEquivalence:
         ]
 
 
+#: element -> renderer of a valid random value
+_FIELDS = {
+    "YYYY": lambda r: str(r.randint(1000, 9999)),
+    "YY": lambda r: f"{r.randint(0, 99):02d}",
+    "MM": lambda r: f"{r.randint(1, 12):02d}",
+    "M": lambda r: str(r.randint(1, 12)),
+    "DD": lambda r: f"{r.randint(1, 31):02d}",
+    "D": lambda r: str(r.randint(1, 31)),
+    "hh": lambda r: f"{r.randint(0, 23):02d}",
+    "h": lambda r: str(r.randint(0, 23)),
+    "mm": lambda r: f"{r.randint(0, 59):02d}",
+    "m": lambda r: str(r.randint(0, 59)),
+    "ss": lambda r: f"{r.randint(0, 60):02d}",
+    "s": lambda r: str(r.randint(0, 60)),
+    "FFF": lambda r: str(r.randint(0, 10 ** r.randint(1, 9) - 1)),
+    "MON": lambda r: r.choice(sorted(_MONTHS | _MONTHS_FULL)).title(),
+    "DAY": lambda r: r.choice(sorted(_DAYS | _DAYS_FULL)).capitalize(),
+    "AP": lambda r: r.choice(["AM", "pm"]),
+    "OFF": lambda r: r.choice(["Z", "+0100", "-05:30"]),
+    "ZZZ": lambda r: r.choice(["UTC", "CEST"]),
+    " ": lambda r: " " * r.randint(1, 2),
+}
+#: where a rendered timestamp is placed: start of the message, after a
+#: space, and before ',', ':' and '.5'
+CONTEXTS = ["{}", "at {} x", "{}, y", "{}: y", "{}.5 y"]
+
+
+def render(layout, rng):
+    return "".join(
+        _FIELDS[el](rng) if el in _FIELDS else el for el in _elements(layout)
+    )
+
+
+def rendered_layouts(seed=11, per_layout=6):
+    rng = random.Random(seed)
+    out = []
+    for layout in DEFAULT_LAYOUTS + SINGLE_DIGIT_LAYOUTS:
+        for _ in range(per_layout):
+            stamp = render(layout, rng)
+            out.extend((layout, ctx.format(stamp)) for ctx in CONTEXTS)
+    return out
+
+
+class TestFlagSeams:
+    """The master regex against the FSM cascade where they meet: every
+    catalogue layout rendered in context, the typed integer/IPv4 groups
+    against the catalogue, and the flag's soundness at every token."""
+
+    @pytest.mark.parametrize("single_digit,path_fsm", FLAG_COMBOS)
+    def test_rendered_layouts(self, single_digit, path_fsm):
+        config = ScannerConfig(
+            allow_single_digit_time=single_digit, enable_path_fsm=path_fsm
+        )
+        fsm, compiled = Scanner(config), CompiledScanner(config)
+        claimed = 0
+        for layout, message in rendered_layouts():
+            a, b = fsm.scan(message), compiled.scan(message)
+            assert token_keys(a) == token_keys(b), (layout, message)
+            claimed += any(t.type is TokenType.TIME for t in a.tokens)
+        # the renderings do exercise the time FSM, not just the words
+        assert claimed > len(rendered_layouts()) // 2
+
+    def test_typed_groups_never_hold_a_timestamp(self):
+        """Integers and IPv4 are typed ahead of the time FSM.  That is
+        sound because of two facts about the catalogue, asserted here:
+        a digit-led layout's leading digit run is followed by ``-/.:``,
+        ``T`` or spaces — never by the end of a layout or another break
+        character — and the only widths followed by spaces (2, 4, 6) and
+        by ``.`` (4) are the ones the typed groups exclude."""
+        after_run = {}
+        for layout in DEFAULT_LAYOUTS + SINGLE_DIGIT_LAYOUTS:
+            els = _elements(layout)
+            if els[0] in ("MON", "DAY"):
+                continue
+            k = 0
+            while k < len(els) and els[k] not in ("-", "/", ".", ":", " ", "T"):
+                assert els[k] in (
+                    "YYYY", "YY", "MM", "M", "DD", "D", "hh", "h",
+                ), layout
+                k += 1
+            assert k < len(els), layout
+            width = sum(
+                {"YYYY": 4}.get(el, 2) for el in els[:k]
+            )  # fixed widths; flex fields only ever precede '/' or ':'
+            if els[:k] and set(els[:k]) & {"M", "D", "h"}:
+                assert els[k] in ("/", ":"), layout
+            after_run.setdefault(els[k], set()).add(width)
+        assert after_run[" "] == {2, 4, 6}
+        assert after_run["."] == {4}
+        assert "T" not in after_run  # 'T' only follows a date
+        rx = CompiledScanner()._master
+        for message in ("12 Jan 2024 x", "2024 Jan 02 10:11:12", "081109 203615"):
+            assert rx.match(message).group(3) is None  # not an integer
+        # and empirically: wherever the typed groups fire, no FSM claims
+        for single_digit in (False, True):
+            scanner = CompiledScanner(
+                ScannerConfig(allow_single_digit_time=single_digit)
+            )
+            ref = TimeFSM(allow_single_digit=single_digit)
+            for _layout, message in rendered_layouts(seed=5, per_layout=4):
+                for m in scanner._master.finditer(message):
+                    for group in (3, 4):  # integer, IPv4
+                        if m.group(group):
+                            at = m.start(group)
+                            assert ref.match(message, at) < 0, message
+                            assert scanner._hex_fsm.match(message, at) is None
+
+    @pytest.mark.parametrize("single_digit,path_fsm", FLAG_COMBOS)
+    def test_every_fsm_token_start_is_flagged(self, single_digit, path_fsm):
+        config = ScannerConfig(
+            allow_single_digit_time=single_digit, enable_path_fsm=path_fsm
+        )
+        fsm, compiled = Scanner(config), CompiledScanner(config)
+        messages = ADVERSARIAL + [m for _l, m in rendered_layouts(seed=3, per_layout=2)]
+        for name in DATASET_NAMES:
+            messages.extend(load_dataset(name, 20, seed=5).contents())
+        claimed = {
+            TokenType.TIME, TokenType.MAC, TokenType.IPV6,
+            TokenType.URL, TokenType.PATH,
+        }
+        for message in messages:
+            line = message.split("\n", 1)[0]
+            for tok in fsm.scan(line).tokens:
+                if tok.type in claimed:
+                    m = compiled._master.match(line, tok.pos)
+                    # group 5 flags by prefix, group 8 a URL scheme
+                    assert m is not None and (m.group(5) or m.group(8)), (line, tok)
+
+
 class TestCompiledTimeFSM:
     @pytest.mark.parametrize("single_digit", [False, True])
     def test_match_parity_at_every_position(self, single_digit):
@@ -160,6 +325,57 @@ class TestRegexAssumptions:
         for cp in range(0x110000):
             c = chr(cp)
             assert bool(ws.match(c)) == c.isspace(), hex(cp)
+
+
+class TestUnicodeAssumptions:
+    """The flag's character classes against the str predicates the FSMs
+    use, over every code point."""
+
+    def test_letter_class_covers_str_isalpha(self):
+        letter = re.compile(r"[^\W\d_]")
+        for cp in range(0x110000):
+            c = chr(cp)
+            if c.isalpha():
+                assert letter.match(c), hex(cp)
+
+    def test_only_ascii_lowers_to_a_month_or_day_letter(self):
+        # TimeFSM compares s[i:i+3].lower() with ASCII names; the flag
+        # spells them in ASCII case pairs
+        initials = set("".join(_MONTHS | _DAYS))
+        for cp in range(128, 0x110000):
+            lower = chr(cp).lower()
+            assert not (len(lower) == 1 and lower in initials), hex(cp)
+
+
+class TestHypothesisIdentity:
+    """Random messages built from the fragments every FSM and flag looks
+    at, under all four flag combinations."""
+
+    FRAGMENTS = [
+        " ", "  ", "\t", "0", "1", "12", "2024", "255", "081109", "9", ".",
+        ",", ":", "::", "-", "/", "\\", "T", "Z", "+", "e", "a", "f", "x",
+        "Jan", "mon", "Monday", "Mar", "http", "://", "AM", "!", "?", "=",
+        "(", "]", "\"", "\u0663", "\u00b2", "\u00e9", "C:\\", "/var/log",
+    ]
+
+    @pytest.mark.parametrize("single_digit,path_fsm", FLAG_COMBOS)
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.lists(st.sampled_from(FRAGMENTS), max_size=16))
+    def test_bit_identical(self, single_digit, path_fsm, parts):
+        config = ScannerConfig(
+            allow_single_digit_time=single_digit, enable_path_fsm=path_fsm
+        )
+        message = "".join(parts)
+        assert token_keys(Scanner(config).scan(message)) == token_keys(
+            _compiled(single_digit, path_fsm).scan(message)
+        ), repr(message)
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(single_digit, path_fsm):
+    return CompiledScanner(
+        ScannerConfig(allow_single_digit_time=single_digit, enable_path_fsm=path_fsm)
+    )
 
 
 class TestWordCache:

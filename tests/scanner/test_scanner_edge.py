@@ -1,6 +1,10 @@
 """Scanner edge cases beyond the main behaviour suite."""
 
+import itertools
+
 from repro.scanner import Scanner, ScannerConfig
+from repro.scanner.scanner import _is_ascii_digits
+from repro.scanner.time_fsm import _fixed_digits, _raw_digits
 from repro.scanner.token_types import TokenType, reconstruct
 
 SC = Scanner()
@@ -112,3 +116,38 @@ class TestSpacingFidelity:
     def test_mixed_adjacent_punctuation(self):
         msg = 'a="quoted",b=2;c=[3]'
         assert reconstruct(SC.scan(msg).tokens) == msg
+
+
+class TestAsciiDigitTests:
+    """``str.isascii() and str.isdigit()`` answers exactly the per-char
+    ASCII test it replaced, in the word classifier and the time FSM,
+    over every string of length <= 3 from an alphabet that includes
+    non-ASCII digits."""
+
+    ALPHABET = (
+        "0123456789"
+        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        "+-.٣²１"
+    )
+
+    @staticmethod
+    def per_char(s):
+        return bool(s) and all("0" <= c <= "9" for c in s)
+
+    def strings(self):
+        for n in range(4):
+            for chars in itertools.product(self.ALPHABET, repeat=n):
+                yield "".join(chars)
+
+    def test_classifier_digit_test(self):
+        for s in self.strings():
+            assert _is_ascii_digits(s) == self.per_char(s), repr(s)
+
+    def test_time_fsm_digit_fields(self):
+        fixed, raw = _fixed_digits(2, 0, 99), _raw_digits(2)
+        for s in self.strings():
+            expected = len(s) >= 2 and self.per_char(s[:2])
+            assert (raw(s, 0) == 2) == expected, repr(s)
+            if len(s) == 3 and self.per_char(s[2]):
+                expected = False  # the digit run continues
+            assert (fixed(s, 0) == 2) == expected, repr(s)
