@@ -1,76 +1,126 @@
 """In-process replay of one e2e workload's inputs, with per-stage seconds.
 
 Regenerates the records ``benchmarks/e2e/run.py`` feeds (same seed and
-scale) and mines them here on the production configuration, printing
-the summed ``BatchResult.timings`` per stage and the measured wall time
-(the steady prefix is mined first, untimed), optionally with cProfile::
+scale), mines them as its child does (warm-up untimed) and prints the
+wall time, the summed ``BatchResult.timings`` and ``.cache``, the stream
+counters and the full (generation-2) collections paid; or cProfile's::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python -m benchmarks.replay --seed 1
+    PYTHONHASHSEED=0 PYTHONPATH=src python -m benchmarks.replay --workload stream_drift
     PYTHONHASHSEED=0 PYTHONPATH=src python -m benchmarks.replay --workload cold_mine --profile 25
 
-``PYTHONHASHSEED=0`` is what ``run.py`` pins: the generators seed their
-value pools from ``hash()``.
+``PYTHONHASHSEED=0`` is what ``run.py`` pins (value pools seed from ``hash()``).
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import pstats
+import tempfile
 import time
+from contextlib import nullcontext
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 from benchmarks.e2e import config, inputs
 
-
-def _batches(lines: list[str], size: int):
-    from repro.core.ingest import StreamIngester
-    return list(StreamIngester(batch_size=size).batches(lines))
+DAY_ZERO = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
 
-def replay(workload: str, seed: int, scale: float, profiler=None) -> dict:
-    """Mine *workload*'s measured records; wall seconds, records, stages."""
+def _summing(rtg, out: dict):
+    """*rtg*, its every mining call adding timings and counters to *out*."""
+    for name in ("run", "flush"):
+        def summed(*args, _call=getattr(rtg.engine, name), **kwargs):
+            result = _call(*args, **kwargs)
+            counts = (("n_records", result.n_records), *result.cache.items())
+            for key, value in (*result.timings.items(), *counts):
+                out[key] = out.get(key, 0) + value
+            return result
+        setattr(rtg.engine, name, summed)
+    return rtg
+
+
+def _full_collections(out: dict):  # a gc.callbacks hook
+    def hook(phase: str, info: dict) -> None:
+        if info["generation"] == 2 and phase == "start":
+            out["gc_started"] = time.perf_counter()
+        elif info["generation"] == 2:
+            out["gc_full"] = out.get("gc_full", 0) + 1
+            out["gc_full_s"] = out.get("gc_full_s", 0.0) + time.perf_counter() - out.pop("gc_started")
+    return hook
+
+
+def replay(workload: str, seed: int, scale: float, work: Path, profiler=None) -> dict:
+    """Mine *workload*'s measured records; wall seconds, records, sums."""
+    from repro.core.ingest import StreamIngester, parse_record
     from repro.core.patterndb import PatternDB
     from repro.core.pipeline import SequenceRTG
+
+    def _batches(lines: list[str], size: int):
+        return list(StreamIngester(batch_size=size).batches(lines))
     sizes = config.sizes(scale)
-    cfg = config.production_config()
-    if workload == "steady_file":
-        prefix, measured = inputs.steady(seed, sizes["steady_prefix"], sizes["steady_measured"])
-        rtg = SequenceRTG(PatternDB(), cfg)
-        for _ in rtg.process_stream(_batches(prefix, config.BATCH_SIZE)):
-            pass
-        rounds = [(rtg, _batches(measured, config.BATCH_SIZE))]
-    else:  # cold_mine: one fresh miner per round
-        per_round = sizes["cold_per_round"]
-        lines = inputs.cold(seed, sizes["cold_rounds"], per_round)
-        rounds = [(SequenceRTG(PatternDB(), cfg), [b]) for b in _batches(lines, per_round)]
-    stages: dict[str, float] = {}
-    records = 0
+    sums: dict = {}
+    if workload == "stream_drift":
+        cfg = config.drift_config()
+        days, _ = inputs.drift(seed, sizes["drift_loghub_lines"], sizes["drift_prod_per_day"])
+        days = [[parse_record(line) for line in day] for day in days]
+        warm = SequenceRTG(PatternDB(), cfg).stream_driver()
+        warm.feed(days[0][: 2 * cfg.streaming.micro_batch_size], now=DAY_ZERO)
+        warm.close()
+        driver = _summing(SequenceRTG(PatternDB(str(work / "patterns.db")), cfg), sums).stream_driver()
+
+        def measured():
+            for day, records in enumerate(days):
+                driver.feed(records, now=DAY_ZERO + timedelta(days=day))
+            driver.close()
+            s = driver.stats
+            sums.update(flushes=s.n_flushes, microbatches=s.n_micro_batches, evicted=s.n_evicted,
+                        drift_merges=s.n_drift_merges, drift_splits=s.n_drift_splits)
+    else:
+        cfg = config.production_config()
+        if workload == "steady_file":
+            prefix, lines = inputs.steady(seed, sizes["steady_prefix"], sizes["steady_measured"])
+            rtg = SequenceRTG(PatternDB(), cfg)
+            for _ in rtg.process_stream(_batches(prefix, config.BATCH_SIZE)):
+                pass
+            rounds = [(_summing(rtg, sums), _batches(lines, config.BATCH_SIZE))]
+        else:  # cold_mine: one fresh miner per round
+            per_round = sizes["cold_per_round"]
+            lines = inputs.cold(seed, sizes["cold_rounds"], per_round)
+            rounds = [(_summing(SequenceRTG(PatternDB(), cfg), sums), [batch])
+                      for batch in _batches(lines, per_round)]
+
+        def measured():
+            for rtg, batches in rounds:
+                for _ in rtg.process_stream(batches):
+                    pass
+    gc.callbacks.append(hook := _full_collections(sums))
     began = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
-    for rtg, batches in rounds:
-        for result in rtg.process_stream(batches):
-            records += result.n_records
-            for stage, seconds in result.timings.items():
-                stages[stage] = stages.get(stage, 0.0) + seconds
-    if profiler is not None:
-        profiler.disable()
-    return {"wall_s": time.perf_counter() - began, "records": records, "stages": stages}
+    with profiler or nullcontext():
+        measured()
+    wall_s = time.perf_counter() - began
+    gc.callbacks.remove(hook)
+    return {"wall_s": wall_s, "records": sums.pop("n_records", 0), "sums": sums}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", default="steady_file", choices=("steady_file", "cold_mine"))
+    parser.add_argument("--workload", default="steady_file",
+                        choices=("steady_file", "cold_mine", "stream_drift"))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0, help="e2e --seconds (scale S/10)")
     parser.add_argument("--profile", type=int, default=0, metavar="N", help="cProfile's top N")
     args = parser.parse_args(argv)
     profiler = cProfile.Profile() if args.profile else None
-    out = replay(args.workload, args.seed, args.seconds / config.SECONDS_AT_SCALE_1, profiler)
+    with tempfile.TemporaryDirectory() as work:
+        out = replay(args.workload, args.seed, args.seconds / config.SECONDS_AT_SCALE_1,
+                     Path(work), profiler)
     print(f"{args.workload} seed {args.seed}: {out['records']} records in {out['wall_s']:.2f} s"
           f" ({out['records'] / out['wall_s']:,.0f} msgs/s)")
-    for stage, seconds in sorted(out["stages"].items(), key=lambda kv: -kv[1]):
-        print(f"  {stage:<18} {seconds:8.3f} s")
+    for key, value in out["sums"].items():
+        print(f"  {key:<18} {value:12.3f}" if isinstance(value, float) else f"  {key:<18} {value:8d}")
     if profiler is not None:
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(args.profile)
     return 0

@@ -301,7 +301,7 @@ class Analyzer(_BaseAnalyzer):
         """Mine patterns from one partition of scanned messages.
 
         *counts* (parallel to *messages*) carries dedup multiplicities —
-        the fast lane hands each distinct message once plus how often it
+        batch dedup hands each distinct message once plus how often it
         occurred; omitted means every message counts once.
         """
         if not messages:

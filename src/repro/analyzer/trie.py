@@ -127,7 +127,7 @@ class AnalysisTrie:
     def insert(self, message: ScannedMessage, tokens: list[Token], n: int = 1) -> None:
         """Insert one scanned (and enriched) message, counted *n* times.
 
-        Weighted insertion is the dedup fast lane's contract: inserting a
+        Weighted insertion is the scan stage's batch-dedup contract: inserting a
         message once with ``n=k`` produces the same trie — node counts,
         observed values, child order, examples — as inserting it ``k``
         times, because duplicates add no new edges and all bookkeeping is

@@ -28,7 +28,6 @@ from repro.core.engine import (
     ServiceBatchContext,
     StageObserver,
 )
-from repro.core.fastpath import FastPath, LRUCache
 from repro.core.ingest import StreamIngester, parse_record
 from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB, PatternRow, route_service
@@ -37,8 +36,6 @@ from repro.core.records import LogRecord
 
 __all__ = [
     "RTGConfig",
-    "FastPath",
-    "LRUCache",
     "StreamIngester",
     "parse_record",
     "PatternDB",

@@ -110,15 +110,15 @@ class RTGConfig:
     pool, the ingest prefetch depth to the ingester.
     """
 
-    #: Not a setting: the duplicate-aware fast lane
-    #: (:mod:`repro.core.fastpath`) is the hot path of every configuration.
+    #: Not a setting: the scan stage's batch dedup
+    #: (:class:`~repro.core.engine.ScanStage`) runs in every configuration.
     enable_fastpath: ClassVar[bool] = True
     #: Not a setting: every miner runs the one evolving engine.  The call
     #: is the mode — ``analyze_by_service``/``process_stream`` flush after
     #: every batch, ``stream_driver()`` flushes per :class:`StreamingConfig`.
     mode: ClassVar[str] = "stream"
     #: Not a setting: runtime metrics (:mod:`repro.obs`) — per-stage
-    #: latency histograms, match/fast-lane counters and pattern-DB gauges
+    #: latency histograms, match/dedup counters and pattern-DB gauges
     #: — are published through the miner's
     #: :class:`~repro.obs.metrics.MetricsRegistry` on every execution path.
     enable_metrics: ClassVar[bool] = True

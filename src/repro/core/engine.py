@@ -17,7 +17,7 @@ module makes the workflow an explicit object instead:
   engine's one built-in observer,
   :class:`repro.obs.observer.MetricsObserver`, times every stage run
   once and feeds both the metrics registry and :class:`BatchResult`
-  (stage timings, fast-lane cache deltas) from that one measurement;
+  (stage timings, batch-dedup tallies) from that one measurement;
 * :class:`MiningEngine` — partitions a batch by service and drives each
   group through the stages, notifying observers around every stage.
 
@@ -74,10 +74,9 @@ class BatchResult:
     #: filled by :class:`~repro.obs.observer.MetricsObserver` from the
     #: same measurement as its ``rtg_stage_latency_seconds`` histogram
     timings: dict[str, float] = field(default_factory=dict)
-    #: fast-lane effectiveness for this batch: scan/match cache hits,
-    #: misses and evictions plus dedup savings — the
-    #: :meth:`~repro.core.fastpath.FastPath.snapshot` delta, filled by
-    #: :class:`~repro.obs.observer.MetricsObserver`
+    #: batch dedup for this call: ``dedup_unique`` messages scanned and
+    #: ``dedup_duplicates`` occurrences folded into them, summed over the
+    #: service groups by :class:`~repro.obs.observer.MetricsObserver`
     cache: dict[str, int] = field(default_factory=dict)
     #: worker-pool telemetry for this batch (empty for in-process runs):
     #: workers used, spawns, respawns — see
@@ -110,16 +109,13 @@ class ServiceBatchContext:
     scanned: list[ScannedMessage] = field(default_factory=list)
     #: dedup multiplicities parallel to ``scanned`` (ScanStage)
     counts: list[int] = field(default_factory=list)
-    #: per-message flag: scan served from the cross-batch cache (ScanStage)
-    from_cache: list[bool] = field(default_factory=list)
     #: messages no known pattern matched, with their multiplicities
     unmatched: list[ScannedMessage] = field(default_factory=list)
     unmatched_counts: list[int] = field(default_factory=list)
     #: pattern id -> occurrences matched this batch (ParseStage)
     match_counts: dict[str, int] = field(default_factory=dict)
-    #: candidate-frontier sizes of the parse matches actually performed
-    #: (one entry per message not served by the match cache) — the
-    #: ``rtg_parse_candidates`` telemetry (ParseStage)
+    #: candidate-frontier sizes of the parse matches, one per distinct
+    #: message — the ``rtg_parse_candidates`` telemetry (ParseStage)
     parse_frontiers: list[int] = field(default_factory=list)
     #: pattern id -> originals worth storing as examples (ParseStage)
     match_examples: dict[str, list[str]] = field(default_factory=dict)
@@ -160,15 +156,34 @@ class Stage:
 
 
 class ScanStage(Stage):
-    """Tokenize the group, deduplicated through the fast lane."""
+    """Tokenize the group, each distinct message once (batch dedup).
+
+    Real log streams are massively repetitive, so identical messages of
+    one service group are scanned once and carry a multiplicity, which
+    the later stages fold into match counts and — via weighted trie
+    insertion — into pattern support.  The mined output is that of a
+    per-occurrence run because trie construction depends only on the
+    first-occurrence order of the distinct messages plus their counts
+    (asserted against the ``per_occurrence_lane`` test fixture, not
+    assumed).
+    """
 
     name = "scan"
 
     def run(self, ctx: ServiceBatchContext) -> None:
-        rtg = self.rtg
-        ctx.scanned, ctx.counts, ctx.from_cache = rtg.fastpath.scan_group(
-            rtg.scanner, ctx.service, ctx.records
-        )
+        ctx.scanned, ctx.counts = self.scan_group(ctx.service, ctx.records)
+
+    def scan_group(
+        self, service: str, records: list[LogRecord]
+    ) -> tuple[list[ScannedMessage], list[int]]:
+        """The distinct messages of *records*, scanned, in
+        first-occurrence order, and their multiplicities."""
+        counts: dict[str, int] = {}
+        for record in records:
+            message = record.message
+            counts[message] = counts.get(message, 0) + 1
+        scanned = self.rtg.scanner.scan_many(list(counts), service=service)
+        return scanned, list(counts.values())
 
 
 class ParseStage(Stage):
@@ -194,28 +209,14 @@ class ParseStage(Stage):
         rtg = self.rtg
         tracker = self.field_tracker
         parser = rtg.parser_for(ctx.service)
-        lane = rtg.fastpath
         example_cap = rtg.db.max_examples
-        counts, from_cache = ctx.counts, ctx.from_cache
         scanned = ctx.scanned
-        hits: list = [None] * len(scanned)
         if len(parser) > 0:
-            # recurring messages (the ones the scan cache served) go
-            # through the cross-batch match cache — the only ones worth
-            # its signature cost; everything else is matched directly
-            fresh: list[ScannedMessage] = []
-            fresh_at: list[int] = []
-            for i, msg in enumerate(scanned):
-                if from_cache[i]:
-                    hits[i] = lane.match(ctx.service, parser, msg)
-                else:
-                    fresh.append(msg)
-                    fresh_at.append(i)
-            if fresh:
-                for i, hit in zip(fresh_at, parser.match_many(fresh)):
-                    hits[i] = hit
-                ctx.parse_frontiers.extend(parser.last_frontiers)
-        for msg, n, hit in zip(scanned, counts, hits):
+            hits = parser.match_many(scanned)
+            ctx.parse_frontiers.extend(parser.last_frontiers)
+        else:
+            hits = [None] * len(scanned)
+        for msg, n, hit in zip(scanned, ctx.counts, hits):
             if hit is None:
                 ctx.unmatched.append(msg)
                 ctx.unmatched_counts.append(n)
@@ -314,8 +315,6 @@ class PersistStage(Stage):
                     ctx.n_below_threshold += 1
                     continue
                 db.upsert(pattern, now=ctx.now)
-                # in-place extension; the parser's version bump
-                # invalidates this service's match cache
                 parser.add_pattern(pattern)
                 ctx.new_patterns.append(pattern)
 
@@ -355,12 +354,12 @@ class StageObserver:
 
 def default_observers(rtg: "SequenceRTG") -> list[StageObserver]:
     """The engine's one built-in observer: metrics, stage timings and
-    fast-lane cache deltas from one measurement per stage run."""
+    dedup tallies from one measurement per stage run."""
     # imported here: repro.obs.observer subclasses this module's
     # StageObserver, so a top-level import would be circular
     from repro.obs.observer import MetricsObserver
 
-    return [MetricsObserver(rtg.metrics, rtg.fastpath, db=rtg.db)]
+    return [MetricsObserver(rtg.metrics, db=rtg.db)]
 
 
 class MiningEngine:
@@ -406,7 +405,7 @@ class MiningEngine:
         Yields the list the loop appends each service to *before*
         running its stages.  The call commits once; if it raises, the
         database rolls every service of the call back and each listed
-        service's parser and match cache are dropped, so no live parser
+        service's parser is dropped, so no live parser
         keeps a pattern the database no longer has — the next call
         reloads them from the rolled-back rows.
         """

@@ -248,32 +248,3 @@ class StreamIngester:
                     ready.get_nowait()
                 except queue.Empty:
                     break
-
-    def batches_from_records(
-        self, records: Iterable[LogRecord]
-    ) -> Iterator[list[LogRecord]]:
-        """Batch pre-parsed records (used by the in-process simulations).
-
-        Pre-parsed records are still stream items: each counts as a
-        line (none can be malformed), so :class:`IngestStats` reads the
-        same whichever entry point fed the run.
-        """
-        batch: list[LogRecord] = []
-        pending_lines = 0
-        try:
-            for record in records:
-                self.stats.n_lines += 1
-                pending_lines += 1
-                self.stats.n_records += 1
-                batch.append(record)
-                if len(batch) >= self.batch_size:
-                    self.stats.n_batches += 1
-                    self._publish(pending_lines, 0)
-                    pending_lines = 0
-                    yield batch
-                    batch = []
-            if batch and not self.drop_partial:
-                self.stats.n_batches += 1
-                yield batch
-        finally:
-            self._publish(pending_lines, 0)

@@ -12,8 +12,8 @@ of long-lived worker processes, each nothing but a serial
 :class:`~repro.core.pipeline.SequenceRTG` over its *own* SQLite file —
 one shard of the :class:`~repro.core.patterndb.PatternDB` the pool was
 handed — for a *sticky* set of services: ``crc32(service) % n_workers``
-never changes between batches, so a worker keeps its services, parsers
-and fast-lane caches warm for the lifetime of the pool.  The parent
+never changes between batches, so a worker keeps its services and
+parsers warm for the lifetime of the pool.  The parent
 shards a batch, pipes each worker its records as two string lists and
 sums the :class:`~repro.core.engine.BatchResult` counters that come
 back; it holds no parser and no pattern state, and nothing is merged:
@@ -69,15 +69,10 @@ def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
     *shard* is the ``PatternDB`` arguments of that file — its path and
     the example cap and durability of the database the pool was handed,
     so a shard stores what the serial miner would.  Every request is
-    ``(token, call, *args)`` and is answered with the pickled ``(token,
-    value, metrics delta)`` of the call; ``None`` stops the loop.
-    Calls:
-
-    * ``"batch", services, messages, now`` — mine the records the two
-      parallel string lists spell, stamped with *now*; the value is the
-      call's :class:`BatchResult`.
-    * ``"publish", pattern`` — persist a pattern the parent was given
-      and teach it to the live parser; the value is the pattern id.
+    ``(token, services, messages, now)`` — mine the records the two
+    parallel string lists spell, stamped with *now* — and is answered
+    with the pickled ``(token, BatchResult, metrics delta)`` of the
+    call; ``None`` stops the loop.
 
     The call's writes, its *token* and its reply commit in one
     transaction, so a request whose token the file already holds was
@@ -103,18 +98,14 @@ def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
             break
         if request is None:
             break
-        token, call, *args = request
+        token, services, messages, now = request
         reply = db.stored_reply(token)
         if reply is None:
             before = registry.snapshot()
             with db.transaction():
-                if call == "batch":
-                    services, messages, now = args
-                    value = rtg.analyze_by_service(
-                        list(map(LogRecord, services, messages)), now=now
-                    )
-                else:
-                    value = rtg.add_known_pattern(*args)
+                value = rtg.analyze_by_service(
+                    list(map(LogRecord, services, messages)), now=now
+                )
                 delta = MetricsRegistry.snapshot_delta(before, registry.snapshot())
                 reply = pickle.dumps(
                     (token, value, delta), pickle.HIGHEST_PROTOCOL
@@ -245,13 +236,13 @@ class PersistentParallelSequenceRTG:
         worker.process.join(timeout=5.0)
         return self._spawn(worker.index, "respawns")
 
-    def _send(self, index: int, call: str, *args) -> tuple:
+    def _send(self, index: int, *args) -> tuple:
         """Send worker *index* its next call; returns the request, which
         :meth:`_receive` re-sends if the worker dies before answering."""
         if self._closed:
             raise RuntimeError("engine is closed")
         self._seq[index] += 1
-        request = (f"{self._epoch}:{self._seq[index]}", call, *args)
+        request = (f"{self._epoch}:{self._seq[index]}", *args)
         worker = self._workers[index]
         if worker is None:
             worker = self._spawn(index)
@@ -290,17 +281,6 @@ class PersistentParallelSequenceRTG:
         self.metrics.merge(delta)
         return value
 
-    def publish_pattern(self, pattern) -> str:
-        """Add a parent-side pattern (import, promotion, ad-hoc mining).
-
-        Forwarded to the worker that owns the pattern's service, which
-        persists it in its shard and extends its live parser, so the
-        pattern matches from the next batch on instead of ever being
-        re-discovered.  Returns the pattern id.
-        """
-        index = self.worker_for(pattern.service)
-        return self._receive(index, self._send(index, "publish", pattern))
-
     # -- analysis --------------------------------------------------------
     def analyze_by_service(
         self, records: list[LogRecord], now: datetime | None = None
@@ -334,7 +314,6 @@ class PersistentParallelSequenceRTG:
                 index,
                 self._send(
                     index,
-                    "batch",
                     [r.service for r in shard],
                     [r.message for r in shard],
                     now,

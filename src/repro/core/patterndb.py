@@ -675,11 +675,6 @@ class PatternDB:
             )
         ]
 
-    def evict_stale(self, ttl_days: float, now: datetime | None = None) -> int:
-        """Delete every stale pattern (see :meth:`stale_patterns`)."""
-        stale = self.stale_patterns(ttl_days, now=now)
-        return self.delete_patterns(pid for _, pid in stale)
-
     # ------------------------------------------------------------------
     def merge_from(self, other: "PatternDB") -> int:
         """Fold every pattern of *other* into this database.
@@ -722,19 +717,6 @@ class PatternDB:
                 }
             )
         return out
-
-    @classmethod
-    def from_dump(cls, dump: list[dict], path: str = ":memory:") -> "PatternDB":
-        """Rebuild a database from :meth:`dump` output."""
-        db = cls(path)
-        with db.transaction():
-            for entry in dump:
-                pattern = Pattern.from_dict(entry["tokens"])
-                pattern.service = entry["service"]
-                pattern.support = entry["match_count"]
-                pattern.examples = list(entry["examples"])
-                db.upsert(pattern)
-        return db
 
     def counts(self) -> dict[str, int]:
         """Row counts per table (monitoring/telemetry)."""

@@ -4,7 +4,7 @@ The workflow itself — service partition → scan → parse known → token
 count partition → per-trie analyse → persist — lives in
 :mod:`repro.core.engine` as explicit stage objects; this module owns the
 long-lived miner state those stages operate on (scanner, pattern
-database, per-service parser cache, fast lane) and the thin drivers
+database, per-service parser cache) and the thin drivers
 around the engine.
 
 ``analyze_legacy`` reproduces the seminal single-trie ``Analyze`` method
@@ -21,7 +21,6 @@ from repro.analyzer.analyzer import LegacyAnalyzer
 from repro.analyzer.pattern import Pattern
 from repro.core.config import RTGConfig
 from repro.core.engine import BatchResult, MiningEngine, drive_stream
-from repro.core.fastpath import FastPath
 from repro.core.patterndb import PatternDB
 from repro.core.records import LogRecord
 from repro.obs.metrics import MetricsRegistry
@@ -57,7 +56,6 @@ class SequenceRTG:
         self.db = db or PatternDB()
         self.scanner = build_scanner(self.config.scanner)
         self._parsers: dict[str, Parser] = {}
-        self.fastpath = FastPath()
         #: runtime metrics registry (:mod:`repro.obs`); pool front ends
         #: pass theirs in so the in-process instance shares it
         self.metrics = metrics or MetricsRegistry()
@@ -74,24 +72,17 @@ class SequenceRTG:
             self._parsers[service] = parser
         return parser
 
-    def invalidate_parsers(self) -> None:
-        """Drop every cached parser (after external DB mutation)."""
-        for service in list(self._parsers):
-            self.invalidate_service(service)
-
     def invalidate_service(self, service: str) -> None:
-        """Drop one service's parser and match cache (after that
-        service's patterns were mutated outside this instance)."""
+        """Drop one service's parser (after that service's patterns were
+        mutated outside this instance); the next use reloads it."""
         self._parsers.pop(service, None)
-        self.fastpath.invalidate_service(service)
 
     def add_known_pattern(self, pattern: Pattern, now: datetime | None = None) -> str:
         """Persist *pattern* and extend the service's parser in place.
 
         The incremental alternative to mutating the DB externally and
         calling :meth:`invalidate_service`: the cached parser (if any)
-        learns the pattern without a from-scratch rebuild, and its
-        version bump invalidates the service's match cache lazily.
+        learns the pattern without a from-scratch rebuild.
         Returns the pattern id.
         """
         pid = self.db.upsert(pattern, now=now)
@@ -106,10 +97,8 @@ class SequenceRTG:
         The removal counterpart of :meth:`add_known_pattern`, used by
         stream-mode drift maintenance and TTL eviction.  The cached
         parser (if any) rebuilds only the length buckets it loses
-        patterns from, with a strictly monotone version bump, so the
-        fast lane's version-pinned match cache entries for this service
-        go stale rather than being trusted — incremental churn never
-        needs a full cache invalidation.  The drift tracker (if a stream
+        patterns from; a service with no live parser loads the
+        remaining rows on next use.  The drift tracker (if a stream
         driver installed one) forgets the ids too.
         Returns how many patterns the DB actually held.
         """
@@ -118,10 +107,6 @@ class SequenceRTG:
         parser = self._parsers.get(service)
         if parser is not None:
             parser.remove_patterns(ids)
-        else:
-            # no live parser to rebuild — drop any cached match state so
-            # the next parser_for load can't race a stale cache
-            self.fastpath.invalidate_service(service)
         tracker = self.engine.parse_stage.field_tracker
         if tracker is not None:
             for pid in ids:
@@ -134,12 +119,11 @@ class SequenceRTG:
     ) -> BatchResult:
         """Run the Fig. 2 workflow over one batch of records.
 
-        The scan→parse stages run through the duplicate-aware fast
-        lane: identical messages are scanned and parsed once per batch
-        (and cached across batches), with multiplicities folded into
-        match counts and — via weighted trie insertion — into pattern
+        The scan stage deduplicates the batch: identical messages are
+        scanned and parsed once, with multiplicities folded into match
+        counts and — via weighted trie insertion — into pattern
         support, so the mined output is that of a per-occurrence run;
-        ``result.cache`` reports the lane's effectiveness.  The call
+        ``result.cache`` reports the dedup tallies.  The call
         flushes: every service's unmatched messages are mined within it.
         """
         return self.engine.run(records, now=now, flush=True)

@@ -37,8 +37,7 @@ what batch mode would have mined:
 
 All three mutate the pattern set incrementally — DB delete + in-place
 :meth:`~repro.parser.parser.Parser.remove_patterns`/
-``add_pattern`` — and stay cache-safe because the parser version is
-strictly monotone across removals (see
+``add_pattern`` (see
 :meth:`repro.core.pipeline.SequenceRTG.retire_patterns`).
 """
 

@@ -16,9 +16,8 @@ name can carry ``{stage=...}`` samples from the serial engine and
 ``{stage=..., worker=...}`` samples merged from pool workers without a
 schema conflict.
 
-Cross-process aggregation follows the same snapshot/delta discipline as
-:meth:`repro.core.fastpath.FastPath.snapshot`: counters and histograms
-are cumulative and additive, so a worker snapshots its registry before
+Cross-process aggregation is a snapshot/delta discipline: counters and
+histograms are cumulative and additive, so a worker snapshots its registry before
 and after a batch, ships :meth:`MetricsRegistry.snapshot_delta` of the
 two, and the parent folds it in with :meth:`MetricsRegistry.merge`.
 Gauges are last-value-wins — safe here because pool sharding is

@@ -9,9 +9,10 @@ telemetry, both from that one measurement:
   seconds, summed per stage over the call's service groups);
 * per-service rows-in / matched / unmatched / patterns-out counters,
   tallied when a service group's ``persist`` stage completes;
-* ``BatchResult.cache``, the fast lane's snapshot delta over the call;
+* ``BatchResult.cache``, the scan stage's dedup tallies summed over the
+  call's service groups;
 * batch-level aggregates — batches total, parse matched-fraction gauge,
-  fast-lane hit/miss/eviction/dedup counters, pattern-DB size gauges —
+  dedup counters, pattern-DB size gauges —
   folded from the finished :class:`BatchResult` by
   :func:`fold_batch_result`.
 
@@ -29,7 +30,6 @@ from collections import Counter
 
 from repro.analyzer.analyzer import AnalyzerConfig
 from repro.core.engine import BatchResult, ServiceBatchContext, StageObserver
-from repro.core.fastpath import FastPath
 from repro.obs.metrics import MetricsRegistry
 from repro.parser.parser import ParserConfig
 from repro.scanner.scanner import ScannerConfig
@@ -54,7 +54,7 @@ METRIC_HELP = {
     "rtg_patterns_total": "Newly discovered patterns persisted, by service",
     "rtg_batches_total": "Batches analysed",
     "rtg_matched_fraction": "Fraction of the last batch's records matched by known patterns (a flush, which carries no records, leaves it alone)",
-    "rtg_fastlane_events_total": "Duplicate-aware fast lane events (scan/match cache hits, misses, evictions; dedup outcomes)",
+    "rtg_fastlane_events_total": "Batch-dedup outcomes of the scan stage (unique: messages scanned; duplicate: occurrences folded into them)",
     "rtg_patterndb_rows": "Pattern database row counts, by table",
     "rtg_patterndb_patterns": "Stored patterns, by service",
     "rtg_pool_workers": "Worker processes used by the last pool batch",
@@ -75,12 +75,6 @@ METRIC_HELP = {
 
 #: ``BatchResult.cache`` counter key -> (cache, event) labels
 _FASTLANE_EVENTS = {
-    "scan_hits": ("scan", "hit"),
-    "scan_misses": ("scan", "miss"),
-    "scan_evictions": ("scan", "eviction"),
-    "match_hits": ("match", "hit"),
-    "match_misses": ("match", "miss"),
-    "match_evictions": ("match", "eviction"),
     "dedup_unique": ("dedup", "unique"),
     "dedup_duplicates": ("dedup", "duplicate"),
 }
@@ -104,12 +98,9 @@ class MetricsObserver(StageObserver):
     """Publish the staged engine's execution into a metrics registry
     and fill each call's ``BatchResult.timings`` and ``.cache``."""
 
-    def __init__(self, registry: MetricsRegistry, lane: FastPath, db=None,
+    def __init__(self, registry: MetricsRegistry, db=None,
                  batch_level: bool = True) -> None:
         self.registry = registry
-        #: the miner's fast lane, whose counters ``BatchResult.cache``
-        #: reports the per-call delta of
-        self.lane = lane
         #: pattern database whose sizes are published at batch end
         #: (``None`` inside pool workers: the parent publishes the union)
         self.db = db
@@ -145,14 +136,15 @@ class MetricsObserver(StageObserver):
         self._patterns = registry.counter(
             "rtg_patterns_total", METRIC_HELP["rtg_patterns_total"]
         )
-        self._cache_before: dict[str, int] = {}
         self._timings: dict[str, float] = {}
+        self._cache: dict[str, int] = {}
         self._stage_t0 = 0.0
 
     # -- stage-level -----------------------------------------------------
     def on_batch_start(self, result: BatchResult) -> None:
-        self._cache_before = self.lane.snapshot()
         self._timings = result.timings
+        self._cache = result.cache
+        result.cache.update(dedup_unique=0, dedup_duplicates=0)
 
     def on_stage_start(self, stage: str, ctx: ServiceBatchContext) -> None:
         self._stage_t0 = time.perf_counter()
@@ -165,6 +157,10 @@ class MetricsObserver(StageObserver):
             self._stage_latency.observe(
                 elapsed, stage=stage, backend=ScannerConfig.backend
             )
+            unique = len(ctx.scanned)
+            cache = self._cache
+            cache["dedup_unique"] += unique
+            cache["dedup_duplicates"] += len(ctx.records) - unique
             tokens = sum(len(m.tokens) for m in ctx.scanned)
             if tokens:
                 self._scan_tokens.inc(
@@ -204,9 +200,6 @@ class MetricsObserver(StageObserver):
 
     # -- batch-level -----------------------------------------------------
     def on_batch_end(self, result: BatchResult) -> None:
-        result.cache = FastPath.snapshot_delta(
-            self._cache_before, self.lane.snapshot()
-        )
         if self.batch_level:
             fold_batch_result(self.registry, result, db=self.db)
 

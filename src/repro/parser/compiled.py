@@ -5,7 +5,7 @@
 trie DFS into contiguous per-pattern *match programs*, following the
 table-driven search-core technique of Cookiecutter's C++ trie and the
 evolving-search-tree framing of USTEP.  Construction, the incremental
-``add_pattern`` contract, the version counter and the ``enrich`` switch
+``add_pattern`` contract and the ``enrich`` switch
 are all inherited from the reference parser — the trie stays the source
 of truth — and is lowered into:
 
@@ -202,8 +202,8 @@ class _Frontier:
 class CompiledParser(Parser):
     """Drop-in parser executing flattened match programs.
 
-    Same constructor, ``add_pattern``, ``match``/``match_many`` and
-    ``version`` contract as :class:`~repro.parser.parser.Parser`; only
+    Same constructor, ``add_pattern`` and ``match``/``match_many``
+    contract as :class:`~repro.parser.parser.Parser`; only
     the matching machinery differs.  Match results are bit-identical —
     same winning pattern under the full tie-break order, same extracted
     fields, same static count — asserted by the differential suite in

@@ -25,12 +25,9 @@ The sub-tries share no node, so the pattern set is maintained one
 from — adding or retiring a pattern costs its own length bucket, never
 the stored set.
 
-Each pattern-set mutation bumps :attr:`Parser.version`; the fast lane's
-match caches (:mod:`repro.core.fastpath`) use the version to invalidate
-cached outcomes whenever the pattern set changes.
 :class:`repro.parser.compiled.CompiledParser`, the table-driven subclass
-the miner runs (:func:`repro.parser.build_parser`), inherits the version
-contract and produces identical :class:`MatchResult`\\ s by
+the miner runs (:func:`repro.parser.build_parser`), inherits this
+maintenance contract and produces identical :class:`MatchResult`\\ s by
 construction; this class is the oracle it is diffed against.  Variable
 acceptance is answered by the precomputed tables of
 :mod:`repro.parser.acceptance`, shared by both.
@@ -172,9 +169,6 @@ class Parser:
         #: pattern id -> the bucket holding it, the membership record
         self._where: dict[str, _Bucket] = {}
         self._enrich = enrich
-        #: bumped on every pattern-set mutation; the fast lane's match
-        #: caches key their validity on this
-        self.version = 0
         #: candidate-frontier size of the last :meth:`match` call (trie
         #: states visited here; candidate programs considered in the
         #: compiled subclass) — the ``rtg_parse_candidates`` telemetry
@@ -204,7 +198,6 @@ class Parser:
         bucket.insert(pattern_id, pattern)
         bucket.members[pattern_id] = pattern
         self._where[pattern_id] = bucket
-        self.version += 1
         self._pattern_added(bucket, pattern)
 
     def remove_patterns(self, ids) -> int:
@@ -215,10 +208,6 @@ class Parser:
         and a pattern never changes bucket, so the result — edge order,
         leaf owners, and with them the DFS tie-break rank — is exactly
         what re-inserting every survivor of every bucket would build.
-        ``version`` stays strictly monotone and is never reset, so
-        version-pinned match caches (:mod:`repro.core.fastpath`) can
-        never mistake a pre-removal entry for current: any cache entry
-        pinned to an older version misses, exactly as for additions.
         """
         touched: dict[int, _Bucket] = {}
         removed = 0
@@ -230,7 +219,6 @@ class Parser:
                 removed += 1
         if not removed:
             return 0
-        self.version += 1
         for key, bucket in touched.items():
             if bucket.members:
                 bucket.root = _Node()
@@ -255,8 +243,8 @@ class Parser:
     ) -> MatchResult | None:
         """Find the best pattern for *scanned*, or None.
 
-        Pass pre-enriched *tokens* to skip the enrichment pass (the fast
-        lane does when it already enriched the same scan).
+        Pass pre-enriched *tokens* to skip the enrichment pass (stream
+        drift maintenance does when it already enriched the same scan).
         """
         if tokens is None:
             # no defensive copy: matching never mutates the token list
@@ -290,9 +278,9 @@ class Parser:
 
         Results are positionally parallel to *scanned*, and
         ``last_frontiers`` holds each match's frontier size.  Nothing is
-        shared between messages: the fast lane hands the parse stage
-        distinct raw messages, and two of those tokenising alike is too
-        rare to pay a signature per message for.
+        shared between messages: the scan stage's batch dedup hands the
+        parse stage distinct raw messages, and two of those tokenising
+        alike is too rare to pay a signature per message for.
         """
         results: list[MatchResult | None] = []
         frontiers: list[int] = []

@@ -3,7 +3,7 @@
 The reference :class:`~repro.scanner.scanner.Scanner` walks every
 message character by character in Python and consults its FSM cascade
 (time → hex → URL → path → general) at every token start.  That loop is
-the one cost every message pays on every execution path — the fast lane
+the one cost every message pays on every execution path — batch dedup
 only short-circuits duplicates — which makes it the throughput floor of
 the whole pipeline.
 

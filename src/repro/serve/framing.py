@@ -75,11 +75,6 @@ class FrameDecoder:
         """Detected framing ("newline" or "octet"), ``None`` before data."""
         return self._framing
 
-    @property
-    def buffered(self) -> int:
-        """Bytes held for a frame still incomplete."""
-        return len(self._buffer)
-
     def feed(self, data: bytes) -> list[bytes]:
         """Consume one chunk; return the complete frames it finished."""
         if not data:

@@ -96,10 +96,6 @@ class ShardRouter:
             )
 
     # -- producer side (event-loop thread) --------------------------------
-    def shard_for(self, service: str) -> int:
-        """Sticky shard of *service* — identical to the pool's routing."""
-        return route_service(service, self.n_shards)
-
     def offer(self, record: LogRecord) -> str:
         """Route one record; returns ``"accepted"``, ``"shed"`` or
         ``"blocked"``.
@@ -149,12 +145,6 @@ class ShardRouter:
     def total_queued(self) -> int:
         with self._lock:
             return self._total
-
-    def has_space(self, service: str) -> bool:
-        """Whether an :meth:`offer` for *service* would enqueue now."""
-        shard = route_service(service, self.n_shards)
-        with self._lock:
-            return len(self._shards[shard]) < self.high_water
 
     # -- consumer side (dispatcher thread) ---------------------------------
     def wait_for(self, count: int, timeout: float) -> int:

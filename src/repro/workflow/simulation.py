@@ -74,20 +74,13 @@ class DayStats:
     batch_fill_minutes: float
     n_promoted: int
     patterndb_size: int
-    #: fast-lane effectiveness summed over the day's mining batches
-    #: (scan/match cache hits, misses, evictions, dedup savings)
+    #: batch dedup summed over the day's mining batches (unique
+    #: messages scanned, duplicate occurrences folded into them)
     cache: dict[str, int] = field(default_factory=dict)
 
     @property
     def unmatched_fraction(self) -> float:
         return self.n_unmatched / self.n_messages if self.n_messages else 0.0
-
-    @property
-    def cache_hit_fraction(self) -> float:
-        """Fraction of scan lookups served from dedup or the scan cache."""
-        hits = self.cache.get("scan_hits", 0) + self.cache.get("dedup_duplicates", 0)
-        total = hits + self.cache.get("scan_misses", 0)
-        return hits / total if total else 0.0
 
 
 class ProductionSimulation:

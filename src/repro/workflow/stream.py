@@ -61,7 +61,7 @@ class StreamConfig:
     #: probability that a drawn record is an exact repeat of a recently
     #: emitted one — models the heavy short-range redundancy of real log
     #: streams (retry storms, heartbeats, chatty components) that the
-    #: duplicate-aware fast lane exploits.  0 keeps every record freshly
+    #: scan stage's batch dedup exploits.  0 keeps every record freshly
     #: filled (the historical behaviour, bit-for-bit).
     duplicate_fraction: float = 0.0
     #: how far back exact repeats may be drawn from

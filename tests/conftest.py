@@ -11,7 +11,7 @@ import pytest
 from repro.analyzer import evolving
 from repro.analyzer.analyzer import Analyzer
 from repro.core import pipeline
-from repro.core.fastpath import FastPath
+from repro.core.engine import ScanStage
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
@@ -200,15 +200,17 @@ def reference_stages(monkeypatch) -> None:
 
 @pytest.fixture()
 def per_occurrence_lane(monkeypatch) -> None:
-    """The fast lane's oracle: while the test runs, every ``SequenceRTG``
-    in this process scans record by record — every count 1, no cache
-    consulted.  (Spawned pool workers are untouched.)"""
+    """Batch dedup's oracle: while the test runs, every ``SequenceRTG``
+    in this process scans record by record — every count 1.  (Spawned
+    pool workers are untouched.)"""
 
-    def scan_group(self, scanner, service, group):
-        scanned = scanner.scan_many([r.message for r in group], service=service)
-        return scanned, [1] * len(scanned), [False] * len(scanned)
+    def scan_group(self, service, records):
+        scanned = self.rtg.scanner.scan_many(
+            [r.message for r in records], service=service
+        )
+        return scanned, [1] * len(scanned)
 
-    monkeypatch.setattr(FastPath, "scan_group", scan_group)
+    monkeypatch.setattr(ScanStage, "scan_group", scan_group)
 
 
 @pytest.fixture()

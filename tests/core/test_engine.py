@@ -6,8 +6,8 @@ serial miner over its own shard file — so their full database dumps
 (ids, texts, token structures, supports, examples, timestamps) are
 bit-identical.  Differential tests tie the engine to its oracles: the
 same records mined with the reference scanner, parser and analyser
-swapped in, or through the per-occurrence lane instead of the fast
-lane, leave the same database.
+swapped in, or through the per-occurrence lane instead of the scan
+stage's batch dedup, leave the same database.
 """
 
 from datetime import datetime, timezone
@@ -21,7 +21,6 @@ from repro.core.engine import (
     PersistStage,
     StageObserver,
 )
-from repro.core.fastpath import FastPath
 from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -224,25 +223,68 @@ class TestObserverContract:
                 )
 
 
-class TestSnapshotDelta:
-    def test_new_counter_deltas_against_zero(self):
-        # a key present only in the after-snapshot must not raise
-        before = {"scan_hits": 3}
-        after = {"scan_hits": 5, "brand_new_counter": 2}
-        assert FastPath.snapshot_delta(before, after) == {
-            "scan_hits": 2,
-            "brand_new_counter": 2,
-        }
+class TestBatchDedup:
+    """Dedup is per batch and is the whole fast lane: a message repeated
+    across batches is scanned again in each, and ``BatchResult.cache``
+    holds exactly the two dedup tallies of the call's service groups."""
 
-    def test_matches_live_snapshots(self):
+    @staticmethod
+    def batches():
+        repeat = LogRecord("svc", "connection from 10.0.0.1 closed")
+        return [
+            [repeat, LogRecord("svc", "disk sda1 full"), repeat,
+             LogRecord("other", "job 7 started")],
+            [repeat, repeat, repeat, LogRecord("other", "job 7 started")],
+        ]
+
+    def test_repeat_scanned_once_per_batch_and_tallies_match(self):
         rtg = SequenceRTG(db=PatternDB())
-        before = rtg.fastpath.snapshot()
-        result = rtg.analyze_by_service(
-            [LogRecord("svc", "dup msg"), LogRecord("svc", "dup msg")]
-        )
-        after = rtg.fastpath.snapshot()
-        assert result.cache == FastPath.snapshot_delta(before, after)
-        assert result.cache["dedup_duplicates"] == 1
+        scanned: list[str] = []
+        scan_many = rtg.scanner.scan_many
+
+        def counting_scan_many(messages, service=""):
+            scanned.extend(messages)
+            return scan_many(messages, service=service)
+
+        rtg.scanner.scan_many = counting_scan_many
+        contexts = []
+
+        class ScanContexts(StageObserver):
+            def on_stage_end(self, stage, ctx):
+                if stage == "scan":
+                    contexts.append(ctx)
+
+        rtg.engine.observers.append(ScanContexts())
+        repeat = self.batches()[0][0].message
+        for batch in self.batches():
+            scanned.clear()
+            contexts.clear()
+            result = rtg.analyze_by_service(batch, now=NOW)
+            assert scanned.count(repeat) == 1
+            unique = sum(len(ctx.scanned) for ctx in contexts)
+            records = sum(len(ctx.records) for ctx in contexts)
+            assert result.cache == {
+                "dedup_unique": unique,
+                "dedup_duplicates": records - unique,
+            }
+            assert unique == len(scanned)
+
+    def test_pool_reports_the_serial_tallies(self):
+        serial = SequenceRTG(db=PatternDB())
+        expected = [
+            serial.analyze_by_service(batch, now=NOW).cache
+            for batch in self.batches()
+        ]
+        assert expected == [
+            {"dedup_unique": 3, "dedup_duplicates": 1},
+            {"dedup_unique": 2, "dedup_duplicates": 2},
+        ]
+        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as pool:
+            got = [
+                pool.analyze_by_service(batch, now=NOW).cache
+                for batch in self.batches()
+            ]
+        assert got == expected
 
 
 class _FailingPersist(PersistStage):

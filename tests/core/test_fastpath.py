@@ -1,7 +1,7 @@
-"""Duplicate-aware fast lane: LRU caches, dedup, invalidation, equivalence.
+"""The fast lane: the scan stage's batch dedup, and parser invalidation.
 
-The load-bearing guarantee is byte-identical mining output through the
-fast lane and the ``per_occurrence_lane`` fixture — pattern ids, match
+The load-bearing guarantee is byte-identical mining output through
+batch dedup and the ``per_occurrence_lane`` fixture — pattern ids, match
 counts, examples and every ``BatchResult`` aggregate — over shuffled,
 duplicate-heavy streams, serial and service-sharded.  Asserted, not assumed.
 """
@@ -9,12 +9,10 @@ duplicate-heavy streams, serial and service-sharded.  Asserted, not assumed.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import pytest
 
-from repro.core import pipeline
-from repro.core.fastpath import FastPath, LRUCache, token_signature
+from repro.core.engine import ScanStage
 from repro.core.parallel import PersistentParallelSequenceRTG
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -52,147 +50,19 @@ def result_aggregates(result):
     )
 
 
-class TestLRUCache:
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            LRUCache(0)
-
-    def test_hit_miss_counters(self):
-        cache = LRUCache(4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_evicts_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh: b is now the oldest
-        cache.put("c", 3)
-        assert "a" in cache and "c" in cache and "b" not in cache
-        assert cache.evictions == 1
-
-    def test_put_refresh_does_not_evict(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("a", 10)  # refresh existing key at capacity
-        assert cache.evictions == 0
-        assert cache.get("a") == 10
-
-    def test_clear_keeps_counters(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
-
-
 class TestScanCache:
-    def test_identical_message_scanned_once(self, scanner):
-        lane = FastPath(scan_cache_size=16, match_cache_size=16)
-        group = [LogRecord("svc", "connection from 10.0.0.1 closed")]
-        (first,), _, _ = lane.scan_group(scanner, "svc", group)
-        (again,), _, _ = lane.scan_group(scanner, "svc", group)
-        assert again is first  # the cached object is shared
-        snap = lane.snapshot()
-        assert snap["scan_hits"] == 1 and snap["scan_misses"] == 1
-
-    def test_eviction_keeps_results_correct(self, scanner):
-        lane = FastPath(scan_cache_size=2)
-        group = [LogRecord("svc", f"event {i} done") for i in range(5)]
-        first, _, _ = lane.scan_group(scanner, "svc", group)
-        again, _, _ = lane.scan_group(scanner, "svc", group)
-        # every entry was evicted and rescanned at least once by the end
-        assert lane.snapshot()["scan_evictions"] >= 3
-        assert [m.token_texts() for m in again] == [m.token_texts() for m in first]
-
-    def test_dedup_groups_and_counts(self, scanner):
-        lane = FastPath(scan_cache_size=16, match_cache_size=16)
+    def test_dedup_groups_and_counts(self, rtg):
         group = [
             LogRecord("svc", "alpha 1"),
             LogRecord("svc", "beta 2"),
             LogRecord("svc", "alpha 1"),
             LogRecord("svc", "alpha 1"),
         ]
-        scanned, counts, cached = lane.scan_group(scanner, "svc", group)
+        scanned, counts = ScanStage(rtg).scan_group("svc", group)
+        # first-occurrence order plus multiplicities: what weighted trie
+        # insertion needs to reproduce the per-occurrence result
         assert [m.original for m in scanned] == ["alpha 1", "beta 2"]
         assert counts == [3, 1]
-        assert cached == [False, False]  # first sighting of both
-        snap = lane.snapshot()
-        assert snap["dedup_unique"] == 2 and snap["dedup_duplicates"] == 2
-        again, _, cached = lane.scan_group(scanner, "svc", group[:2])
-        assert again[0] is scanned[0] and cached == [True, True]
-
-
-class TestMatchCache:
-    def _warm_rtg(self, records):
-        rtg = SequenceRTG(db=PatternDB())
-        rtg.analyze_by_service(records)
-        return rtg
-
-    def test_outcomes_cached_by_token_signature(self, ssh_records, scanner):
-        rtg = self._warm_rtg(ssh_records)
-        parser = rtg.parser_for("sshd")
-        lane = FastPath(match_cache_size=16)
-        msg = scanner.scan(ssh_records[0].message, service="sshd")
-        first = lane.match("sshd", parser, msg)
-        second = lane.match("sshd", parser, msg)
-        assert second is first
-        snap = lane.snapshot()
-        assert snap["match_hits"] == 1 and snap["match_misses"] == 1
-
-    def test_negative_outcomes_cached(self, ssh_records, scanner):
-        rtg = self._warm_rtg(ssh_records)
-        parser = rtg.parser_for("sshd")
-        lane = FastPath(match_cache_size=16)
-        msg = scanner.scan("no pattern knows this shape", service="sshd")
-        assert lane.match("sshd", parser, msg) is None
-        assert lane.match("sshd", parser, msg) is None
-        assert lane.snapshot()["match_hits"] == 1
-
-    def test_add_pattern_invalidates_cached_outcomes(self, ssh_records, scanner):
-        from repro.analyzer.pattern import Pattern
-
-        rtg = self._warm_rtg(ssh_records)
-        parser = rtg.parser_for("sshd")
-        lane = FastPath(match_cache_size=16)
-        msg = scanner.scan("session sess01 throttled hard", service="sshd")
-        assert lane.match("sshd", parser, msg) is None  # cached negative
-        pattern = Pattern.from_text("session %alphanum% throttled hard", "sshd")
-        parser.add_pattern(pattern)  # version bump
-        hit = lane.match("sshd", parser, msg)
-        assert hit is not None and hit.pattern.id == pattern.id
-
-    def test_invalidation_is_per_service(self, ssh_records, hdfs_records, scanner):
-        rtg = self._warm_rtg(ssh_records + hdfs_records)
-        lane = FastPath(match_cache_size=16)
-        ssh_msg = scanner.scan(ssh_records[0].message, service="sshd")
-        hdfs_msg = scanner.scan(hdfs_records[0].message, service="hdfs")
-        lane.match("sshd", rtg.parser_for("sshd"), ssh_msg)
-        lane.match("hdfs", rtg.parser_for("hdfs"), hdfs_msg)
-        lane.invalidate_service("sshd")
-        lane.match("sshd", rtg.parser_for("sshd"), ssh_msg)  # miss again
-        lane.match("hdfs", rtg.parser_for("hdfs"), hdfs_msg)  # still a hit
-        snap = lane.snapshot()
-        assert snap["match_hits"] == 1 and snap["match_misses"] == 3
-
-    def test_signature_shares_outcomes_across_whitespace(self, ssh_records, scanner):
-        rtg = self._warm_rtg(ssh_records)
-        parser = rtg.parser_for("sshd")
-        lane = FastPath(match_cache_size=16)
-        a = scanner.scan(
-            "Accepted password for eve from 9.9.9.9 port 22 ssh2", service="sshd"
-        )
-        b = scanner.scan(
-            "Accepted  password for eve from 9.9.9.9  port 22 ssh2", service="sshd"
-        )
-        assert token_signature(a.tokens) == token_signature(b.tokens)
-        lane.match("sshd", parser, a)
-        lane.match("sshd", parser, b)
-        assert lane.snapshot()["match_hits"] == 1
 
 
 class TestPipelineInvalidation:
@@ -220,17 +90,8 @@ class TestPipelineInvalidation:
         )
         assert result.n_matched == 1
 
-    def test_cache_telemetry_in_batch_result(self, rtg, ssh_records):
-        rtg.analyze_by_service(ssh_records)
-        second = rtg.analyze_by_service(ssh_records)  # scans cached
-        assert second.cache["scan_hits"] == len(ssh_records)
-        assert second.cache["match_misses"] == len(ssh_records)
-        third = rtg.analyze_by_service(ssh_records)  # matches cached too
-        assert third.cache["match_hits"] == len(ssh_records)
-
-
 class TestEquivalence:
-    """The fast lane mines exactly what the per-occurrence lane mines."""
+    """Batch dedup mines exactly what the per-occurrence lane mines."""
 
     def _run_serial(self, batches):
         rtg = SequenceRTG(db=PatternDB())
@@ -254,16 +115,9 @@ class TestEquivalence:
         request.getfixturevalue("per_occurrence_lane")
         assert self._run_serial(batches) == fast
 
-    def test_serial_with_tiny_caches_forcing_eviction(self, monkeypatch, request):
-        batches = self._shuffled_batches(n_batches=2)
-        monkeypatch.setattr(pipeline, "FastPath", partial(FastPath, 8, 8))
-        fast = self._run_serial(batches)
-        request.getfixturevalue("per_occurrence_lane")
-        assert self._run_serial(batches) == fast
-
     def test_parallel_duplicate_heavy_stream(self, request):
         batches = self._shuffled_batches(n_batches=2, per_batch=600)
-        # the pool's workers are fresh processes: they run the fast lane
+        # the pool's workers are fresh processes: they run batch dedup
         request.getfixturevalue("per_occurrence_lane")
         _, naive_db = self._run_serial(batches)
 
@@ -276,20 +130,6 @@ class TestEquivalence:
         for result, batch in zip(results, batches):
             assert result.n_records == len(batch)
             assert result.n_matched + result.n_unmatched == len(batch)
-
-    def test_pool_workers_keep_their_caches_warm_across_batches(self):
-        records = [
-            LogRecord("sshd", f"Accepted password for u{i} from 10.0.0.{i} port {4000+i} ssh2")
-            for i in range(8)
-        ]
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as parallel:
-            parallel.analyze_by_service(records)  # one service → one worker
-            result = parallel.analyze_by_service(records[:4])
-            assert result.n_matched == 4
-            assert result.cache["scan_hits"] == 4  # warm across batches
-            result = parallel.analyze_by_service(records[:4])
-            assert result.cache["match_hits"] == 4
-
 
 class TestDuplicateStream:
     def test_duplicate_fraction_produces_repeats(self):
@@ -311,15 +151,3 @@ class TestDuplicateStream:
             StreamConfig(duplicate_fraction=1.0)
         with pytest.raises(ValueError):
             StreamConfig(duplicate_window=0)
-
-
-class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs", [{"scan_cache_size": -1}, {"match_cache_size": -1}]
-    )
-    def test_negative_cache_sizes_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FastPath(**kwargs)
-        (name,) = kwargs
-        with pytest.raises(ValueError):  # a cache may shrink, not vanish
-            FastPath(**{name: 0})

@@ -79,12 +79,6 @@ class TestBatching:
         assert list(ingester.batches([])) == []
         assert ingester.stats.n_batches == 0
 
-    def test_batches_from_records(self):
-        records = [LogRecord("s", str(i)) for i in range(7)]
-        ingester = StreamIngester(batch_size=3)
-        batches = list(ingester.batches_from_records(records))
-        assert [len(b) for b in batches] == [3, 3, 1]
-
     def test_invalid_batch_size(self):
         with pytest.raises(ValueError):
             StreamIngester(batch_size=0)
@@ -275,18 +269,6 @@ class TestIngestMetrics:
     def test_no_metrics_is_the_default(self):
         ingester = StreamIngester(batch_size=10)
         list(ingester.batches(lines(5)))  # must not touch a registry
-
-    def test_batches_from_records_counts_lines(self):
-        """Pre-parsed records are still stream items: IngestStats reads
-        the same whichever entry point fed the run."""
-        registry = self.registry()
-        records = [LogRecord("s", f"m {i}") for i in range(7)]
-        ingester = StreamIngester(batch_size=3, metrics=registry)
-        list(ingester.batches_from_records(records))
-        assert ingester.stats.n_lines == 7
-        assert ingester.stats.n_records == 7
-        assert ingester.stats.n_malformed == 0
-        assert registry.counter("rtg_ingest_lines_total").value() == 7
 
 
 class TestReaderJoinTimeout:

@@ -141,27 +141,6 @@ class TestEquivalence:
             assert result.n_matched > 0
             assert len(engine.db.rows()) == n_patterns
 
-    def test_publish_pattern_goes_to_the_owning_worker(self):
-        """A parent-side addition is persisted and learnt by the worker
-        that owns its service: it matches from the next batch on."""
-        records = sshd_records()
-        pattern = SequenceRTG(db=PatternDB()).analyze_by_service(
-            records
-        ).new_patterns[0]
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
-            # the sshd worker already holds a live parser
-            engine.analyze_by_service(
-                [LogRecord("sshd", f"session opened for root{i}") for i in range(4)]
-            )
-            assert engine.publish_pattern(pattern) == pattern.id
-            result = engine.analyze_by_service(records[:5])
-            assert result.n_matched == 5
-            assert result.n_new_patterns == 0
-            row = engine.db.row(pattern.id)
-            assert row.match_count == pattern.support + 5
-            owner = PatternDB(engine._shard_paths[engine.worker_for("sshd")])
-            assert owner.row(pattern.id) is not None
-
 
 class TestStickyRouting:
     def test_routing_is_stable_across_batches(self):

@@ -318,15 +318,6 @@ class TestStalePatterns:
         far = datetime(2022, 9, 1, tzinfo=timezone.utc)
         assert db.stale_patterns(1.0, now=far) == []
 
-    def test_evict_stale_deletes_and_counts(self):
-        db = PatternDB()
-        db.upsert(make_pattern(text="old %string% row"), now=T0)
-        fresh = db.upsert(make_pattern(text="fresh %string% row"), now=T0)
-        late = datetime(2021, 10, 15, tzinfo=timezone.utc)
-        db.record_match(fresh, n=1, now=late)
-        assert db.evict_stale(30.0, now=late) == 1
-        assert [r.id for r in db.rows()] == [fresh]
-
     def test_upsert_refreshes_last_matched(self):
         """Re-upserting (the warm pool's delta merge path) counts as a
         match: the row must not look stale afterwards."""

@@ -98,7 +98,7 @@ class TestParserCache:
 
     def test_invalidate_reloads_from_db(self, rtg, ssh_records):
         rtg.analyze_by_service(ssh_records)
-        rtg.invalidate_parsers()
+        rtg.invalidate_service("sshd")
         parser = rtg.parser_for("sshd")
         assert len(parser) == 1  # reloaded from the database
 

@@ -61,21 +61,6 @@ class TestBundle:
 
 
 class TestPatternDbDumpMerge:
-    def test_dump_round_trip(self):
-        from repro.core.patterndb import PatternDB
-        from repro.analyzer.pattern import Pattern
-
-        db = PatternDB()
-        p = Pattern.from_text("a %integer% b", "svc")
-        p.support = 4
-        p.add_example("a 1 b")
-        db.upsert(p)
-        clone = PatternDB.from_dump(db.dump())
-        (row,) = clone.rows()
-        assert row.pattern_text == "a %integer% b"
-        assert row.match_count == 4
-        assert row.examples == ["a 1 b"]
-
     def test_merge_from_accumulates(self):
         from repro.core.patterndb import PatternDB
         from repro.analyzer.pattern import Pattern

@@ -46,9 +46,9 @@ def assert_scrape_complete(text: str, expect_workers: bool) -> None:
     assert "rtg_records_total{" in text
     assert "rtg_batches_total " in text
     assert "rtg_matched_fraction " in text
-    # fast-lane hit/miss counters
+    # fast-lane counters: batch-dedup events only
     assert 'rtg_fastlane_events_total{cache="dedup",event="unique"}' in text
-    assert 'cache="scan"' in text
+    assert 'cache="scan"' not in text and 'cache="match"' not in text
     # database gauges
     assert 'rtg_patterndb_rows{table="patterns"}' in text
     if expect_workers:

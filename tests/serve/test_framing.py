@@ -17,7 +17,6 @@ class TestNewlineFraming:
         decoder = FrameDecoder()
         assert decoder.feed(b'{"a": 1}\n') == [b'{"a": 1}']
         assert decoder.mode == "newline"
-        assert decoder.buffered == 0
 
     def test_many_frames_one_chunk(self):
         decoder = FrameDecoder()
@@ -29,7 +28,7 @@ class TestNewlineFraming:
         assert decoder.feed(b'sage": "m"}\nnext') == [
             b'{"service": "s", "message": "m"}'
         ]
-        assert decoder.buffered == len(b"next")
+        assert decoder.feed(b"\n") == [b"next"]
 
     def test_byte_at_a_time(self):
         decoder = FrameDecoder()

@@ -26,27 +26,35 @@ def records_for_test(n=400, n_services=24, seed=11):
 class TestStickyRouting:
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 8])
     def test_matches_pool_hash_for_production_services(self, n_shards):
-        """Same crc32 route as the worker pool, service by service."""
+        """Same crc32 route as the worker pool, service by service: each
+        offered record lands in the queue ``route_service`` names."""
         stream = ProductionStream(StreamConfig(n_services=40, seed=7))
         router = ShardRouter(n_shards=n_shards, high_water=1000)
         for service in stream.service_names:
-            assert router.shard_for(service) == route_service(service, n_shards)
+            shard = route_service(service, n_shards)
+            before = router.depth(shard)
+            assert router.offer(LogRecord(service, "m")) == "accepted"
+            assert router.depth(shard) == before + 1
+            assert router.total_queued == sum(
+                router.depth(i) for i in range(n_shards)
+            )
 
     def test_routing_is_stable_across_instances(self):
         a = ShardRouter(n_shards=4, high_water=10)
         b = ShardRouter(n_shards=4, high_water=99, policy="shed")
         for service in ("sshd", "nginx", "postgres", "kernel"):
-            assert a.shard_for(service) == b.shard_for(service)
+            a.offer(LogRecord(service, "m"))
+            b.offer(LogRecord(service, "m"))
+        assert [a.depth(i) for i in range(4)] == [b.depth(i) for i in range(4)]
 
     def test_skew_bound_over_production_services(self):
         """crc32 spreads the synthetic fleet acceptably: no empty shard
         and no shard hoarding more than half the services."""
         stream = ProductionStream(StreamConfig(n_services=64, seed=3))
         n_shards = 4
-        router = ShardRouter(n_shards=n_shards, high_water=1000)
         per_shard = [0] * n_shards
         for service in stream.service_names:
-            per_shard[router.shard_for(service)] += 1
+            per_shard[route_service(service, n_shards)] += 1
         assert all(count > 0 for count in per_shard)
         assert max(per_shard) <= len(stream.service_names) // 2
 
