@@ -11,6 +11,13 @@ skips malformed items, and yields :class:`~repro.core.records.LogRecord`
 batches of the configured size.  The final, possibly short, batch is
 yielded on stream end unless ``drop_partial`` is set.
 
+Every feed shares one record decoder, :func:`parse_record` (the serve
+tier's listeners too, through :func:`parse_records`).  It calls the C
+JSON scanner directly and builds the record with
+:func:`~repro.core.records.new_record`.  :meth:`StreamIngester.batches`
+decodes ``islice`` slices of up to 512 lines, never more than the
+current batch still needs, so a pipe is not read ahead of its consumer.
+
 :meth:`StreamIngester.batches_pipelined` is the double-buffered variant:
 a background reader thread parses and assembles batch *N+1* while the
 caller is still analysing batch *N*, so JSON decoding overlaps analysis
@@ -27,15 +34,24 @@ import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
-from repro.core.records import LogRecord
+from repro.core.records import LogRecord, new_record
 
-__all__ = ["StreamIngester", "parse_record", "IngestStats"]
+__all__ = ["StreamIngester", "parse_record", "parse_records", "IngestStats"]
 
 _log = logging.getLogger("repro.ingest")
 
 #: queue marker for normal end of stream
 _EOF = object()
+
+#: lines decoded per step: few enough that the raw lines held at once
+#: stay small next to the batch, enough to amortise the step
+_DECODE_SLICE = 512
+
+
+#: the C scanner behind ``json.loads``, minus its Python wrapper
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_record(line: str) -> LogRecord | None:
@@ -44,21 +60,32 @@ def parse_record(line: str) -> LogRecord | None:
     The schema is exactly two fields, ``service`` and ``message``, both
     strings.  Extra fields are tolerated (syslog-ng templates sometimes
     append metadata) but the two required ones must be present.
+
+    Accepts exactly what ``json.loads(line.strip())`` accepts, and
+    never raises: a line nested too deeply for the recursion limit, or
+    holding an integer over the digit limit, is malformed too.
     """
     line = line.strip()
-    if not line:
-        return None
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
         return None
-    if not isinstance(obj, dict):
+    if end != len(line) or not isinstance(obj, dict):
         return None
     service = obj.get("service")
     message = obj.get("message")
     if not isinstance(service, str) or not isinstance(message, str) or not service:
         return None
-    return LogRecord(service=service, message=message)
+    return new_record(service, message)
+
+
+def parse_records(lines: Iterable[str]) -> list[LogRecord]:
+    """The records of *lines* in order, malformed lines dropped.
+
+    One pass of :func:`parse_record`; the malformed lines are the
+    difference between the line count and ``len(result)``.
+    """
+    return list(filter(None, map(parse_record, lines)))
 
 
 @dataclass(slots=True)
@@ -125,28 +152,43 @@ class StreamIngester:
             self._malformed_counter.inc(malformed)
 
     def batches(self, lines: Iterable[str]) -> Iterator[list[LogRecord]]:
-        """Yield batches of parsed records from an iterable of JSON lines."""
+        """Yield batches of parsed records from an iterable of JSON lines.
+
+        Each step takes up to 512 of the lines the current batch still
+        lacks (an ``islice`` of the source) and decodes them in one
+        pass, so the source is never read past the line that completes
+        a batch.
+        """
+        source = iter(lines)
+        stats = self.stats
+        size = self.batch_size
         batch: list[LogRecord] = []
         pending_lines = pending_malformed = 0
         try:
-            for line in lines:
-                self.stats.n_lines += 1
-                pending_lines += 1
-                record = parse_record(line)
-                if record is None:
-                    self.stats.n_malformed += 1
-                    pending_malformed += 1
-                    continue
-                self.stats.n_records += 1
-                batch.append(record)
-                if len(batch) >= self.batch_size:
-                    self.stats.n_batches += 1
+            while True:
+                chunk: list[str] = []
+                try:
+                    chunk.extend(islice(source, min(size - len(batch), _DECODE_SLICE)))
+                finally:
+                    # lines read before a source error still count
+                    records = parse_records(chunk)
+                    n_malformed = len(chunk) - len(records)
+                    stats.n_lines += len(chunk)
+                    stats.n_malformed += n_malformed
+                    stats.n_records += len(records)
+                    pending_lines += len(chunk)
+                    pending_malformed += n_malformed
+                if not chunk:
+                    break
+                batch += records
+                if len(batch) == size:
+                    stats.n_batches += 1
                     self._publish(pending_lines, pending_malformed)
                     pending_lines = pending_malformed = 0
                     yield batch
                     batch = []
             if batch and not self.drop_partial:
-                self.stats.n_batches += 1
+                stats.n_batches += 1
                 yield batch
         finally:
             self._publish(pending_lines, pending_malformed)

@@ -36,7 +36,7 @@ from repro.core.config import RTGConfig
 from repro.core.engine import BatchResult, drive_stream
 from repro.core.patterndb import PatternDB, route_service
 from repro.core.pipeline import SequenceRTG
-from repro.core.records import LogRecord
+from repro.core.records import LogRecord, new_record
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.observer import fold_batch_result
 
@@ -104,7 +104,7 @@ def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
             before = registry.snapshot()
             with db.transaction():
                 value = rtg.analyze_by_service(
-                    list(map(LogRecord, services, messages)), now=now
+                    list(map(new_record, services, messages)), now=now
                 )
                 delta = MetricsRegistry.snapshot_delta(before, registry.snapshot())
                 reply = pickle.dumps(

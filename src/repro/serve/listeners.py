@@ -16,9 +16,11 @@ which door a record came through.
   response, and 429 when the shed policy refused records.
 
 Handlers read in 64 KiB chunks and decode frames incrementally, so the
-event loop never blocks on line boundaries; every few hundred frames
-they yield to the loop to keep accept latency flat across many
-connections.
+event loop never blocks on line boundaries.  Admission is per chunk:
+the frames a chunk finishes go to ``submit`` in slices of up to 512
+(one decoding pass and one router admission per slice, not a coroutine
+per frame), and after every full slice the handler yields to the loop
+to keep accept latency flat across many connections.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ LISTEN_SCHEMES = ("tcp", "unix", "http")
 #: keep per-chunk decode bursts short on the event loop.
 _CHUNK = 65536
 
-#: Frames decoded between cooperative yields back to the event loop.
-_YIELD_EVERY = 512
+#: Frames per ``submit`` slice; a full slice is followed by a
+#: cooperative yield back to the event loop.
+_SLICE = 512
 
 #: Bound on one HTTP request body (a batch of JSONL records).
 MAX_HTTP_BODY = 8 << 20
@@ -103,6 +106,26 @@ def parse_listen_specs(text: str) -> list[ListenSpec]:
 
 
 # ----------------------------------------------------------------------
+# Admission, shared by every listener
+# ----------------------------------------------------------------------
+
+async def _submit_all(
+    ingress, frames: list[bytes], source: str, arrived: float
+) -> tuple[int, int, int]:
+    """Submit *frames* slice by slice; summed ``(accepted, shed, malformed)``."""
+    accepted = shed = malformed = 0
+    for start in range(0, len(frames), _SLICE):
+        part = frames[start : start + _SLICE]
+        outcome = await ingress.submit(part, source, arrived)
+        accepted += outcome[0]
+        shed += outcome[1]
+        malformed += outcome[2]
+        if len(part) == _SLICE:
+            await asyncio.sleep(0)
+    return accepted, shed, malformed
+
+
+# ----------------------------------------------------------------------
 # TCP / UDS: framed JSONL
 # ----------------------------------------------------------------------
 
@@ -110,7 +133,7 @@ async def handle_stream_connection(
     ingress, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
     source: str,
 ) -> None:
-    """One framed-JSONL connection: decode incrementally, submit frames.
+    """One framed-JSONL connection: decode incrementally, submit per chunk.
 
     *ingress* is the owning :class:`~repro.serve.server.ServeServer`;
     its ``submit`` applies the overload policy (a blocked submit awaits
@@ -126,14 +149,10 @@ async def handle_stream_connection(
             if not chunk:
                 tail = decoder.flush()
                 if tail is not None:
-                    await ingress.submit(tail, source, clock())
+                    await ingress.submit([tail], source, clock())
                 break
             arrived = clock()
-            frames = decoder.feed(chunk)
-            for index, frame in enumerate(frames):
-                await ingress.submit(frame, source, arrived)
-                if index % _YIELD_EVERY == _YIELD_EVERY - 1:
-                    await asyncio.sleep(0)
+            await _submit_all(ingress, decoder.feed(chunk), source, arrived)
     except FramingError:
         ingress.protocol_error(source)
     except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -256,17 +275,9 @@ async def handle_http_connection(
             tail = decoder.flush()
             if tail is not None:
                 frames.append(tail)
-            accepted = shed = malformed = 0
-            for index, frame in enumerate(frames):
-                outcome = await ingress.submit(frame, "http", arrived)
-                if outcome == "accepted":
-                    accepted += 1
-                elif outcome == "shed":
-                    shed += 1
-                else:
-                    malformed += 1
-                if index % _YIELD_EVERY == _YIELD_EVERY - 1:
-                    await asyncio.sleep(0)
+            accepted, shed, malformed = await _submit_all(
+                ingress, frames, "http", arrived
+            )
             status, reason = (429, "Too Many Requests") if shed else (200, "OK")
             writer.write(
                 _http_response(

@@ -13,15 +13,22 @@ mine.
 Every queue is bounded by a per-shard **high-water mark**; what happens
 at the mark is the configurable overload policy:
 
-* ``"block"`` — the producer is told to wait (:meth:`ShardRouter.offer`
-  returns ``"blocked"`` without enqueuing).  The asyncio handler stops
-  reading its socket until space frees, which propagates to the client
-  as TCP flow control — nothing is lost, clients slow down.
+* ``"block"`` — the producer is told to wait (:meth:`ShardRouter.offer_many`
+  stops at the first record whose queue is full and reports how far it
+  got).  The asyncio handler stops reading its socket until space
+  frees, which propagates to the client as TCP flow control — nothing
+  is lost, clients slow down.
 * ``"shed"`` — the incoming record is refused and counted; the HTTP
   listener surfaces this as a 429.  Newest data is sacrificed, queue
   contents (oldest first) survive.
 * ``"drop_oldest"`` — the shard's oldest *queued* record is evicted to
   make room.  Freshest data survives; the eviction is counted as shed.
+
+Admission is per chunk: the listeners hand the router one decoded slice
+of records at a time (:meth:`ShardRouter.offer_many`), which it admits
+under one lock acquisition with one counter update and one gauge set
+per touched shard and one wake-up of the dispatcher.  The outcome of
+every record is the one a sequential per-record offer would have had.
 
 Each enqueued record carries a global arrival sequence number, assigned
 under the router lock.  :meth:`ShardRouter.take_batch` drains the *B*
@@ -38,6 +45,7 @@ import heapq
 import threading
 import time
 from collections import deque
+from itertools import repeat
 
 from repro.core.patterndb import route_service
 from repro.core.records import LogRecord
@@ -101,40 +109,94 @@ class ShardRouter:
         ``"blocked"``.
 
         ``"blocked"`` (block policy, queue at the high-water mark) means
-        nothing was enqueued — the caller must wait and retry, which is
-        how socket readers exert TCP pushback.
+        nothing was enqueued — the caller must wait and retry.  A
+        one-record :meth:`offer_many`.
         """
-        shard = route_service(record.service, self.n_shards)
+        taken, refused = self.offer_many((record,))
+        if not taken:
+            return "blocked"
+        return "shed" if refused else "accepted"
+
+    def offer_many(self, records) -> tuple[int, int]:
+        """Route a slice of records, in order, under one lock.
+
+        Returns ``(taken, refused)``: ``records[:taken]`` were dealt
+        with — each queued, or (*refused* of them) refused by the shed
+        policy — and ``records[taken:]`` were not touched.  *taken* is
+        short only under the block policy: it stops at the first record
+        whose queue is at the high-water mark, and the caller waits and
+        offers the rest again.  ``drop_oldest`` evictions count in
+        :attr:`shed_total`, not in *refused*: the incoming record was
+        admitted.
+        """
+        n_shards = self.n_shards
+        routes = (
+            [route_service(record.service, n_shards) for record in records]
+            if n_shards > 1
+            else repeat(0)
+        )
+        shards = self._shards
+        high_water = self.high_water
+        policy = self.policy
+        admitted = [0] * n_shards
+        dropped = [0] * n_shards
+        taken = len(records)
         with self._ready:
-            queue = self._shards[shard]
-            if len(queue) >= self.high_water:
-                if self.policy == "block":
-                    return "blocked"
-                if self.policy == "shed":
-                    self.shed_total += 1
-                    if self._shed_counter is not None:
-                        self._shed_counter.inc(
-                            shard=str(shard), policy="shed"
-                        )
-                    return "shed"
-                # drop_oldest: evict the shard's stalest queued record
-                queue.popleft()
-                self._total -= 1
-                self.shed_total += 1
-                if self._shed_counter is not None:
-                    self._shed_counter.inc(
-                        shard=str(shard), policy="drop_oldest"
-                    )
-            queue.append((self._seq, record))
-            self._seq += 1
-            self._total += 1
-            self.accepted_total += 1
-            if self._accepted_counter is not None:
-                self._accepted_counter.inc(shard=str(shard))
-            if self._depth_gauge is not None:
-                self._depth_gauge.set(len(queue), shard=str(shard))
-            self._ready.notify()
-        return "accepted"
+            seq = base = self._seq
+            for shard, record in zip(routes, records):
+                queue = shards[shard]
+                if len(queue) >= high_water:
+                    if policy == "block":  # every earlier record was queued
+                        taken = seq - base
+                        break
+                    dropped[shard] += 1
+                    if policy == "shed":
+                        continue
+                    # drop_oldest: evict the shard's stalest queued record
+                    queue.popleft()
+                queue.append((seq, record))
+                seq += 1
+                admitted[shard] += 1
+            accepted = seq - base
+            shed = sum(dropped)
+            self._seq = seq
+            self._total += accepted - (shed if policy == "drop_oldest" else 0)
+            self.accepted_total += accepted
+            self.shed_total += shed
+            self._publish(admitted, dropped)
+            if accepted:
+                self._ready.notify()
+        return taken, taken - accepted
+
+    def refuse(self, records) -> int:
+        """Count *records* as shed without offering them; returns how many.
+
+        For a producer that cannot wait for space any longer (the
+        dispatcher died, or the connection was cancelled mid-wait): the
+        records it read are refused, never silently dropped, so
+        ``frames = accepted + shed + malformed`` holds.  They are counted
+        under the router's policy label.
+        """
+        n_shards = self.n_shards
+        dropped = [0] * n_shards
+        for record in records:
+            dropped[route_service(record.service, n_shards)] += 1
+        with self._lock:
+            self.shed_total += len(records)
+            self._publish([0] * n_shards, dropped)
+        return len(records)
+
+    def _publish(self, admitted: list[int], dropped: list[int]) -> None:
+        """One counter update and one gauge set per touched shard (held
+        under the router lock, so the gauge is the depth it reports)."""
+        if self._accepted_counter is None:
+            return
+        for shard, (n_admitted, n_dropped) in enumerate(zip(admitted, dropped)):
+            if n_admitted:
+                self._accepted_counter.inc(n_admitted, shard=str(shard))
+                self._depth_gauge.set(len(self._shards[shard]), shard=str(shard))
+            if n_dropped:
+                self._shed_counter.inc(n_dropped, shard=str(shard), policy=self.policy)
 
     def depth(self, shard: int) -> int:
         """Current queue depth of one shard."""

@@ -5,8 +5,10 @@
 
 * the **event loop** (the calling thread) accepts connections and runs
   the listener handlers (:mod:`repro.serve.listeners`): read a chunk,
-  decode frames incrementally, JSON-parse each record and offer it to
-  the shard router.  Nothing here ever blocks on mining;
+  decode its frames, and hand them to :meth:`ServeServer.submit` in
+  slices of up to 512 — one JSON-decoding pass, one router admission
+  and one update of each counter per slice.  Nothing here ever blocks
+  on mining;
 * the **shard router** (:mod:`repro.serve.router`) holds one bounded
   FIFO per mining shard, keyed by the same ``crc32(service)`` hash the
   persistent pool routes with, and applies the configured overload
@@ -44,8 +46,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from operator import methodcaller
 
-from repro.core.ingest import parse_record
+from repro.core.ingest import parse_records
 from repro.core.streaming import StreamDriver
 from repro.obs.observer import METRIC_HELP
 from repro.serve.framing import MAX_FRAME_BYTES
@@ -57,6 +60,10 @@ from repro.serve.listeners import (
 from repro.serve.router import OVERLOAD_POLICIES, ShardRouter
 
 __all__ = ["ServeConfig", "ServeServer", "ServeStats"]
+
+
+#: a frame's text: invalid UTF-8 becomes U+FFFD, never an error
+_utf8 = methodcaller("decode", "utf-8", "replace")
 
 
 def _idle() -> None:
@@ -231,34 +238,54 @@ class ServeServer:
     def protocol_error(self, source: str) -> None:
         self.stats.protocol_errors += 1
 
-    async def submit(self, frame: bytes, source: str, arrived: float) -> str:
-        """Decode one frame and route it; returns the admission outcome.
+    async def submit(
+        self, frames: list[bytes], source: str, arrived: float
+    ) -> tuple[int, int, int]:
+        """Decode one slice of frames and route it; returns
+        ``(accepted, shed, malformed)``.
 
-        ``"accepted"`` — queued (latency recorded); ``"malformed"`` —
-        not a valid two-field record, counted and dropped;
-        ``"shed"`` — refused by the shed policy.  Under the block
-        policy this coroutine *waits* for queue space instead of
-        returning, which stalls the calling reader — the explicit
-        backpressure seam.
+        Admission is per chunk: one decoding pass
+        (:func:`~repro.core.ingest.parse_records`), one update of each
+        labelled counter, one :meth:`ShardRouter.offer_many` and one
+        latency observation weighted by the records accepted.  Each
+        record still has its own outcome: queued (accepted), not a valid
+        two-field record (malformed, counted and dropped) or refused by
+        the shed policy.  Under the block policy admission stops at the
+        first record whose queue is full, and this coroutine *waits*
+        (2 ms polls) to offer the rest — which stalls the calling
+        reader: the explicit backpressure seam.  Records it can no
+        longer wait for (the dispatcher died, or the wait was
+        cancelled) are refused and counted as shed.
         """
         stats = self.stats
-        stats.frames += 1
-        self._lines_counter.inc(source=source)
-        record = parse_record(frame.decode("utf-8", errors="replace"))
-        if record is None:
-            stats.malformed += 1
-            self._malformed_counter.inc(source=source)
-            return "malformed"
-        while True:
-            outcome = self.router.offer(record)
-            if outcome != "blocked":
-                break
-            if self._error is not None:
-                return "shed"
-            await asyncio.sleep(0.002)
-        if outcome == "accepted":
-            self._latency_hist.observe(self.clock() - arrived)
-        return outcome
+        router = self.router
+        stats.frames += len(frames)
+        self._lines_counter.inc(len(frames), source=source)
+        records = parse_records(map(_utf8, frames))
+        malformed = len(frames) - len(records)
+        if malformed:
+            stats.malformed += malformed
+            self._malformed_counter.inc(malformed, source=source)
+        accepted = shed = 0
+        try:
+            while records:
+                taken, refused = router.offer_many(records)
+                accepted += taken - refused
+                shed += refused
+                if taken == len(records):
+                    break
+                records = records[taken:]
+                if self._error is not None:
+                    shed += router.refuse(records)
+                    break
+                await asyncio.sleep(0.002)
+        except asyncio.CancelledError:  # raised only by the sleep
+            router.refuse(records)
+            raise
+        finally:
+            if accepted:
+                self._latency_hist.observe(self.clock() - arrived, n=accepted)
+        return accepted, shed, malformed
 
     # -- dispatcher thread -------------------------------------------------
     def _mine(self, shards: list[list]) -> None:

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.ingest import StreamIngester, parse_record
 from repro.core.records import LogRecord
@@ -346,3 +346,229 @@ class TestDriveStreamCleanup:
         next(results)
         results.close()
         assert closed == [True]
+
+
+# ----------------------------------------------------------------------
+# The shared decoder and the bulk ingester against their originals
+# ----------------------------------------------------------------------
+
+def _loads_parse_record(line: str):
+    """``parse_record`` as it was before it called the C scanner directly:
+    the oracle of :class:`TestParseRecordEqualsJsonLoads`."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not isinstance(obj, dict):
+        return None
+    service = obj.get("service")
+    message = obj.get("message")
+    if not isinstance(service, str) or not isinstance(message, str) or not service:
+        return None
+    return LogRecord(service=service, message=message)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_objects = st.dictionaries(
+    st.sampled_from(["service", "message", "host", "level", "Service", ""]),
+    st.text(max_size=20) | _json_values,
+    max_size=4,
+)
+_padding = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\xa0 \u3000", max_size=3)
+
+
+@st.composite
+def _json_lines(draw):
+    """JSON-ish lines: valid objects and values, re-spaced and escaped
+    variously, behind optional BOMs and padding, with optional trailing
+    data."""
+    value = draw(_objects | _json_values)
+    text = json.dumps(
+        value,
+        ensure_ascii=draw(st.booleans()),
+        separators=draw(st.sampled_from([(",", ":"), (", ", ": "), (" ,", " :\t")])),
+    )
+    prefix = draw(st.sampled_from(["", "", "\ufeff", "\ufeff ", " \ufeff"]))
+    trailer = draw(st.sampled_from(["", "", " x", "{}", ",", " 1", "\x00", "]"]))
+    return draw(_padding) + prefix + text + trailer + draw(_padding)
+
+
+class TestParseRecordEqualsJsonLoads:
+    @given(st.text(max_size=120))
+    @settings(max_examples=300)
+    def test_arbitrary_text(self, line):
+        assert parse_record(line) == _loads_parse_record(line)
+
+    @given(_json_lines())
+    @settings(max_examples=400)
+    def test_json_shaped_lines(self, line):
+        expected = _loads_parse_record(line)
+        record = parse_record(line)
+        assert record == expected
+        assert type(record) is type(expected)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"service": "s", "message": "m"}',
+            '\ufeff{"service": "s", "message": "m"}',  # BOM: malformed
+            ' \t{"service": "s", "message": "m"}\r\n',
+            '\xa0{"service": "s", "message": "m"} ',  # str.strip space
+            '{"service": "s\\u00e9\\n", "message": "tab\\there \\"q\\" \\ud83d\\ude00"}',
+            '{"service": "s", "message": "\\ud800"}',  # lone surrogate
+            '{"service": "s", "message": "m"} {"service": "t", "message": "n"}',
+            '{"service": "s", "message": "m"}x',
+            '{"service": "s", "service": "t", "message": "m"}',  # last key wins
+            '{"service": "", "message": "m"}',
+            '{"message": "m", "extra": [1, {"a": null}]}',
+            '["service", "message"]',
+            '"{\\"service\\": \\"s\\"}"',
+            "NaN",
+            '{"service": "s", "message": "m", "n": NaN, "i": -Infinity}',
+            '{"service": "s", "message": "m"',
+        ],
+    )
+    def test_edge_cases(self, line):
+        assert parse_record(line) == _loads_parse_record(line)
+
+    def test_result_is_an_ordinary_record(self):
+        import pickle
+
+        record = parse_record('{"service": "sshd", "message": "hello"}')
+        twin = LogRecord("sshd", "hello")
+        assert type(record) is LogRecord
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+        assert pickle.loads(pickle.dumps(record)) == twin
+        with pytest.raises(AttributeError):
+            record.service = "other"  # still frozen
+
+    def test_deeply_nested_line_is_malformed_not_fatal(self):
+        assert parse_record("[" * 100_000) is None
+        assert parse_record('{"a": ' * 50_000) is None
+        # the integer digit limit raises ValueError inside the scanner
+        assert parse_record('{"service": "s", "message": "m", "n": ' + "1" * 5000 + "}") is None
+
+
+class _LineByLineIngester(StreamIngester):
+    """``StreamIngester.batches`` as it was before it decoded ``islice``
+    slices: the oracle of :class:`TestBatchesEqualLineByLine`."""
+
+    def batches(self, lines):
+        batch = []
+        pending_lines = pending_malformed = 0
+        try:
+            for line in lines:
+                self.stats.n_lines += 1
+                pending_lines += 1
+                record = _loads_parse_record(line)
+                if record is None:
+                    self.stats.n_malformed += 1
+                    pending_malformed += 1
+                    continue
+                self.stats.n_records += 1
+                batch.append(record)
+                if len(batch) >= self.batch_size:
+                    self.stats.n_batches += 1
+                    self._publish(pending_lines, pending_malformed)
+                    pending_lines = pending_malformed = 0
+                    yield batch
+                    batch = []
+            if batch and not self.drop_partial:
+                self.stats.n_batches += 1
+                yield batch
+        finally:
+            self._publish(pending_lines, pending_malformed)
+
+
+def _observed(cls, source_lines, fail_at=None, **kwargs):
+    """Every yield of ``cls(**kwargs).batches``, each with the lines
+    consumed, the stats and the published counters at that point; then
+    the same at the end (or at the source's failure)."""
+    from repro.obs.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    ingester = cls(metrics=registry, **kwargs)
+    consumed = []
+
+    def source():
+        for index, line in enumerate(source_lines):
+            if index == fail_at:
+                raise OSError("source failed")
+            consumed.append(line)
+            yield line
+
+    def snapshot():
+        s = ingester.stats
+        return (
+            len(consumed),
+            (s.n_lines, s.n_records, s.n_malformed, s.n_batches),
+            registry.counter("rtg_ingest_lines_total").value(),
+            registry.counter("rtg_ingest_malformed_total").value(),
+        )
+
+    events = []
+    try:
+        for batch in ingester.batches(source()):
+            events.append((batch, snapshot()))
+    except OSError:
+        events.append(("failed", snapshot()))
+    events.append(("end", snapshot()))
+    return events
+
+
+class TestBatchesEqualLineByLine:
+    @given(
+        kinds=st.lists(st.sampled_from(["ok", "ok", "ok", "bad", "empty"]), max_size=60),
+        batch_size=st.integers(1, 12),
+        drop_partial=st.booleans(),
+        fail_at=st.none() | st.integers(0, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batches_stats_counters_and_reads(self, kinds, batch_size, drop_partial, fail_at):
+        bad = {"bad": '{"service": "s"}', "empty": "   "}
+        source_lines = [
+            json.dumps({"service": f"s{i % 3}", "message": f"m {i}"})
+            if kind == "ok" else bad[kind]
+            for i, kind in enumerate(kinds)
+        ]
+        oracle, bulk = (
+            _observed(cls, source_lines, fail_at, batch_size=batch_size, drop_partial=drop_partial)
+            for cls in (_LineByLineIngester, StreamIngester)
+        )
+        assert bulk == oracle
+
+    @pytest.mark.parametrize("fail_at", [None, 1700])
+    @pytest.mark.parametrize("drop_partial", [False, True])
+    def test_batches_longer_than_a_decode_step(self, drop_partial, fail_at):
+        source_lines = [
+            "{broken" if i % 7 == 3 else json.dumps({"service": "s", "message": f"m {i}"})
+            for i in range(3000)
+        ]
+        oracle, bulk = (
+            _observed(cls, source_lines, fail_at, batch_size=1300, drop_partial=drop_partial)
+            for cls in (_LineByLineIngester, StreamIngester)
+        )
+        assert bulk == oracle
+
+    def test_deep_line_is_counted_malformed(self):
+        stream = lines(4) + ["[" * 100_000] + lines(3)
+        ingester = StreamIngester(batch_size=5)
+        assert [len(b) for b in ingester.batches(stream)] == [5, 2]
+        assert (ingester.stats.n_lines, ingester.stats.n_malformed) == (8, 1)
+
+    def test_pipelined_reader_survives_a_deep_line(self):
+        stream = lines(4) + ["[" * 100_000] + lines(3)
+        ingester = StreamIngester(batch_size=5)
+        batches = list(ingester.batches_pipelined(stream))
+        assert [len(b) for b in batches] == [5, 2]
+        assert (ingester.stats.n_lines, ingester.stats.n_malformed) == (8, 1)

@@ -10,6 +10,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.parallel import route_service, shard_records
 from repro.core.records import LogRecord
@@ -213,3 +214,119 @@ class TestMetrics:
         assert depth.value(shard="0") == 2
         router.take_batch(10)
         assert depth.value(shard="0") == 0
+
+
+def _offer_one(router, record):
+    """The per-record ``offer`` this router had before admission went
+    per slice: the oracle of :class:`TestOfferManyEqualsSequentialOffers`."""
+    shard = route_service(record.service, router.n_shards)
+    with router._ready:
+        queue = router._shards[shard]
+        if len(queue) >= router.high_water:
+            if router.policy == "block":
+                return "blocked"
+            if router.policy == "shed":
+                router.shed_total += 1
+                router._shed_counter.inc(shard=str(shard), policy="shed")
+                return "shed"
+            queue.popleft()
+            router._total -= 1
+            router.shed_total += 1
+            router._shed_counter.inc(shard=str(shard), policy="drop_oldest")
+        queue.append((router._seq, record))
+        router._seq += 1
+        router._total += 1
+        router.accepted_total += 1
+        router._accepted_counter.inc(shard=str(shard))
+        router._depth_gauge.set(len(queue), shard=str(shard))
+        router._ready.notify()
+    return "accepted"
+
+
+def _sequential(router, records) -> tuple[int, int]:
+    """``(taken, refused)`` of per-record offers, stopping where the old
+    server's submit loop would have waited."""
+    refused = 0
+    for index, record in enumerate(records):
+        outcome = _offer_one(router, record)
+        if outcome == "blocked":
+            return index, refused
+        refused += outcome == "shed"
+    return len(records), refused
+
+
+def _state(router, registry):
+    serve = {
+        name: entry["samples"]
+        for name, entry in registry.snapshot().items()
+        if name.startswith("rtg_serve_")
+    }
+    return (
+        [list(queue) for queue in router._shards],
+        router._seq,
+        router._total,
+        router.total_queued,
+        router.accepted_total,
+        router.shed_total,
+        serve,
+    )
+
+
+_slices = st.lists(
+    st.lists(st.integers(0, 7), max_size=12),  # service index per record
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestOfferManyEqualsSequentialOffers:
+    """``offer_many(slice)`` ≡ one ``offer`` per record, in order."""
+
+    @given(
+        n_shards=st.integers(1, 4),
+        high_water=st.integers(1, 6),
+        policy=st.sampled_from(OVERLOAD_POLICIES),
+        slices=_slices,
+        takes=st.lists(st.integers(0, 5), max_size=8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_queues_counters_and_stop_index(
+        self, n_shards, high_water, policy, slices, takes
+    ):
+        reference_registry, registry = MetricsRegistry(), MetricsRegistry()
+        reference = ShardRouter(n_shards, high_water, policy, reference_registry)
+        router = ShardRouter(n_shards, high_water, policy, registry)
+        serial = 0
+        for step, services in enumerate(slices):
+            records = []
+            for service in services:
+                records.append(LogRecord(f"svc{service}", f"m{serial}"))
+                serial += 1
+            expected = _sequential(reference, records)
+            assert router.offer_many(records) == expected
+            if policy != "block":
+                assert expected[0] == len(records)
+            assert _state(router, registry) == _state(reference, reference_registry)
+            if step < len(takes):  # the dispatcher frees some space
+                assert router.take_batch(takes[step]) == reference.take_batch(takes[step])
+                assert _state(router, registry) == _state(reference, reference_registry)
+
+    @pytest.mark.parametrize("policy", OVERLOAD_POLICIES)
+    def test_offer_is_a_one_record_slice(self, policy):
+        reference_registry, registry = MetricsRegistry(), MetricsRegistry()
+        reference = ShardRouter(2, 3, policy, reference_registry)
+        router = ShardRouter(2, 3, policy, registry)
+        for record in records_for_test(n=40, n_services=3):
+            assert router.offer(record) == _offer_one(reference, record)
+        assert _state(router, registry) == _state(reference, reference_registry)
+
+    def test_refuse_counts_shed_under_the_policy_label(self):
+        registry = MetricsRegistry()
+        router = ShardRouter(n_shards=2, high_water=4, metrics=registry)
+        records = records_for_test(n=9, n_services=5)
+        assert router.refuse(records) == 9
+        assert router.shed_total == 9 and router.total_queued == 0
+        shed = registry.counter("rtg_serve_shed_total")
+        assert sum(
+            shed.value(shard=str(i), policy="block") for i in range(2)
+        ) == 9

@@ -426,3 +426,119 @@ class TestStreamMode:
         assert driver.stats.n_messages == len(records)
         # the drain closed the driver: its final flush mined patterns
         assert len(db_fingerprint(rtg.db)) > 0
+
+
+class TestPerChunkAdmission:
+    """Admission per slice keeps every per-record outcome and count."""
+
+    def test_deep_json_frame_is_malformed_not_fatal(self):
+        """A frame nested past the recursion limit is one malformed
+        frame; the connection goes on and the frames after it mine."""
+        rtg = SequenceRTG(db=PatternDB())
+        server = ServeServer(rtg, serve_config())
+        endpoints = server.start_in_background()
+        good = records_for_test(n=6)
+        payload = jsonl(good[:3]) + b"[" * 100_000 + b"\n" + jsonl(good[3:])
+        send_tcp(dict(endpoints)["tcp"], payload)
+        assert wait_until(lambda: server.stats.frames == 7)
+        stats = server.shutdown()
+        assert (stats.frames, stats.accepted, stats.malformed) == (7, 6, 1)
+        assert stats.records_mined == 6
+
+    def test_dead_dispatcher_refusals_are_shed(self):
+        """Once the miner has raised, a blocked slice is refused: its
+        records count as shed, so frames = accepted + shed + malformed."""
+
+        class Exploding(SequenceRTG):
+            def analyze_by_service(self, records, now=None):
+                raise RuntimeError("miner died")
+
+        rtg = Exploding(db=PatternDB())
+        server = ServeServer(
+            rtg,
+            serve_config(batch_size=2, high_water=2, dispatch_timeout_s=0.05),
+        )
+        endpoints = server.start_in_background()
+        records = records_for_test(n=50, n_services=1)
+        send_tcp(dict(endpoints)["tcp"], b"garbage\n" + jsonl(records))
+        assert wait_until(lambda: server.stats.frames == 51)
+        with pytest.raises(RuntimeError, match="miner died"):
+            server.shutdown()
+        stats = server.stats
+        assert stats.frames == 51 and stats.malformed == 1
+        assert stats.shed > 0
+        assert stats.frames == stats.accepted + stats.shed + stats.malformed
+        shed = rtg.metrics.counter("rtg_serve_shed_total")
+        assert shed.value(shard="0", policy="block") == stats.shed
+
+    def test_drain_cancelled_refusals_are_shed(self):
+        """Drain cancels a connection still blocked after the grace
+        window: the records it read but could not queue are shed, and
+        everything queued is mined."""
+        rtg = SequenceRTG(db=PatternDB())
+        server = ServeServer(
+            rtg,
+            serve_config(
+                batch_size=1000,
+                high_water=5,
+                dispatch_timeout_s=30,  # the dispatcher waits; the reader blocks
+                drain_grace_s=0.1,
+            ),
+        )
+        endpoints = server.start_in_background()
+        send_tcp(dict(endpoints)["tcp"], jsonl(records_for_test(n=50, n_services=1)))
+        assert wait_until(lambda: server.stats.frames == 50)
+        stats = server.shutdown()
+        assert (stats.accepted, stats.shed, stats.records_mined) == (5, 45, 5)
+        assert stats.frames == stats.accepted + stats.shed + stats.malformed
+
+    def test_tiny_high_water_mines_the_file_fed_db(self):
+        """Block-policy pushback on every few records (queue bound =
+        batch size) re-offers the rest of each slice: the DB equals the
+        file-fed one."""
+        records = records_for_test(n=240, n_services=6, seed=5)
+        batch = 4
+        config = RTGConfig(batch_size=batch)
+        reference = SequenceRTG(db=PatternDB(), config=config)
+        for k in range(0, len(records), batch):
+            reference.analyze_by_service(records[k:k + batch])
+
+        rtg = SequenceRTG(db=PatternDB(), config=config)
+        server = ServeServer(
+            rtg,
+            serve_config(batch_size=batch, high_water=batch, dispatch_timeout_s=30),
+        )
+        endpoints = server.start_in_background()
+        send_tcp(dict(endpoints)["tcp"], jsonl(records))
+        assert wait_until(lambda: server.stats.accepted == len(records), timeout=60)
+        stats = server.shutdown()
+        assert stats.records_mined == len(records) and stats.shed == 0
+        assert db_fingerprint(rtg.db) == db_fingerprint(reference.db)
+
+    def test_http_counts_sum_over_slices(self):
+        """A body of more than one 512-frame slice reports per-request
+        counts summed over its slices, and the metrics agree."""
+        records = records_for_test(n=1100, n_services=1)
+        rtg = SequenceRTG(db=PatternDB())
+        server = ServeServer(
+            rtg,
+            serve_config(
+                listen=(ListenSpec(scheme="http", host="127.0.0.1", port=0),),
+                batch_size=5000,
+                high_water=700,
+                overload="shed",
+                dispatch_timeout_s=30,  # dispatcher sits; queue stays full
+            ),
+        )
+        addr = dict(server.start_in_background())["http"]
+        body = jsonl(records[:600]) + b"nope\n" + jsonl(records[600:])
+        status, counts = http_post(addr, body)
+        assert status == 429
+        assert counts == {"accepted": 700, "shed": 400, "malformed": 1}
+        stats = server.shutdown()
+        assert (stats.frames, stats.accepted, stats.shed) == (1101, 700, 400)
+        registry = rtg.metrics
+        assert registry.counter("rtg_ingest_lines_total").value(source="http") == 1101
+        assert registry.counter("rtg_ingest_malformed_total").value(source="http") == 1
+        latency = registry.histogram("rtg_serve_ingest_latency_seconds")
+        assert latency.count() == 700
