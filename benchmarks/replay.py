@@ -66,7 +66,9 @@ def replay(workload: str, seed: int, scale: float, work: Path, profiler=None) ->
     from repro.core.pipeline import SequenceRTG
 
     def _batches(lines: list[str], size: int):
-        return list(StreamIngester(batch_size=size).batches(lines))
+        # a generator, as the child's file feed is: a batch's records die
+        # with its mining call instead of staying on the timed loop's heap
+        return StreamIngester(batch_size=size).batches(lines)
     sizes = config.sizes(scale)
     sums: dict = {}
     if workload == "stream_drift":
@@ -95,14 +97,13 @@ def replay(workload: str, seed: int, scale: float, work: Path, profiler=None) ->
             for _ in rtg.process_stream(_batches(prefix, config.BATCH_SIZE)):
                 pass
             _summing(rtg, sums)
-            batches = _batches(lines, config.BATCH_SIZE)
 
             def measured():
-                for _ in rtg.process_stream(batches):
+                for _ in rtg.process_stream(_batches(lines, config.BATCH_SIZE)):
                     pass
         else:  # cold_mine: each round builds its DB and miner, as the child's does
-            rounds = _batches(inputs.cold(seed, sizes["cold_rounds"], sizes["cold_per_round"]),
-                              sizes["cold_per_round"])
+            rounds = list(_batches(inputs.cold(seed, sizes["cold_rounds"], sizes["cold_per_round"]),
+                                   sizes["cold_per_round"]))
             SequenceRTG(PatternDB(), cfg).analyze_by_service(rounds[0])
 
             def measured():

@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING
 from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
+from repro.scanner.compiled import TokenColumns
 from repro.scanner.scanner import ScannedMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -105,11 +106,13 @@ class ServiceBatchContext:
     #: mine the service's pending evidence in the analyze stage (a batch
     #: call or a flush), rather than only absorbing into it (a micro-batch)
     flush: bool = False
-    #: distinct scanned messages in first-occurrence order (ScanStage)
-    scanned: list[ScannedMessage] = field(default_factory=list)
+    #: distinct messages scanned to token columns, in first-occurrence
+    #: order (ScanStage)
+    scanned: TokenColumns = field(default_factory=lambda: TokenColumns([]))
     #: dedup multiplicities parallel to ``scanned`` (ScanStage)
     counts: list[int] = field(default_factory=list)
-    #: messages no known pattern matched, with their multiplicities
+    #: messages no known pattern matched — the only ones whose tokens
+    #: are built (ParseStage) — with their multiplicities
     unmatched: list[ScannedMessage] = field(default_factory=list)
     unmatched_counts: list[int] = field(default_factory=list)
     #: pattern id -> occurrences matched this batch (ParseStage)
@@ -156,7 +159,8 @@ class Stage:
 
 
 class ScanStage(Stage):
-    """Tokenize the group, each distinct message once (batch dedup).
+    """Tokenize the group to token columns, each distinct message once
+    (batch dedup).
 
     Real log streams are massively repetitive, so identical messages of
     one service group are scanned once and carry a multiplicity, which
@@ -175,15 +179,14 @@ class ScanStage(Stage):
 
     def scan_group(
         self, service: str, records: list[LogRecord]
-    ) -> tuple[list[ScannedMessage], list[int]]:
-        """The distinct messages of *records*, scanned, in
-        first-occurrence order, and their multiplicities."""
+    ) -> tuple[TokenColumns, list[int]]:
+        """The distinct messages of *records*, scanned to token columns,
+        in first-occurrence order, and their multiplicities."""
         counts: dict[str, int] = {}
         for record in records:
             message = record.message
             counts[message] = counts.get(message, 0) + 1
-        scanned = self.rtg.scanner.scan_many(list(counts), service=service)
-        return scanned, list(counts.values())
+        return self.rtg.scanner.scan_columns(list(counts)), list(counts.values())
 
 
 class ParseStage(Stage):
@@ -192,7 +195,9 @@ class ParseStage(Stage):
     "If a match is found the last matched date and the number of
     examples ... are adjusted accordingly and no further processing
     occurs" (paper §III) — the adjustments are tallied here and written
-    by :class:`PersistStage`.
+    by :class:`PersistStage`.  A hit is matched on its token columns
+    and never becomes a :class:`~repro.scanner.token_types.Token`; only
+    a miss is built into a :class:`ScannedMessage` for the analyser.
     """
 
     name = "parse"
@@ -208,17 +213,22 @@ class ParseStage(Stage):
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
         tracker = self.field_tracker
-        parser = rtg.parser_for(ctx.service)
+        service = ctx.service
+        parser = rtg.parser_for(service)
+        match = parser.match_columns if len(parser) > 0 else None
+        frontiers = ctx.parse_frontiers
         example_cap = rtg.db.max_examples
-        scanned = ctx.scanned
-        if len(parser) > 0:
-            hits = parser.match_many(scanned)
-            ctx.parse_frontiers.extend(parser.last_frontiers)
-        else:
-            hits = [None] * len(scanned)
-        for msg, n, hit in zip(scanned, ctx.counts, hits):
+        cols = ctx.scanned
+        texts, types, build = cols.texts, cols.types, cols.scanned
+        lo = 0
+        for k, (hi, n) in enumerate(zip(cols.ends, ctx.counts)):
+            hit = None
+            if match is not None:
+                hit = match(texts[lo:hi], types[lo:hi])
+                frontiers.append(parser.last_frontier)
+            lo = hi
             if hit is None:
-                ctx.unmatched.append(msg)
+                ctx.unmatched.append(build(k, service))
                 ctx.unmatched_counts.append(n)
             else:
                 pid = hit.pattern_id
@@ -228,8 +238,9 @@ class ParseStage(Stage):
                 examples = ctx.match_examples.setdefault(pid, [])
                 # accumulate only what the DB can store: the first
                 # `max_examples` distinct originals
-                if len(examples) < example_cap and msg.original not in examples:
-                    examples.append(msg.original)
+                original = cols.originals[k]
+                if len(examples) < example_cap and original not in examples:
+                    examples.append(original)
 
 
 class LengthPartitionStage(Stage):

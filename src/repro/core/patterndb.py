@@ -409,15 +409,10 @@ class PatternDB:
 
     # ------------------------------------------------------------------
     def _service_id(self, name: str) -> int:
-        cur = self._conn.execute(
+        self._conn.execute(
             "INSERT INTO services(name) VALUES (?) ON CONFLICT(name) DO NOTHING",
             (name,),
         )
-        if cur.lastrowid:
-            row = self._conn.execute(
-                "SELECT id FROM services WHERE name = ?", (name,)
-            ).fetchone()
-            return int(row[0])
         row = self._conn.execute(
             "SELECT id FROM services WHERE name = ?", (name,)
         ).fetchone()

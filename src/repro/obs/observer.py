@@ -161,7 +161,7 @@ class MetricsObserver(StageObserver):
             cache = self._cache
             cache["dedup_unique"] += unique
             cache["dedup_duplicates"] += len(ctx.records) - unique
-            tokens = sum(len(m.tokens) for m in ctx.scanned)
+            tokens = len(ctx.scanned.texts)
             if tokens:
                 self._scan_tokens.inc(
                     tokens, service=ctx.service, backend=ScannerConfig.backend

@@ -51,8 +51,17 @@ differential property suite (``tests/parser/test_compiled.py``)
 asserts the equivalence over corpora and adversarially overlapping
 pattern sets rather than assuming it.
 
-Enrichment (k=v pairs, e-mail addresses, host names) is semantically
-identical to :func:`repro.analyzer.enrich.enrich_tokens`; the compiled
+Matching runs over token *columns* — a message's texts and types as
+two parallel lists — not over :class:`~repro.scanner.token_types.Token`
+objects: :meth:`CompiledParser.match_columns` is what the parse stage
+calls on the scan stage's
+:class:`~repro.scanner.compiled.TokenColumns`, so a hit allocates no
+token, and ``match`` (with or without pre-enriched tokens) feeds the
+same core the columns of its tokens.
+
+Enrichment (k=v pairs, e-mail addresses, host names) retypes a copy of
+the types column, type for type what
+:func:`repro.analyzer.enrich.enrich_tokens` assigns; the compiled
 parser memoises the two pure text classifiers (``is_email``,
 ``is_hostname``) per distinct literal, which removes the dominant
 per-message enrichment cost for recurring vocabulary.
@@ -62,7 +71,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.analyzer.enrich import enrich_tokens, is_email, is_hostname
+from repro.analyzer.enrich import is_email, is_hostname
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.parser.acceptance import TYPE_MASKS_BY_VALUE, VAR_BITS, literal_mask
 from repro.parser.parser import REST_BUCKET, MatchResult, Parser
@@ -77,6 +86,7 @@ __all__ = ["CompiledParser"]
 _MEMO_SIZE = 65536
 
 _REST = VarClass.REST
+_REST_TYPE = TokenType.REST
 _LITERAL = TokenType.LITERAL
 _KEY = TokenType.KEY
 _VALUE = TokenType.VALUE
@@ -203,10 +213,11 @@ class CompiledParser(Parser):
     """Drop-in parser executing flattened match programs.
 
     Same constructor, ``add_pattern`` and ``match``/``match_many``
-    contract as :class:`~repro.parser.parser.Parser`; only
-    the matching machinery differs.  Match results are bit-identical —
-    same winning pattern under the full tie-break order, same extracted
-    fields, same static count — asserted by the differential suite in
+    contract as :class:`~repro.parser.parser.Parser`, plus
+    :meth:`match_columns`; only the matching machinery differs.  Match
+    results are bit-identical — same winning pattern under the full
+    tie-break order, same extracted fields, same static count —
+    asserted by the differential suite in
     ``tests/parser/test_compiled.py``, not assumed.
     """
 
@@ -356,19 +367,36 @@ class CompiledParser(Parser):
         """Find the best pattern for *scanned*, or None.
 
         Identical contract to the reference :meth:`Parser.match`,
-        including the pre-enriched *tokens* shortcut.
+        including the pre-enriched *tokens* shortcut: both feed the
+        tokens' columns to the one matching core.
         """
+        source = scanned.tokens if tokens is None else tokens
+        texts = [tok.text for tok in source]
+        types = [tok.type for tok in source]
+        if tokens is None:
+            return self.match_columns(texts, types)
+        return self._match(texts, types)
+
+    def match_columns(
+        self, texts: list[str], types: list[TokenType]
+    ) -> MatchResult | None:
+        """:meth:`match` for a message scanned to token columns (see
+        :class:`repro.scanner.compiled.TokenColumns`): no :class:`Token`
+        is built, and enrichment retypes a copy of *types*."""
+        if self._enrich:
+            types = self._enrich_types(texts, types)
+        return self._match(texts, types)
+
+    def _match(self, texts: list[str], types: list[TokenType]) -> MatchResult | None:
+        """The matching core over one message's (enriched) columns."""
         if self._dirty:
             self._relower()
-        if tokens is None:
-            tokens = (
-                self._enrich_tokens(scanned.tokens)
-                if self._enrich
-                else scanned.tokens
-            )
-        if tokens and tokens[-1].type is TokenType.REST:
-            tokens = tokens[:-1]
-        length = len(tokens)
+        # the scanner's REST marker only says "this message was
+        # truncated": matching treats it like end-of-message, and the
+        # zip with the frontier's columns below stops short of it
+        length = len(types)
+        if length and types[-1] is _REST_TYPE:
+            length -= 1
         frontier = self._frontier.get(length)
         if frontier is None:
             frontier = self._frontier_for(length)
@@ -378,16 +406,15 @@ class CompiledParser(Parser):
         if not surviving:
             return None
 
-        for column, tok in zip(frontier.columns, tokens):
-            text = tok.text
-            if tok.type is _LITERAL:
+        for column, text, ttype in zip(frontier.columns, texts, types):
+            if ttype is _LITERAL:
                 ok = column[3].get(text)
                 if ok is None:
                     ok = self._resolve_column(column, text, None)
             else:
-                ok = column[4].get(tok.type._value_)
+                ok = column[4].get(ttype._value_)
                 if ok is None:
-                    ok = self._resolve_column(column, text, tok.type)
+                    ok = self._resolve_column(column, text, ttype)
                 # literal edges dispatch on text alone, whatever the
                 # token type — mirror the reference trie walk
                 lit = column[0]
@@ -402,12 +429,10 @@ class CompiledParser(Parser):
             best = min(_survivors(progs, surviving), key=_key)
         else:
             best = progs[surviving.bit_length() - 1]
-        fields = {name: tokens[i].text for i, name in best.extract}
+        fields = {name: texts[i] for i, name in best.extract}
         rest_name = best.rest_name
         if rest_name is not None and length > len(best.steps):
-            fields[rest_name] = " ".join(
-                t.text for t in tokens[len(best.steps):]
-            )
+            fields[rest_name] = " ".join(texts[len(best.steps):length])
         return MatchResult(
             pattern=best.pattern,
             fields=fields,
@@ -449,34 +474,35 @@ class CompiledParser(Parser):
         return ok
 
     # -- enrichment ------------------------------------------------------
-    def _enrich_tokens(self, tokens: list[Token]) -> list[Token]:
-        """Memoised :func:`~repro.analyzer.enrich.enrich_tokens`.
+    def _enrich_types(
+        self, texts: list[str], types: list[TokenType]
+    ) -> list[TokenType]:
+        """Memoised :func:`~repro.analyzer.enrich.enrich_tokens` on the
+        types column: a retyped copy of *types*.
 
-        Token-for-token identical to the reference function (the k=v
+        Type for type what the reference function assigns (the k=v
         retyping is positional and stays live); the two pure text
         classifiers are answered from a bounded per-text memo, because
         log vocabulary is tiny relative to log volume.
         """
         memo = self._classes
-        out = list(tokens)
+        out = list(types)
         n = len(out)
-        for i, tok in enumerate(out):
-            if tok.type is not _LITERAL:
+        pairs = "=" in texts
+        for i, text in enumerate(texts):
+            if out[i] is not _LITERAL:
                 continue
-            text = tok.text
             if (
-                i + 2 < n
-                and out[i + 1].text == "="
+                pairs
+                and i + 2 < n
+                and texts[i + 1] == "="
                 and text
                 and text[0].isalpha()
-                and out[i + 2].text != "="
+                and texts[i + 2] != "="
             ):
-                out[i] = tok.with_type(_KEY)
-                value = out[i + 2]
-                if value.type is _LITERAL:
-                    out[i + 2] = value.with_type(_VALUE, semantic=text)
-                else:
-                    out[i + 2] = value.with_type(value.type, semantic=text)
+                out[i] = _KEY
+                if out[i + 2] is _LITERAL:
+                    out[i + 2] = _VALUE
                 continue
             cls = memo.get(text)
             if cls is None:
@@ -490,9 +516,5 @@ class CompiledParser(Parser):
                     cls = _LITERAL
                 memo[text] = cls
             if cls is not _LITERAL:
-                out[i] = tok.with_type(cls)
+                out[i] = cls
         return out
-
-
-# keep the reference import path alive for introspection/tests
-_reference_enrich = enrich_tokens

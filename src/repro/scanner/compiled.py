@@ -33,6 +33,16 @@ does, the pass keeps consuming the same ``findall`` tuples; otherwise
 (a timestamp spanning spaces, a URL through a ``:``) it resumes with a
 fresh ``findall`` at the token's end.
 
+The pass builds no :class:`~repro.scanner.token_types.Token`: it
+appends each token's text, type, ``is_space_before`` and position to
+the flat columns of a :class:`TokenColumns` (the flagged cascade emits
+into the same columns), and the ``REST`` marker and the ``max_tokens``
+cut happen in the same loop.  :meth:`CompiledScanner.scan_columns` is
+that loop, once; ``scan`` and ``scan_many`` build their tokens from its
+columns.  The scan stage calls ``scan_columns``, so a message the
+parser matches on its columns never becomes tokens at all — only a
+miss does, on its way to the analyser.
+
 Integers and IPv4 are typed ahead of the flag, which is sound only
 because no catalogue layout can match at such a word: a layout's
 leading digit run must be followed by the character that ends the word,
@@ -46,7 +56,7 @@ from __future__ import annotations
 
 import re
 
-from repro.scanner.scanner import Scanner
+from repro.scanner.scanner import ScannedMessage, Scanner
 from repro.scanner.time_fsm import (
     _COMPACT,
     _DAYS,
@@ -62,7 +72,7 @@ from repro.scanner.time_fsm import (
 )
 from repro.scanner.token_types import Token, TokenType
 
-__all__ = ["CompiledScanner", "CompiledTimeFSM"]
+__all__ = ["CompiledScanner", "CompiledTimeFSM", "TokenColumns"]
 
 
 # --- compiled time programs -------------------------------------------------
@@ -390,16 +400,71 @@ def _master_rx(single_digit: bool, path: bool) -> re.Pattern[str]:
 
 
 _TRAILING = frozenset(".,!?")
+_REST = TokenType.REST
+
+
+class TokenColumns:
+    """Messages scanned to token columns, the output of
+    :meth:`CompiledScanner.scan_columns`.
+
+    Four flat, parallel columns hold every token of every message —
+    ``texts``, ``types``, ``spaces`` (``is_space_before``) and
+    ``positions`` — and message *k*'s tokens are the slice from
+    ``ends[k - 1]`` (0 for the first) to ``ends[k]``.  A batch is a
+    handful of lists instead of a :class:`Token` per token, which is
+    what lets a parser hit match on the ``texts`` and ``types`` slices
+    (:meth:`repro.parser.compiled.CompiledParser.match_columns`) without
+    building a token; :meth:`scanned` builds them, for the messages that
+    need them.
+    """
+
+    __slots__ = ("originals", "ends", "texts", "types", "spaces", "positions")
+
+    def __init__(self, originals: list[str]) -> None:
+        self.originals = list(originals)
+        self.ends: list[int] = []
+        self.texts: list[str] = []
+        self.types: list[TokenType] = []
+        self.spaces: list[bool] = []
+        self.positions: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.originals)
+
+    def append(self, token: Token) -> None:
+        """Take one token apart into the columns (the sink the FSM
+        cascade emits into)."""
+        self.texts.append(token.text)
+        self.types.append(token.type)
+        self.spaces.append(token.is_space_before)
+        self.positions.append(token.pos)
+
+    def scanned(self, k: int, service: str = "") -> ScannedMessage:
+        """Message *k* as :meth:`Scanner.scan` returns it: truncated
+        exactly when its tokens end in the REST marker."""
+        ends = self.ends
+        lo = ends[k - 1] if k else 0
+        hi = ends[k]
+        types = self.types[lo:hi]
+        tokens = list(map(
+            Token, self.texts[lo:hi], types, self.spaces[lo:hi], self.positions[lo:hi]
+        ))
+        # positional: original, tokens, truncated, service
+        return ScannedMessage(
+            self.originals[k], tokens, bool(types) and types[-1] is _REST, service
+        )
 
 
 class CompiledScanner(Scanner):
     """Drop-in scanner tokenising each line with one master-regex pass.
 
-    Construction, configuration, multi-line truncation and the
-    ``max_tokens`` cap are all inherited from :class:`Scanner`; only the
-    per-line tokenisation differs.  The token streams are bit-identical
-    (asserted by the differential property suite in
-    ``tests/scanner/test_compiled.py``, not assumed).
+    Construction and configuration are inherited from :class:`Scanner`.
+    :meth:`scan_columns` is the one tokenizer loop — multi-line
+    truncation and the ``max_tokens`` cap included — and :meth:`scan` /
+    :meth:`scan_many` build their tokens from its columns.  The token
+    streams are bit-identical to the reference cascade (asserted by the
+    differential property suite in ``tests/scanner/test_compiled.py``,
+    not assumed).
     """
 
     def __init__(self, config=None) -> None:
@@ -412,50 +477,103 @@ class CompiledScanner(Scanner):
             self.config.allow_single_digit_time, self.config.enable_path_fsm
         )
 
+    def scan(self, message: str, service: str = "") -> ScannedMessage:
+        return self.scan_columns([message]).scanned(0, service)
+
+    def scan_many(
+        self, messages: list[str], service: str = ""
+    ) -> list[ScannedMessage]:
+        cols = self.scan_columns(messages)
+        return [cols.scanned(k, service) for k in range(len(cols))]
+
     # ------------------------------------------------------------------
-    def _scan_line(self, s: str) -> list[Token]:
-        tokens: list[Token] = []
-        append = tokens.append
+    def scan_columns(self, messages: list[str]) -> TokenColumns:
+        """Scan every message, in order, to one set of :class:`TokenColumns`.
+
+        Message *k*'s columns hold what :meth:`Scanner.scan` returns,
+        token for token: a multi-line message is scanned to its first
+        line break and ends in a ``REST`` marker, and a message over
+        ``max_tokens`` is cut to ``max_tokens - 1`` tokens plus the
+        marker.
+        """
+        cols = TokenColumns(messages)
+        texts, types, spaces, positions = (
+            cols.texts, cols.types, cols.spaces, cols.positions
+        )
+        text_append = texts.append
+        type_append = types.append
+        space_append = spaces.append
+        pos_append = positions.append
+        sink = cols.append
         findall = self._master.findall
         cached = self._words._data.get  # a memo hit costs no Python frame
         lookup = self._words.lookup
+        token_at = self._token_at
+        max_tokens = self.config.max_tokens
         trailing = _TRAILING
         LITERAL = TokenType.LITERAL
         INTEGER = TokenType.INTEGER
         IPV4 = TokenType.IPV4
-        pos = start = 0
-        while True:
-            for ws, brk, num, ip, flag, numeric, word, scheme in findall(s, start):
-                if ws:
-                    pos += len(ws)
-                    space_before = True
-                else:
-                    space_before = False
-                word = word or numeric
-                if word:
-                    if word[-1] in trailing and len(word) > 1:
-                        # carving: the cascade's general FSM does it
-                        self._token_at(s, pos, space_before, append)
+        ends = cols.ends
+        end_append = ends.append
+        for message in messages:
+            newline = message.find("\n")
+            s = message if newline < 0 else message[:newline]
+            pos = start = 0
+            while True:
+                for ws, brk, num, ip, flag, numeric, word, scheme in findall(s, start):
+                    if ws:
+                        pos += len(ws)
+                        space_before = True
                     else:
-                        hit = cached(word) or lookup(word, None if numeric else LITERAL)
-                        append(Token(hit[0], hit[1], space_before, pos))
-                    pos += len(word)
-                elif brk:
-                    append(Token(brk, LITERAL, space_before, pos))
-                    pos += 1
-                elif num:
-                    append(Token(num, INTEGER, space_before, pos))
-                    pos += len(num)
-                elif ip:
-                    append(Token(ip, IPV4, space_before, pos))
-                    pos += len(ip)
+                        space_before = False
+                    word = word or numeric
+                    if word:
+                        if word[-1] in trailing and len(word) > 1:
+                            # carving: the cascade's general FSM does it
+                            token_at(s, pos, space_before, sink)
+                        else:
+                            hit = cached(word) or lookup(
+                                word, None if numeric else LITERAL
+                            )
+                            text_append(hit[0])
+                            type_append(hit[1])
+                            space_append(space_before)
+                            pos_append(pos)
+                        pos += len(word)
+                        continue
+                    if brk:
+                        text, ttype = brk, LITERAL
+                    elif num:
+                        text, ttype = num, INTEGER
+                    elif ip:
+                        text, ttype = ip, IPV4
+                    else:
+                        end = token_at(s, pos, space_before, sink)
+                        if end != pos + len(flag or scheme):
+                            # the claimed token ends inside or past the
+                            # flagged word: resume the pass at its end
+                            pos = start = end
+                            break
+                        pos = end
+                        continue
+                    text_append(text)
+                    type_append(ttype)
+                    space_append(space_before)
+                    pos_append(pos)
+                    pos += len(text)
                 else:
-                    end = self._token_at(s, pos, space_before, append)
-                    if end != pos + len(flag or scheme):
-                        # the claimed token ends inside or past the
-                        # flagged word: resume the pass at its end
-                        pos = start = end
-                        break
-                    pos = end
-            else:
-                return tokens
+                    break
+            if newline >= 0:
+                sink(Token("", _REST, True, len(s)))
+            if max_tokens:
+                first = ends[-1] if ends else 0
+                if len(texts) - first > max_tokens:
+                    # the marker replaces the last kept token: the cap
+                    # counts it
+                    cut = first + max_tokens - 1
+                    for column in (texts, types, spaces, positions):
+                        del column[cut:]
+                    sink(Token("", _REST, True, len(s)))
+            end_append(len(texts))
+        return cols

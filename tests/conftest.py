@@ -16,7 +16,9 @@ from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.parser.parser import Parser
-from repro.scanner.scanner import Scanner, ScannerConfig
+from repro.scanner.compiled import TokenColumns
+from repro.scanner.scanner import ScannedMessage, Scanner, ScannerConfig
+from repro.scanner.token_types import Token
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 
@@ -185,15 +187,39 @@ def steady_corpus() -> dict[str, tuple[list, list[str]]]:
     }
 
 
+class OracleScanner(Scanner):
+    """The reference cascade behind the column interface the scan stage
+    calls: each message is tokenised by ``Scanner.scan`` and its tokens
+    are taken apart into columns."""
+
+    def scan_columns(self, messages):
+        cols = TokenColumns(messages)
+        for message in messages:
+            for token in self.scan(message).tokens:
+                cols.append(token)
+            cols.ends.append(len(cols.texts))
+        return cols
+
+
+class OracleParser(Parser):
+    """The reference trie walk behind the column interface the parse
+    stage calls: the columns are rebuilt into tokens for ``Parser.match``."""
+
+    def match_columns(self, texts, types):
+        return self.match(ScannedMessage("", list(map(Token, texts, types))))
+
+
 @pytest.fixture()
 def reference_stages(monkeypatch) -> None:
     """Every ``SequenceRTG`` built in this process while the test runs
     mines with the reference oracles: the three ``build_*`` names are
-    patched, in the modules that call them, to construct ``Scanner``,
-    ``Parser`` and ``Analyzer``.  (Spawned pool workers are untouched.)"""
-    monkeypatch.setattr(pipeline, "build_scanner", Scanner)
+    patched, in the modules that call them, to construct
+    ``OracleScanner``, ``OracleParser`` (the reference classes behind the
+    stages' column interface) and ``Analyzer``.  (Spawned pool workers
+    are untouched.)"""
+    monkeypatch.setattr(pipeline, "build_scanner", OracleScanner)
     monkeypatch.setattr(
-        pipeline, "build_parser", lambda patterns, config: Parser(patterns)
+        pipeline, "build_parser", lambda patterns, config: OracleParser(patterns)
     )
     monkeypatch.setattr(evolving, "build_analyzer", Analyzer)
 
@@ -205,9 +231,7 @@ def per_occurrence_lane(monkeypatch) -> None:
     pool workers are untouched.)"""
 
     def scan_group(self, service, records):
-        scanned = self.rtg.scanner.scan_many(
-            [r.message for r in records], service=service
-        )
+        scanned = self.rtg.scanner.scan_columns([r.message for r in records])
         return scanned, [1] * len(scanned)
 
     monkeypatch.setattr(ScanStage, "scan_group", scan_group)

@@ -10,6 +10,7 @@ swapped in, or through the per-occurrence lane instead of the scan
 stage's batch dedup, leave the same database.
 """
 
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -27,10 +28,9 @@ from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.obs.observer import MetricsObserver
 from repro.parser.compiled import CompiledParser
-from repro.parser.parser import Parser
 from repro.scanner.compiled import CompiledScanner
-from repro.scanner.scanner import Scanner
 from repro.workflow.stream import ProductionStream, StreamConfig
+from tests.conftest import OracleParser, OracleScanner
 
 NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -125,7 +125,7 @@ class TestCrossPathEquivalence:
         )
         request.getfixturevalue("reference_stages")
         oracle, dump = mine()
-        assert stage_classes(oracle) == (Scanner, Parser, Analyzer)
+        assert stage_classes(oracle) == (OracleScanner, OracleParser, Analyzer)
         assert dump == expected
 
     def test_serial_and_pool_bit_identical_all_compiled(self, reference_stages):
@@ -134,7 +134,7 @@ class TestCrossPathEquivalence:
         runs the reference ones."""
         batches = batches_for_test()
         oracle = SequenceRTG(db=PatternDB())
-        assert type(oracle.scanner) is Scanner
+        assert type(oracle.scanner) is OracleScanner
         for _ in oracle.process_stream(batches, now=NOW):
             pass
         expected = full_dump(oracle.db)
@@ -144,6 +144,64 @@ class TestCrossPathEquivalence:
             for _ in pool.process_stream(batches, now=NOW):
                 pass
             assert full_dump(pool.db) == expected
+
+
+def column_cell_batches(n_batches=3, per_batch=200, seed=23):
+    """Batches whose messages reach the special cells of the column
+    path: multi-line messages (the REST marker), k=v pairs, e-mail
+    addresses and host names — half of each later batch repeats."""
+    rng = random.Random(seed)
+    hosts = ("node1.example.com", "db.internal", "gw", "10.0.0.7")
+    shapes = (
+        "login user = {u} from {h}",
+        "mail to {u}@example.com queued id={i}",
+        "job {i} failed\n  at frame {f}\n  at main",
+        "session {u} key = value{f} host {h}",
+        "job {i} done",
+    )
+    seen: list[LogRecord] = []
+    batches = []
+    for _ in range(n_batches):
+        batch = []
+        for i in range(per_batch):
+            if seen and rng.random() < 0.5:
+                batch.append(rng.choice(seen))
+                continue
+            message = rng.choice(shapes).format(
+                u=rng.choice("abcdef") * 3, h=rng.choice(hosts), i=i, f=i % 3
+            )
+            seen.append(LogRecord(rng.choice(("auth", "mail")), message))
+            batch.append(seen[-1])
+        batches.append(batch)
+    return batches
+
+
+class TestColumnPath:
+    """Hits match on token columns and only misses become tokens: the
+    dump of the fast, compiled lane is the dump of the per-occurrence
+    lane and of the reference oracles on messages that exercise the
+    REST marker and every enrichment rule."""
+
+    @staticmethod
+    def mine(batches):
+        rtg = SequenceRTG(db=PatternDB())
+        matched = [rtg.analyze_by_service(b, now=NOW).n_matched for b in batches]
+        return full_dump(rtg.db), matched
+
+    @pytest.mark.parametrize("lane,stages", [
+        ("per_occurrence", "compiled"),
+        ("fast", "reference"),
+        ("per_occurrence", "reference"),
+    ])
+    def test_dump_equals_the_fast_compiled_dump(self, lane, stages, request):
+        batches = column_cell_batches()
+        expected = self.mine(batches)
+        assert expected[0] and expected[1][-1] > 0  # later batches match
+        if lane == "per_occurrence":
+            request.getfixturevalue("per_occurrence_lane")
+        if stages == "reference":
+            request.getfixturevalue("reference_stages")
+        assert self.mine(batches) == expected
 
 
 class _RecordingObserver(StageObserver):
@@ -240,13 +298,13 @@ class TestBatchDedup:
     def test_repeat_scanned_once_per_batch_and_tallies_match(self):
         rtg = SequenceRTG(db=PatternDB())
         scanned: list[str] = []
-        scan_many = rtg.scanner.scan_many
+        scan_columns = rtg.scanner.scan_columns
 
-        def counting_scan_many(messages, service=""):
+        def counting_scan_columns(messages):
             scanned.extend(messages)
-            return scan_many(messages, service=service)
+            return scan_columns(messages)
 
-        rtg.scanner.scan_many = counting_scan_many
+        rtg.scanner.scan_columns = counting_scan_columns
         contexts = []
 
         class ScanContexts(StageObserver):

@@ -61,7 +61,7 @@ class TestScanCache:
         scanned, counts = ScanStage(rtg).scan_group("svc", group)
         # first-occurrence order plus multiplicities: what weighted trie
         # insertion needs to reproduce the per-occurrence result
-        assert [m.original for m in scanned] == ["alpha 1", "beta 2"]
+        assert scanned.originals == ["alpha 1", "beta 2"]
         assert counts == [3, 1]
 
 

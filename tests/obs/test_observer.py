@@ -14,6 +14,7 @@ from repro.obs.observer import (
     fold_batch_result,
     observe_patterndb,
 )
+from repro.scanner.scanner import Scanner
 
 from tests.conftest import MessageGenerator
 
@@ -134,6 +135,62 @@ class TestSerialPath:
         with pytest.raises(TypeError):
             RTGConfig(enable_metrics=False)
         assert RTGConfig.enable_metrics is True
+
+
+def telemetry_batches():
+    """A fixed pair of batches: the second repeats half the first (so
+    it parses against what the first mined), and multi-line records put
+    REST markers into the token counts."""
+    generator = MessageGenerator(seed=5)
+    traces = [LogRecord("svc0", f"worker {i} crashed\n  at frame {i}") for i in range(6)]
+    pairs = [
+        LogRecord("svc1", f"user = u{i} mail u{i}@example.com via node{i}.example.com")
+        for i in range(6)
+    ]
+    first = generator.records(240, n_services=3) + traces + pairs
+    return [first, first[::2] + traces + generator.records(60, n_services=3) + first[:40]]
+
+
+class TestScanAndParseTelemetry:
+    """Dedup tallies, scan token counts and parse frontiers on a fixed
+    batch pair, pinned to the values the scan stage published when it
+    still built a ``Token`` per token of every distinct message."""
+
+    def test_pinned_values(self):
+        rtg = SequenceRTG(db=PatternDB())
+        caches = [rtg.analyze_by_service(b).cache for b in telemetry_batches()]
+        assert caches == [
+            {"dedup_unique": 252, "dedup_duplicates": 0},
+            {"dedup_unique": 209, "dedup_duplicates": 23},
+        ]
+        tokens = rtg.metrics.counter("rtg_scan_tokens_total")
+        assert {
+            s: tokens.value(service=s, backend="compiled")
+            for s in ("svc0", "svc1", "svc2")
+        } == {"svc0": 878, "svc1": 965, "svc2": 1075}
+        candidates = rtg.metrics.snapshot()["rtg_parse_candidates"]["samples"]
+        assert candidates == {
+            (("backend", "compiled"),): (
+                (134, 13, 62, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 323.0, 209
+            )
+        }
+
+    def test_scan_tokens_count_the_rest_marker(self):
+        """The counter is the reference scan's token count, summed over
+        each batch's distinct messages per service, REST markers included."""
+        rtg = SequenceRTG(db=PatternDB())
+        expected: dict[str, int] = {}
+        reference = Scanner()
+        for batch in telemetry_batches():
+            rtg.analyze_by_service(batch)
+            for service, message in dict.fromkeys((r.service, r.message) for r in batch):
+                n = len(reference.scan(message).tokens)
+                expected[service] = expected.get(service, 0) + n
+        assert any("\n" in r.message for r in telemetry_batches()[0])
+        tokens = rtg.metrics.counter("rtg_scan_tokens_total")
+        assert {
+            s: tokens.value(service=s, backend="compiled") for s in expected
+        } == expected
 
 
 class TestFoldedObservations:

@@ -27,6 +27,7 @@ import random
 import pytest
 
 from tests.conftest import MessageGenerator
+from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.pattern import Pattern, PatternToken, VarClass
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -35,9 +36,11 @@ from repro.loghub.corpus import DATASET_NAMES, load_dataset
 from repro.parser import Parser, ParserConfig, build_parser
 from repro.parser.compiled import CompiledParser
 from repro.scanner import Scanner
+from repro.scanner.compiled import CompiledScanner
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 SC = Scanner()
+COLUMNS = CompiledScanner()
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -47,27 +50,37 @@ def scan(message):
     return SC.scan(message)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def columns(message):
+    """The compiled scanner's ``(texts, types)`` columns of *message*."""
+    cols = COLUMNS.scan_columns([message])
+    return tuple(cols.texts), tuple(cols.types)
+
+
 def assert_backends_agree(patterns, messages, enrich=True):
     """Both backends, loaded with the *same* pattern objects, produce
     identical results — winner identity, fields, static count — on every
-    message."""
+    message, through ``match`` and through ``match_columns`` on the
+    compiled scanner's columns."""
     ref = Parser(patterns, enrich=enrich)
     comp = CompiledParser(patterns, enrich=enrich)
     for message in messages:
         scanned = scan(message)
         a = ref.match(scanned)
-        b = comp.match(scanned)
-        if a is None:
-            assert b is None, repr(message)
-            continue
-        assert b is not None, repr(message)
-        assert b.pattern is a.pattern, (
-            message,
-            a.pattern.text,
-            b.pattern.text,
-        )
-        assert b.fields == a.fields, repr(message)
-        assert b.static_matches == a.static_matches, repr(message)
+        texts, types = columns(message)
+        for b in (comp.match(scanned), comp.match_columns(list(texts), list(types))):
+            if a is None:
+                assert b is None, repr(message)
+                continue
+            assert b is not None, repr(message)
+            assert b.pattern is a.pattern, (
+                message,
+                a.pattern.text,
+                b.pattern.text,
+            )
+            assert b.pattern_id == a.pattern_id, repr(message)
+            assert b.fields == a.fields, repr(message)
+            assert b.static_matches == a.static_matches, repr(message)
     return ref, comp
 
 
@@ -250,6 +263,114 @@ class TestTieBreaking:
         assert ref.match(
             SC.scan("kernel oops at boot time today")
         ).fields == tail.fields
+
+
+class TestColumnMatching:
+    """``match_columns`` against the reference ``Parser.match`` where the
+    columns differ from tokens: enrichment retypes a copy of the types
+    column (k=v keys and values, e-mail addresses, host names), the REST
+    marker of a truncated message, and the pre-enriched ``tokens``
+    shortcut."""
+
+    PATTERNS = [
+        "login user = %string% from %host%",
+        "login user = %string% from %string2%",
+        "login %string% = %string2% from %host%",
+        "login user = root from %host%",
+        "login user = %alphanum% from %string%",
+        "login user = %host% from %string%",
+        "mail to %email% queued",
+        "mail to %string% queued",
+        "mail to %email% %ignorerest%",
+        "mail %ignorerest%",
+        "job %integer% done",
+        "job %integer% %ignorerest%",
+        "job %alphanum% done",
+        "a = %string% = %string2%",
+    ]
+    MESSAGES = [
+        "login user = alice from node1.example.com",
+        "login user = root from node1.example.com",
+        "login user = root from gateway",
+        "login user = 42 from db.internal",
+        "login uid = alice from node7.example.com",
+        "login user=alice from node1.example.com",
+        "login user = a1 from gw",
+        "login user = db.example.com from gw",
+        "mail to bob@example.com queued",
+        "mail to bob queued",
+        "mail to bob@example.com queued twice",
+        "mail to bob@example.com\nqueued",
+        "mail\nto bob",
+        "mail",
+        "job 7 done",
+        "job 7 done\nstack frame 1\nstack frame 2",
+        "job x7 done",
+        "job 7 failed badly",
+        "job 7",
+        "a = b = c",
+        "a = = c",
+        "= a = b",
+    ]
+
+    def test_enrichment_and_rest_marker(self):
+        patterns = patterns_from(self.PATTERNS)
+        assert_backends_agree(patterns, self.MESSAGES, enrich=False)
+        ref, _ = assert_backends_agree(patterns, self.MESSAGES)
+        # the set does reach the enriched and truncated cells
+        winners = {
+            m: ref.match(scan(m)).pattern.text
+            for m in self.MESSAGES if ref.match(scan(m)) is not None
+        }
+        assert winners["login user = root from node1.example.com"] == (
+            "login user = root from %host%"
+        )
+        assert winners["mail to bob@example.com\nqueued"] == (
+            "mail to %email% %ignorerest%"
+        )
+        assert winners["job 7 done\nstack frame 1\nstack frame 2"] == (
+            "job %alphanum% done"
+        )
+
+    def test_mined_multiline_and_pair_corpus(self):
+        rng = random.Random(31)
+        hosts = ("node1.example.com", "db.internal", "gw", "10.0.0.7")
+        records = []
+        for i in range(240):
+            user, host = rng.choice("abcdef") * 3, rng.choice(hosts)
+            records.append(LogRecord("auth", rng.choice([
+                f"login user = {user} from {host}",
+                f"mail to {user}@example.com queued id={i}",
+                f"job {i} failed\n  at frame {i % 7}\n  at main",
+                f"session {user} key = value{i % 3} host {host}",
+            ])))
+        for patterns, messages in mined_by_service(records):
+            assert patterns
+            assert_backends_agree(patterns, messages + mutated(messages, seed=37))
+
+    def test_enrichment_leaves_the_columns_alone(self):
+        patterns = patterns_from(self.PATTERNS)
+        parser = CompiledParser(patterns)
+        for message in self.MESSAGES:
+            texts, types = map(list, columns(message))
+            before = list(types)
+            parser.match_columns(texts, types)
+            assert types == before, repr(message)
+
+    def test_pre_enriched_tokens_shortcut(self):
+        """``match(scanned, tokens)`` skips enrichment and feeds the same
+        core: reference and compiled agree given the same tokens."""
+        patterns = patterns_from(self.PATTERNS)
+        ref, comp = Parser(patterns), CompiledParser(patterns)
+        for message in self.MESSAGES:
+            scanned = scan(message)
+            for tokens in (enrich_tokens(scanned.tokens), scanned.tokens):
+                a, b = ref.match(scanned, tokens), comp.match(scanned, tokens)
+                assert (a is None) == (b is None), repr(message)
+                if a is not None:
+                    assert (b.pattern_id, b.fields, b.static_matches) == (
+                        a.pattern_id, a.fields, a.static_matches
+                    ), repr(message)
 
 
 #: shared vocabulary for the random families — tiny on purpose, so

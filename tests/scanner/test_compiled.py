@@ -371,6 +371,82 @@ class TestHypothesisIdentity:
         ), repr(message)
 
 
+class TestColumns:
+    """``scan_columns`` is the one tokenizer loop: every message's slice
+    of the flat columns, read token by token, is the reference scan —
+    text, type, ``is_space_before``, ``pos`` — and ends in the REST
+    marker exactly when the reference truncates.  Multi-line messages
+    and the ``max_tokens`` cap ride in every batch."""
+
+    FRAGMENTS = TestHypothesisIdentity.FRAGMENTS + ["\n", "\nat frame 3"]
+
+    @staticmethod
+    def column_keys(cols, k):
+        lo = cols.ends[k - 1] if k else 0
+        return [
+            (cols.texts[i], cols.types[i], cols.spaces[i], cols.positions[i])
+            for i in range(lo, cols.ends[k])
+        ]
+
+    @pytest.mark.parametrize("single_digit,path_fsm", FLAG_COMBOS)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.lists(
+            st.lists(st.sampled_from(FRAGMENTS), max_size=16).map("".join),
+            max_size=6,
+        ),
+        max_tokens=st.sampled_from([0, 0, 1, 2, 3, 5]),
+    )
+    def test_columns_are_the_reference_scan(
+        self, single_digit, path_fsm, batch, max_tokens
+    ):
+        config = ScannerConfig(
+            allow_single_digit_time=single_digit,
+            enable_path_fsm=path_fsm,
+            max_tokens=max_tokens,
+        )
+        reference = Scanner(config)
+        cols = _capped(single_digit, path_fsm, max_tokens).scan_columns(batch)
+        assert len(cols) == len(cols.ends) == len(batch)
+        assert cols.originals == batch
+        for k, message in enumerate(batch):
+            expected = reference.scan(message, service="s")
+            assert self.column_keys(cols, k) == token_keys(expected), repr(message)
+            built = cols.scanned(k, service="s")
+            assert token_keys(built) == token_keys(expected)
+            assert built.truncated == expected.truncated
+            assert built.original == message and built.service == "s"
+
+    def test_corpus_columns_are_the_reference_scan(self):
+        messages = corpus()
+        reference, compiled = Scanner(), CompiledScanner()
+        cols = compiled.scan_columns(messages)
+        assert len(cols.texts) == cols.ends[-1]
+        rest = 0
+        for k, message in enumerate(messages):
+            keys = self.column_keys(cols, k)
+            assert keys == token_keys(reference.scan(message)), repr(message)
+            rest += bool(keys) and keys[-1][1] is TokenType.REST
+        assert rest  # the corpus has multi-line messages
+
+    def test_scan_and_scan_many_build_from_the_columns(self):
+        compiled = CompiledScanner()
+        cols = compiled.scan_columns(ADVERSARIAL)
+        for k, message in enumerate(ADVERSARIAL):
+            assert token_keys(compiled.scan(message)) == self.column_keys(cols, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _capped(single_digit, path_fsm, max_tokens):
+    return CompiledScanner(
+        ScannerConfig(
+            allow_single_digit_time=single_digit,
+            enable_path_fsm=path_fsm,
+            max_tokens=max_tokens,
+        )
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def _compiled(single_digit, path_fsm):
     return CompiledScanner(
