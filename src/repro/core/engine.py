@@ -30,12 +30,10 @@ their mined output bit-identical (asserted by
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
 
-from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
 from repro.scanner.compiled import TokenColumns
@@ -202,19 +200,12 @@ class ParseStage(Stage):
 
     name = "parse"
 
-    def __init__(self, rtg: "SequenceRTG") -> None:
-        super().__init__(rtg)
-        #: optional drift seam: an object with
-        #: ``observe(pattern_id, pattern, fields, n)`` fed every hit's
-        #: extracted variable values — a stream driver installs its
-        #: :class:`~repro.core.streaming.ValueDriftTracker` here
-        self.field_tracker = None
-
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
-        tracker = self.field_tracker
         service = ctx.service
-        parser = rtg.parser_for(service)
+        state = rtg.state(service)
+        parser = state.parser
+        drift_values = rtg.drift_max_values  # 0 = no drift tracking
         match = parser.match_columns if len(parser) > 0 else None
         frontiers = ctx.parse_frontiers
         example_cap = rtg.db.max_examples
@@ -233,8 +224,8 @@ class ParseStage(Stage):
             else:
                 pid = hit.pattern_id
                 ctx.match_counts[pid] = ctx.match_counts.get(pid, 0) + n
-                if tracker is not None:
-                    tracker.observe(pid, hit.pattern, hit.fields, n)
+                if drift_values:
+                    state.observe(pid, hit.pattern, hit.fields, n, drift_values)
                 examples = ctx.match_examples.setdefault(pid, [])
                 # accumulate only what the DB can store: the first
                 # `max_examples` distinct originals
@@ -263,10 +254,11 @@ class AnalyzeStage(Stage):
     """Absorb each length partition into the evolving analysis state and,
     when the call flushes, mine the service's pending evidence.
 
-    The mining itself lives in
-    :class:`repro.analyzer.evolving.EvolvingAnalyzer` — one instance
-    (wrapping one analyser) serves every partition of every call, its
-    trie scratch reset and reused across flushes.  A batch call absorbs
+    The mining itself lives in the miner's one
+    :class:`repro.analyzer.evolving.EvolvingAnalyzer` (wrapping one
+    analyser, its trie scratch reset and reused across flushes); the
+    evidence lives in the service's
+    :class:`~repro.core.state.ServiceState`.  A batch call absorbs
     and mines at once, every partition within its own batch: exactly
     the paper's workflow.  A stream driver's micro-batch only absorbs,
     so evidence accumulates across micro-batches in the bounded
@@ -275,26 +267,19 @@ class AnalyzeStage(Stage):
 
     name = "analyze"
 
-    def __init__(self, rtg: "SequenceRTG") -> None:
-        super().__init__(rtg)
-        self.evolving = EvolvingAnalyzer(
-            rtg.config.analyzer,
-            max_partition_pending=rtg.config.streaming.max_partition_pending,
-        )
-
     def run(self, ctx: ServiceBatchContext) -> None:
-        evolving = self.evolving
-        service = ctx.service
+        evolving = self.rtg.evolving
+        state = self.rtg.state(ctx.service)
         for length, (partition, partition_counts) in ctx.by_length.items():
-            evolving.absorb(service, length, partition, counts=partition_counts)
+            evolving.absorb(state, length, partition, counts=partition_counts)
         if not ctx.flush:
             return
         # token-count order: persistence, so DB row order, follows it
-        for patterns, n_nodes in evolving.flush_service(service):
+        for patterns, n_nodes in evolving.flush(state):
             ctx.trie_node_sizes.append(n_nodes)
             ctx.max_trie_nodes = max(ctx.max_trie_nodes, n_nodes)
             for pattern in patterns:
-                pattern.service = service
+                pattern.service = ctx.service
                 ctx.discovered.append(pattern)
 
 
@@ -305,8 +290,9 @@ class PersistStage(Stage):
     comparison against subsequent batches and exporting" (paper §III).
     The save threshold applies here.  Under the engine the transaction
     block below nests inside the one that spans the whole mining call
-    (:meth:`MiningEngine._transaction`) and commits nothing itself; it
-    is what keeps a stage driven directly at one commit per service.
+    (:meth:`~repro.core.pipeline.SequenceRTG.transaction`) and commits
+    nothing itself; it is what keeps a stage driven directly at one
+    commit per service.
     """
 
     name = "persist"
@@ -314,7 +300,7 @@ class PersistStage(Stage):
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
         db = rtg.db
-        parser = rtg.parser_for(ctx.service)
+        parser = rtg.state(ctx.service).parser
         threshold = rtg.config.save_threshold
         with db.transaction():
             db.record_matches(ctx.match_counts, now=ctx.now)
@@ -409,26 +395,6 @@ class MiningEngine:
             self.persist_stage,
         ]
 
-    @contextmanager
-    def _transaction(self):
-        """One database transaction around a mining call's service loop.
-
-        Yields the list the loop appends each service to *before*
-        running its stages.  The call commits once; if it raises, the
-        database rolls every service of the call back and each listed
-        service's parser is dropped, so no live parser
-        keeps a pattern the database no longer has — the next call
-        reloads them from the rolled-back rows.
-        """
-        touched: list[str] = []
-        try:
-            with self.rtg.db.transaction():
-                yield touched
-        except BaseException:
-            for service in touched:
-                self.rtg.invalidate_service(service)
-            raise
-
     def run(
         self,
         records: list[LogRecord],
@@ -440,7 +406,8 @@ class MiningEngine:
         With *flush* each service's pending evidence is mined in this
         call; without, unmatched messages are only absorbed.  All or
         nothing: the call's writes commit together, or — when a stage
-        raises — not at all (see :meth:`_transaction`).
+        raises — not at all (see
+        :meth:`~repro.core.pipeline.SequenceRTG.transaction`).
         """
         by_service: dict[str, list[LogRecord]] = {}
         for record in records:
@@ -456,10 +423,13 @@ class MiningEngine:
         land in the same histograms and counters.  A no-op (empty
         result) when nothing is pending, as after every batch call.
         """
-        services = self.analyze_stage.evolving.services()
-        if not services:
+        groups = {
+            service: []
+            for service, state in self.rtg.states.items()
+            if state.pending
+        }
+        if not groups:
             return BatchResult()
-        groups = {service: [] for service in services}
         stages = [self.analyze_stage, self.persist_stage]
         return self._mine(groups, stages, now, True, 0)
 
@@ -477,9 +447,8 @@ class MiningEngine:
         observers = self.observers
         for observer in observers:
             observer.on_batch_start(result)
-        with self._transaction() as touched:
+        with self.rtg.transaction():
             for service, group in groups.items():
-                touched.append(service)
                 ctx = ServiceBatchContext(
                     service=service, records=group, now=now, flush=flush
                 )

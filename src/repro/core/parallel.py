@@ -102,7 +102,7 @@ def _worker_main(conn, shard: tuple, config: RTGConfig, index: int) -> None:
         reply = db.stored_reply(token)
         if reply is None:
             before = registry.snapshot()
-            with db.transaction():
+            with rtg.transaction():
                 value = rtg.analyze_by_service(
                     list(map(new_record, services, messages)), now=now
                 )

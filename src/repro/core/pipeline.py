@@ -4,8 +4,8 @@ The workflow itself — service partition → scan → parse known → token
 count partition → per-trie analyse → persist — lives in
 :mod:`repro.core.engine` as explicit stage objects; this module owns the
 long-lived miner state those stages operate on (scanner, pattern
-database, per-service parser cache) and the thin drivers
-around the engine.
+database, one :class:`~repro.core.state.ServiceState` per service, the
+shared evolving analyser) and the thin drivers around the engine.
 
 ``analyze_legacy`` reproduces the seminal single-trie ``Analyze`` method
 for the Fig. 5 comparison.
@@ -14,17 +14,19 @@ for the Fig. 5 comparison.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from datetime import datetime
 from typing import TYPE_CHECKING
 
 from repro.analyzer.analyzer import LegacyAnalyzer
+from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.analyzer.pattern import Pattern
 from repro.core.config import RTGConfig
 from repro.core.engine import BatchResult, MiningEngine, drive_stream
 from repro.core.patterndb import PatternDB
 from repro.core.records import LogRecord
+from repro.core.state import ServiceState
 from repro.obs.metrics import MetricsRegistry
-from repro.parser import build_parser
 from repro.parser.parser import Parser
 from repro.scanner import build_scanner
 
@@ -38,7 +40,8 @@ class SequenceRTG:
     """Production-ready pattern miner (the paper's contribution).
 
     A :class:`SequenceRTG` instance owns one scanner, one pattern
-    database and a per-service parser cache.  ``analyze_by_service``
+    database, one evolving analyser and a map of service →
+    :class:`~repro.core.state.ServiceState`.  ``analyze_by_service``
     processes one batch on the staged
     :class:`~repro.core.engine.MiningEngine`; :meth:`process_stream`
     drives batches from an ingester for continuous operation.  Extra
@@ -55,62 +58,77 @@ class SequenceRTG:
         self.config = config or RTGConfig()
         self.db = db or PatternDB()
         self.scanner = build_scanner(self.config.scanner)
-        self._parsers: dict[str, Parser] = {}
+        #: service -> its live state, in first-use order
+        self.states: dict[str, ServiceState] = {}
+        #: the one analyser every service's pending evidence is mined by
+        self.evolving = EvolvingAnalyzer(
+            self.config.analyzer,
+            max_partition_pending=self.config.streaming.max_partition_pending,
+        )
+        #: distinct values a drift track keeps before it overflows; 0 =
+        #: no tracking (a drift-splitting stream driver sets it)
+        self.drift_max_values = 0
+        #: states used inside the open :meth:`transaction`, if one is open
+        self._touched: set[ServiceState] | None = None
         #: runtime metrics registry (:mod:`repro.obs`); pool front ends
         #: pass theirs in so the in-process instance shares it
         self.metrics = metrics or MetricsRegistry()
         self.engine = MiningEngine(self)
 
     # ------------------------------------------------------------------
+    def state(self, service: str) -> ServiceState:
+        """The live state of *service*, created on first use."""
+        state = self.states.get(service)
+        if state is None:
+            state = self.states[service] = ServiceState(
+                service, self.db, self.config.parser
+            )
+        if self._touched is not None:
+            self._touched.add(state)
+        return state
+
+    @contextmanager
+    def transaction(self):
+        """One database transaction; if the block raises, every state
+        used inside it drops its parser and drift tracks, to reload from
+        the rolled-back rows.  The outermost of nested blocks owns the
+        commit and the rollback."""
+        if self._touched is not None:
+            yield
+            return
+        self._touched = touched = set()
+        try:
+            with self.db.transaction():
+                yield
+        except BaseException:
+            for state in touched:
+                state.drop()
+            raise
+        finally:
+            self._touched = None
+
     def parser_for(self, service: str) -> Parser:
         """Parser over the known patterns of *service* (cached)."""
-        parser = self._parsers.get(service)
-        if parser is None:
-            parser = build_parser(
-                self.db.load_service(service), self.config.parser
-            )
-            self._parsers[service] = parser
-        return parser
+        return self.state(service).parser
 
     def invalidate_service(self, service: str) -> None:
         """Drop one service's parser (after that service's patterns were
         mutated outside this instance); the next use reloads it."""
-        self._parsers.pop(service, None)
+        self.state(service).drop()
 
     def add_known_pattern(self, pattern: Pattern, now: datetime | None = None) -> str:
-        """Persist *pattern* and extend the service's parser in place.
-
-        The incremental alternative to mutating the DB externally and
-        calling :meth:`invalidate_service`: the cached parser (if any)
-        learns the pattern without a from-scratch rebuild.
-        Returns the pattern id.
-        """
+        """Persist *pattern*; a loaded parser of its service learns it
+        without a rebuild.  Returns the pattern id."""
         pid = self.db.upsert(pattern, now=now)
-        parser = self._parsers.get(pattern.service)
-        if parser is not None:
-            parser.add_pattern(pattern)
+        self.state(pattern.service).add(pattern)
         return pid
 
     def retire_patterns(self, service: str, ids) -> int:
-        """Remove patterns from the DB and the live matching state.
-
-        The removal counterpart of :meth:`add_known_pattern`, used by
-        stream-mode drift maintenance and TTL eviction.  The cached
-        parser (if any) rebuilds only the length buckets it loses
-        patterns from; a service with no live parser loads the
-        remaining rows on next use.  The drift tracker (if a stream
-        driver installed one) forgets the ids too.
-        Returns how many patterns the DB actually held.
-        """
+        """Remove patterns from the DB and the service's live state (drift
+        maintenance, TTL eviction); returns how many the DB held."""
         ids = list(ids)
         removed = self.db.delete_patterns(ids)
-        parser = self._parsers.get(service)
-        if parser is not None:
-            parser.remove_patterns(ids)
-        tracker = self.engine.parse_stage.field_tracker
-        if tracker is not None:
-            for pid in ids:
-                tracker.discard(pid)
+        self.state(service).retire(ids)
         return removed
 
     # ------------------------------------------------------------------

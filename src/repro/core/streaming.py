@@ -29,16 +29,16 @@ what batch mode would have mined:
   specific ones (their examples all match it); the specifics retire and
   their counts/examples fold into the general pattern;
 * **drift split** — a pattern variable observed with exactly one
-  distinct value across many matches (tracked by
-  :class:`ValueDriftTracker`) folds back to a static constant;
+  distinct value across many matches (the drift tracks of its
+  service's :class:`~repro.core.state.ServiceState`) folds back to a
+  static constant;
 * **TTL eviction** — patterns whose ``last_matched`` date fell behind
   ``pattern_ttl_days`` are deleted, bounding the pattern set under
   workload churn.
 
-All three mutate the pattern set incrementally — DB delete + in-place
-:meth:`~repro.parser.parser.Parser.remove_patterns`/
-``add_pattern`` (see
-:meth:`repro.core.pipeline.SequenceRTG.retire_patterns`).
+All three mutate the pattern set incrementally (a DB write plus
+:meth:`~repro.core.state.ServiceState.retire`/``add``), in one
+transaction with the engine's flush: a failure anywhere rolls both back.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from datetime import datetime
 from typing import TYPE_CHECKING
 
 from repro.analyzer.enrich import enrich_tokens
-from repro.analyzer.pattern import Pattern, PatternToken, VarClass
+from repro.analyzer.pattern import Pattern, PatternToken
 from repro.core.engine import BatchResult
 from repro.core.records import LogRecord
 from repro.obs.observer import METRIC_HELP
@@ -58,98 +58,7 @@ from repro.parser.parser import Parser
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import SequenceRTG
 
-__all__ = ["StreamDriver", "StreamStats", "ValueDriftTracker"]
-
-#: Variable classes drift splitting never folds to a constant: times
-#: recur by value without being structure, and ignore-rest swallows
-#: arbitrary tails.
-_NEVER_SPLIT = (VarClass.TIME, VarClass.REST)
-
-
-class _FieldTrack:
-    """Value distribution of one pattern variable."""
-
-    __slots__ = ("values", "count", "overflow")
-
-    def __init__(self) -> None:
-        self.values: set[str] = set()
-        self.count = 0
-        self.overflow = False
-
-
-class ValueDriftTracker:
-    """Per-(pattern, variable) value distributions from live matches.
-
-    The :class:`~repro.core.engine.ParseStage` feeds every hit's
-    extracted fields through :meth:`observe`; the driver's flush asks
-    :meth:`split_candidates` for variables that saw exactly one distinct
-    value across at least ``min_matches`` occurrences — the over-general
-    positions drift splitting folds back to constants.
-
-    Memory is bounded per variable (``max_values`` distinct values, then
-    the track overflows and only counts); the tracked-pattern population
-    is bounded by the live pattern set, since retired ids are
-    :meth:`discard`-ed.
-    """
-
-    def __init__(self, max_values: int = 8) -> None:
-        self.max_values = max_values
-        #: pattern id -> (pattern, variable name -> track)
-        self._tracks: dict[str, tuple[Pattern, dict[str, _FieldTrack]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._tracks)
-
-    def observe(
-        self, pattern_id: str, pattern: Pattern, fields: dict[str, str], n: int
-    ) -> None:
-        """Record one match's variable bindings (*n* occurrences)."""
-        entry = self._tracks.get(pattern_id)
-        if entry is None:
-            names: dict[str, _FieldTrack] = {}
-            for tok in pattern.tokens:
-                if (
-                    tok.is_variable
-                    and tok.name
-                    and tok.var_class not in _NEVER_SPLIT
-                ):
-                    names[tok.name] = _FieldTrack()
-            entry = self._tracks[pattern_id] = (pattern, names)
-        for name, track in entry[1].items():
-            value = fields.get(name)
-            if value is None:
-                continue
-            track.count += n
-            if track.overflow:
-                continue
-            track.values.add(value)
-            if len(track.values) > self.max_values:
-                track.overflow = True
-                track.values.clear()
-
-    def split_candidates(
-        self, min_matches: int
-    ) -> list[tuple[str, Pattern, str, str]]:
-        """``(pattern id, pattern, variable name, the one value)`` of
-        every variable stuck on a single value for *min_matches*+
-        occurrences.  At most one candidate per pattern — a split
-        produces a new pattern whose remaining variables are tracked
-        afresh, so further folds happen on later flushes."""
-        out: list[tuple[str, Pattern, str, str]] = []
-        for pid, (pattern, tracks) in self._tracks.items():
-            for name, track in tracks.items():
-                if (
-                    not track.overflow
-                    and track.count >= min_matches
-                    and len(track.values) == 1
-                ):
-                    out.append((pid, pattern, name, next(iter(track.values))))
-                    break
-        return out
-
-    def discard(self, pattern_id: str) -> None:
-        """Forget a retired pattern's tracks."""
-        self._tracks.pop(pattern_id, None)
+__all__ = ["StreamDriver", "StreamStats"]
 
 
 @dataclass(slots=True)
@@ -174,8 +83,8 @@ class StreamDriver:
     sees the micro-batch timeout expire.  A micro-batch only absorbs
     unmatched evidence; flush triggers are evaluated after every
     micro-batch; :meth:`close` drains everything.  With drift splitting
-    on, the driver installs a :class:`ValueDriftTracker` on the engine's
-    parse stage.
+    on, the driver has the parse stage track every hit's variable values
+    in the service states (``rtg.drift_max_values``).
 
     *clock* is injectable (monotonic seconds) so timeout/interval
     behaviour is testable without sleeping; the DB timestamp is the
@@ -185,11 +94,8 @@ class StreamDriver:
     def __init__(self, rtg: "SequenceRTG", clock=time.monotonic) -> None:
         self.rtg = rtg
         self.config = rtg.config.streaming
-        parse = rtg.engine.parse_stage
-        if self.config.drift_split and parse.field_tracker is None:
-            parse.field_tracker = ValueDriftTracker(
-                max_values=self.config.drift_max_values
-            )
+        if self.config.drift_split:
+            rtg.drift_max_values = self.config.drift_max_values
         self.clock = clock
         self.stats = StreamStats()
         self._buffer: list[LogRecord] = []
@@ -217,7 +123,7 @@ class StreamDriver:
     @property
     def pending(self) -> int:
         """Distinct unmatched messages awaiting a flush."""
-        return self.rtg.engine.analyze_stage.evolving.pending_messages
+        return self.rtg.evolving.pending_messages
 
     def offer(self, record: LogRecord, now: datetime | None = None) -> None:
         """Buffer one record; process when the micro-batch fills."""
@@ -283,7 +189,7 @@ class StreamDriver:
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
-        evolving = self.rtg.engine.analyze_stage.evolving
+        evolving = self.rtg.evolving
         if evolving.pending_messages >= self.config.flush_pending:
             self.flush("pending")
         elif evolving.over_partition_bound:
@@ -295,13 +201,16 @@ class StreamDriver:
             self.flush("interval")
 
     def flush(self, trigger: str = "manual") -> BatchResult:
-        """Mine everything pending, then run drift/TTL maintenance."""
-        result = self.rtg.engine.flush(now=self._now)
+        """Mine everything pending, then run drift/TTL maintenance: one
+        transaction (:meth:`~repro.core.pipeline.SequenceRTG.transaction`)."""
+        rtg = self.rtg
+        with rtg.transaction():
+            result = rtg.engine.flush(now=self._now)
+            self._maintain(result)
         self._last_flush = self.clock()
         self.stats.n_flushes += 1
         self.stats.n_new_patterns += result.n_new_patterns
         self._flush_counter.inc(trigger=trigger)
-        self._maintain(result)
         return result
 
     # -- maintenance -----------------------------------------------------
@@ -309,7 +218,7 @@ class StreamDriver:
         if self.config.drift_merge and result.new_patterns:
             self._drift_merge(result.new_patterns)
         if self.config.drift_split:
-            self._drift_split(self.rtg.engine.parse_stage.field_tracker)
+            self._drift_split()
         if self.config.pattern_ttl_days > 0:
             self._evict_stale()
 
@@ -392,7 +301,7 @@ class StreamDriver:
             pair = memo[example] = (scanned, enrich_tokens(scanned.tokens))
         return pair
 
-    def _drift_split(self, tracker: ValueDriftTracker) -> None:
+    def _drift_split(self) -> None:
         """Fold single-valued variables back to constants.
 
         A variable that matched ``split_min_matches`` occurrences with
@@ -402,30 +311,31 @@ class StreamDriver:
         inherits its count and the examples containing the value.
         """
         rtg = self.rtg
-        for pid, pattern, name, value in tracker.split_candidates(
-            self.config.split_min_matches
-        ):
-            service = pattern.service
-            row = rtg.db.row(pid)
-            if row is None:
-                tracker.discard(pid)
-                continue
-            folded_tokens = [
-                PatternToken.static(value, is_space_before=tok.is_space_before)
-                if tok.is_variable and tok.name == name
-                else tok
-                for tok in pattern.tokens
-            ]
-            folded = Pattern(
-                tokens=folded_tokens,
-                service=service,
-                support=row.match_count,
-                examples=[e for e in row.examples if value in e],
-            )
-            rtg.retire_patterns(service, [pid])
-            rtg.add_known_pattern(folded, now=self._now)
-            self.stats.n_drift_splits += 1
-            self._drift_counter.inc(event="split")
+        for state in rtg.states.values():
+            for pid, pattern, name, value in state.split_candidates(
+                self.config.split_min_matches
+            ):
+                service = state.service
+                row = rtg.db.row(pid)
+                if row is None:
+                    state.retire([pid])
+                    continue
+                folded_tokens = [
+                    PatternToken.static(value, is_space_before=tok.is_space_before)
+                    if tok.is_variable and tok.name == name
+                    else tok
+                    for tok in pattern.tokens
+                ]
+                folded = Pattern(
+                    tokens=folded_tokens,
+                    service=service,
+                    support=row.match_count,
+                    examples=[e for e in row.examples if value in e],
+                )
+                rtg.retire_patterns(service, [pid])
+                rtg.add_known_pattern(folded, now=self._now)
+                self.stats.n_drift_splits += 1
+                self._drift_counter.inc(event="split")
 
     def _evict_stale(self) -> None:
         """TTL eviction off the ``last_matched`` dates the DB tracks."""

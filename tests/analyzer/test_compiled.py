@@ -297,7 +297,7 @@ class TestBackendSelection:
 
     def test_factory_builds_each_backend(self):
         assert type(build_analyzer()) is CompiledAnalyzer
-        evolving = SequenceRTG().engine.analyze_stage.evolving
+        evolving = SequenceRTG().evolving
         assert type(evolving._analyzer) is CompiledAnalyzer
 
     def test_factory_passes_config(self):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.analyzer import evolving
 from repro.analyzer.analyzer import Analyzer
-from repro.core import pipeline
+from repro.core import pipeline, state
 from repro.core.engine import ScanStage
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -213,13 +213,14 @@ class OracleParser(Parser):
 def reference_stages(monkeypatch) -> None:
     """Every ``SequenceRTG`` built in this process while the test runs
     mines with the reference oracles: the three ``build_*`` names are
-    patched, in the modules that call them, to construct
+    patched, in the modules that call them (a service state builds the
+    parser), to construct
     ``OracleScanner``, ``OracleParser`` (the reference classes behind the
     stages' column interface) and ``Analyzer``.  (Spawned pool workers
     are untouched.)"""
     monkeypatch.setattr(pipeline, "build_scanner", OracleScanner)
     monkeypatch.setattr(
-        pipeline, "build_parser", lambda patterns, config: OracleParser(patterns)
+        state, "build_parser", lambda patterns, config: OracleParser(patterns)
     )
     monkeypatch.setattr(evolving, "build_analyzer", Analyzer)
 

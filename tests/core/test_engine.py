@@ -63,7 +63,9 @@ class TestCrossPathEquivalence:
         for _ in serial.process_stream(batches, now=NOW):
             pass
 
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as pool:
+        with PatternDB() as db, PersistentParallelSequenceRTG(
+            db=db, n_workers=3
+        ) as pool:
             for _ in pool.process_stream(batches, now=NOW):
                 pass
             reference = full_dump(serial.db)
@@ -115,7 +117,7 @@ class TestCrossPathEquivalence:
             return (
                 type(rtg.scanner),
                 type(rtg.parser_for(batches[0][0].service)),
-                type(rtg.engine.analyze_stage.evolving._analyzer),
+                type(rtg.evolving._analyzer),
             )
 
         production, expected = mine()
@@ -140,7 +142,9 @@ class TestCrossPathEquivalence:
         expected = full_dump(oracle.db)
         assert expected
 
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as pool:
+        with PatternDB() as db, PersistentParallelSequenceRTG(
+            db=db, n_workers=3
+        ) as pool:
             for _ in pool.process_stream(batches, now=NOW):
                 pass
             assert full_dump(pool.db) == expected
@@ -337,7 +341,9 @@ class TestBatchDedup:
             {"dedup_unique": 3, "dedup_duplicates": 1},
             {"dedup_unique": 2, "dedup_duplicates": 2},
         ]
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as pool:
+        with PatternDB() as db, PersistentParallelSequenceRTG(
+            db=db, n_workers=2
+        ) as pool:
             got = [
                 pool.analyze_by_service(batch, now=NOW).cache
                 for batch in self.batches()
@@ -421,7 +427,7 @@ class TestOneTransactionPerMiningCall:
 
         rtg.engine.run(second, now=NOW)
         matched = full_dump(rtg.db)  # match statistics of the micro-batch
-        services = rtg.engine.analyze_stage.evolving.services()
+        services = [s for s, state in rtg.states.items() if state.pending]
         assert len(services) >= 2
         persist.arm(fail_at=2)
         with pytest.raises(RuntimeError, match="disk full"):

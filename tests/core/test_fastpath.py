@@ -121,7 +121,9 @@ class TestEquivalence:
         request.getfixturevalue("per_occurrence_lane")
         _, naive_db = self._run_serial(batches)
 
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as parallel:
+        with PatternDB() as db, PersistentParallelSequenceRTG(
+            db=db, n_workers=3
+        ) as parallel:
             results = [parallel.analyze_by_service(batch) for batch in batches]
             # the union of the shards is the serial truth
             naive_counts = {pid: count for pid, _, count, _ in naive_db}

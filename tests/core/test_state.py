@@ -1,0 +1,296 @@
+"""One ``ServiceState`` per service: the rollback rule and its invariants.
+
+* A stream flush and its drift/TTL maintenance are one transaction: a
+  failure in any maintenance pass leaves the database exactly as before
+  the flush, and every service state the flush touched reloads from the
+  rolled-back rows.
+* Over arbitrary small stream-driver runs, every live parser holds
+  exactly its service's database ids, drift tracks only name live
+  patterns, and the driver's pending count is the states' sum.
+"""
+
+import random
+from datetime import timedelta
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import RTGConfig, StreamingConfig
+from repro.core.patterndb import PatternDB
+from repro.core.pipeline import SequenceRTG
+from repro.core.records import LogRecord
+from tests.core.test_engine import NOW, full_dump
+from tests.core.test_streaming import FakeClock
+
+
+class Fault(RuntimeError):
+    """The injected failure."""
+
+
+class CountingConnection:
+    """Pass-through sqlite connection that counts commits."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.commits = 0
+
+    def commit(self):
+        self.commits += 1
+        self._conn.commit()
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def assert_states_mirror_db(rtg):
+    """Every loaded parser holds exactly its service's database ids, and
+    drift tracks name only stored patterns."""
+    for service, state in rtg.states.items():
+        ids = {row.id for row in rtg.db.rows(service=service)}
+        if state._parser is not None:
+            assert len(state._parser) == len(ids)
+            assert all(state._parser.get(pid) is not None for pid in ids)
+        assert set(state.tracks) <= ids
+
+
+def n_pending(state) -> int:
+    """Distinct messages pending across one state's partitions."""
+    return sum(len(partition.messages) for partition in state.pending.values())
+
+
+def streaming(**kwargs) -> StreamingConfig:
+    defaults = dict(
+        flush_pending=10 ** 9,
+        flush_interval_s=10 ** 6,
+        drift_merge=False,
+        drift_split=False,
+    )
+    defaults.update(kwargs)
+    return StreamingConfig(**defaults)
+
+
+def driver_for(config: StreamingConfig, max_examples=3):
+    rtg = SequenceRTG(
+        db=PatternDB(max_examples=max_examples),
+        config=RTGConfig(streaming=config),
+    )
+    return rtg, rtg.stream_driver(clock=FakeClock())
+
+
+# ----------------------------------------------------------------------
+# One setup per maintenance pass: the state just before the flush whose
+# maintenance fires that pass, and the failure to inject into it
+# ----------------------------------------------------------------------
+
+def merge_setup():
+    """A specific pattern stored, then traffic that mines a general one
+    subsuming it: the flush merges (``record_match`` + ``add_example``)
+    and retires the specific pattern."""
+    rtg, driver = driver_for(
+        streaming(micro_batch_size=4, drift_merge=True), max_examples=8
+    )
+    driver.feed(
+        [LogRecord("svc", f"connection from 10.0.0.1 port {4000 + i}")
+         for i in range(4)],
+        now=NOW,
+    )
+    driver.flush()
+    driver.feed(
+        [LogRecord("svc", f"connection from 10.0.0.{2 + i} port {5000 + i}")
+         for i in range(4)],
+        now=NOW,
+    )
+    return rtg, driver
+
+
+def split_setup():
+    """A variable pattern whose variable then only ever sees one value:
+    the flush retires it and re-adds a folded copy."""
+    rtg, driver = driver_for(streaming(
+        micro_batch_size=6, flush_pending=6, drift_split=True,
+        split_min_matches=12,
+    ))
+    names = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+    driver.feed([LogRecord("svc", f"job {name} started") for name in names], now=NOW)
+    for _ in range(4):
+        driver.feed([LogRecord("svc", "job omega started")] * 6, now=NOW)
+    return rtg, driver
+
+
+def ttl_setup():
+    """A pattern last matched 40 days ago under a 30-day TTL, and new
+    traffic pending: the flush mines it and evicts the stale pattern."""
+    rtg, driver = driver_for(streaming(micro_batch_size=4, pattern_ttl_days=30.0))
+    driver.feed(
+        [LogRecord("svc", f"session {i} opened by u{i}") for i in range(4)],
+        now=NOW,
+    )
+    driver.flush()
+    driver.feed(
+        [LogRecord("svc", f"transfer {i} completed fine") for i in range(4)],
+        now=NOW + timedelta(days=40),
+    )
+    return rtg, driver
+
+
+def fail_after(owner, name):
+    """Make ``owner.name`` do its work, then raise."""
+    real = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        real(*args, **kwargs)
+        raise Fault(name)
+
+    setattr(owner, name, failing)
+
+
+def fail_merge(rtg):
+    fail_after(rtg.db, "record_match")  # a merge, after its record_match
+
+
+def fail_split(rtg):
+    def failing(pattern, now=None):  # a split, between retire and re-add
+        raise Fault("add_known_pattern")
+
+    rtg.add_known_pattern = failing
+
+
+def fail_eviction(rtg):
+    fail_after(rtg, "retire_patterns")  # a TTL eviction, after its delete
+
+
+CASES = {
+    "merge": (merge_setup, fail_merge, "n_drift_merges"),
+    "split": (split_setup, fail_split, "n_drift_splits"),
+    "eviction": (ttl_setup, fail_eviction, "n_evicted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+class TestCrashAtomicMaintenance:
+    def test_clean_flush_commits_once(self, case):
+        setup, _, counter = CASES[case]
+        rtg, driver = setup()
+        conn = rtg.db._conn = CountingConnection(rtg.db._conn)
+        driver.flush()
+        assert getattr(driver.stats, counter) > 0  # the pass really fired
+        assert conn.commits == 1
+        assert_states_mirror_db(rtg)
+
+    def test_failed_pass_rolls_the_whole_flush_back(self, case):
+        setup, inject, _ = CASES[case]
+        rtg, driver = setup()
+        before = full_dump(rtg.db)
+        assert before
+        conn = rtg.db._conn = CountingConnection(rtg.db._conn)
+        inject(rtg)
+        with pytest.raises(Fault):
+            driver.flush()
+        assert conn.commits == 0
+        assert full_dump(rtg.db) == before
+        # the touched state dropped its parser; the reload mirrors the DB
+        assert rtg.states["svc"]._parser is None
+        assert rtg.states["svc"].tracks == {}
+        assert_states_mirror_db(rtg)
+        for service in rtg.states:
+            rtg.parser_for(service)
+        assert_states_mirror_db(rtg)
+
+
+class TestTransaction:
+    def test_nested_blocks_commit_once_and_roll_back_together(self):
+        rtg = SequenceRTG(db=PatternDB())
+        rtg.analyze_by_service(
+            [LogRecord("a", f"job {i} done") for i in range(4)], now=NOW
+        )
+        before = full_dump(rtg.db)
+        loaded = rtg.parser_for("a")
+        conn = rtg.db._conn = CountingConnection(rtg.db._conn)
+        with pytest.raises(Fault):
+            with rtg.transaction():
+                rtg.analyze_by_service(  # nested: commits nothing itself
+                    [LogRecord("b", f"disk {i} full") for i in range(4)], now=NOW
+                )
+                assert conn.commits == 0
+                raise Fault("after the inner call")
+        assert conn.commits == 0
+        assert full_dump(rtg.db) == before
+        assert rtg.states["b"]._parser is None  # used inside: dropped
+        assert rtg.states["a"]._parser is loaded  # not used inside: kept
+
+
+# ----------------------------------------------------------------------
+# Invariants over small stream-driver runs
+# ----------------------------------------------------------------------
+
+def day_records(rng: random.Random, day: int, n: int) -> list[LogRecord]:
+    """Templated traffic over three services: steady shapes, one shape
+    whose variable sticks to one value after day 0 (drift split), one
+    whose constant starts to vary on day 2 (drift merge), and one shape
+    per day (churn for the TTL)."""
+    out = []
+    for _ in range(n):
+        kind = rng.randrange(5)
+        if kind == 0:
+            out.append(LogRecord(
+                "auth", f"user u{rng.randrange(6)} logged in from "
+                f"10.0.{rng.randrange(3)}.{rng.randrange(9)}",
+            ))
+        elif kind == 1:
+            out.append(LogRecord("disk", f"volume {rng.randrange(40)} is fine"))
+        elif kind == 2:
+            host = f"h{rng.randrange(9)}" if day == 0 else "alpha"
+            out.append(LogRecord("net", f"link to {host} up"))
+        elif kind == 3:
+            ip = "10.1.1.1" if day < 2 else f"10.1.1.{rng.randrange(2, 9)}"
+            out.append(LogRecord(
+                "auth", f"connection from {ip} port {rng.randrange(4000, 5000)}",
+            ))
+        else:
+            out.append(LogRecord(
+                "net", f"phase{day} step {rng.randrange(20)} ok",
+            ))
+    return out
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    micro=st.integers(1, 12),
+    flush_pending=st.integers(1, 24),
+    ttl=st.sampled_from([0.0, 1.0, 2.5]),
+    drift=st.booleans(),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_states_stay_consistent_with_the_database(
+    micro, flush_pending, ttl, drift, seed
+):
+    rng = random.Random(seed)
+    rtg, driver = driver_for(streaming(
+        micro_batch_size=micro,
+        flush_pending=flush_pending,
+        pattern_ttl_days=ttl,
+        drift_merge=drift,
+        drift_split=drift,
+        split_min_matches=4,
+    ))
+
+    def check():
+        assert_states_mirror_db(rtg)
+        assert driver.pending == sum(map(n_pending, rtg.states.values()))
+
+    check()
+    for day in range(4):
+        now = NOW + timedelta(days=day)
+        for record in day_records(rng, day, 30):
+            driver.offer(record, now=now)
+            check()
+        driver.flush()
+        check()
+    driver.close()
+    check()
+    assert driver.pending == 0

@@ -24,7 +24,8 @@ from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
-from repro.core.streaming import StreamDriver, ValueDriftTracker
+from repro.core.state import ServiceState
+from repro.core.streaming import StreamDriver
 from repro.parser.compiled import CompiledParser
 from repro.parser.parser import Parser
 from repro.scanner import build_scanner
@@ -59,6 +60,9 @@ class TestEvolvingAnalyzer:
         scanner = build_scanner()
         return [scanner.scan(m, service=service) for m in messages]
 
+    def state(self, service="svc"):
+        return ServiceState(service, PatternDB())
+
     def test_absorb_then_flush_equals_one_batch_analyze(self):
         messages = self.scan(
             [f"user u{i} logged in from 10.0.0.{i}" for i in range(6)]
@@ -66,14 +70,16 @@ class TestEvolvingAnalyzer:
         expected = build_analyzer(AnalyzerConfig()).analyze(messages)
 
         evolving = EvolvingAnalyzer()
+        state = self.state()
         length = messages[0].token_count()
-        evolving.absorb("svc", length, messages[:2])
-        evolving.absorb("svc", length, messages[2:])
-        ((patterns, n_nodes),) = list(evolving.flush_service("svc"))
+        evolving.absorb(state, length, messages[:2])
+        evolving.absorb(state, length, messages[2:])
+        ((patterns, n_nodes),) = list(evolving.flush(state))
         assert [p.text for p in patterns] == [p.text for p in expected]
         assert [p.support for p in patterns] == [p.support for p in expected]
         assert n_nodes > 0
         assert evolving.pending_messages == 0
+        assert state.pending == {}
 
     def test_absorb_dedups_into_weighted_counts(self):
         distinct = self.scan(
@@ -84,13 +90,15 @@ class TestEvolvingAnalyzer:
         )
 
         evolving = EvolvingAnalyzer()
+        state = self.state()
         length = distinct[0].token_count()
         # 3x the first, 2x the second, 1x the third, interleaved
         replay = [distinct[0], distinct[1], distinct[2], distinct[0],
                   distinct[1], distinct[0]]
-        evolving.absorb("svc", length, replay)
+        evolving.absorb(state, length, replay)
         assert evolving.pending_messages == 3  # distinct, not occurrences
-        patterns, _ = evolving.flush_partition("svc", length)
+        assert len(state.pending[length].messages) == 3
+        ((patterns, _),) = list(evolving.flush(state))
         assert [(p.text, p.support) for p in patterns] == [
             (p.text, p.support) for p in expected
         ]
@@ -99,21 +107,25 @@ class TestEvolvingAnalyzer:
         evolving = EvolvingAnalyzer(max_partition_pending=3)
         messages = self.scan([f"job {i} done" for i in range(4)])
         length = messages[0].token_count()
-        evolving.absorb("a", length, messages[:2])
+        a, b = self.state("a"), self.state("b")
+        evolving.absorb(a, length, messages[:2])
         assert not evolving.over_partition_bound
-        assert evolving.max_partition == 2
-        evolving.absorb("b", length, messages)
+        evolving.absorb(b, length, messages)
         assert evolving.over_partition_bound
-        assert evolving.pending_for("a") == 2
-        assert evolving.services() == ["a", "b"]
-        evolving.flush_partition("b", length)
-        assert evolving.max_partition == 2
+        evolving.absorb(b, length, messages)  # still one partition over
+        assert len(a.pending[length].messages) == 2
+        assert len(b.pending[length].messages) == 4
+        assert evolving.pending_messages == 6
+        list(evolving.flush(b))
         assert not evolving.over_partition_bound
+        assert evolving.pending_messages == 2
+        evolving.absorb(a, length, messages[2:])  # a reaches the bound
+        assert evolving.over_partition_bound
 
     def test_flush_of_unknown_partition_is_empty(self):
         evolving = EvolvingAnalyzer()
-        assert evolving.flush_partition("nope", 5) == ([], 0)
-        assert list(evolving.flush_service("nope")) == []
+        assert list(evolving.flush(self.state("nope"))) == []
+        assert evolving.pending_messages == 0
 
 
 # ----------------------------------------------------------------------
@@ -265,13 +277,11 @@ class TestStreamDriver:
 
     def test_requires_stream_mode(self):
         """There is no mode to require: a default miner hands out a
-        driver, which installs its drift tracker on the parse stage."""
+        driver, which turns on drift tracking in the service states."""
         rtg = SequenceRTG(db=PatternDB())
-        assert rtg.engine.parse_stage.field_tracker is None
+        assert rtg.drift_max_values == 0
         driver = rtg.stream_driver(clock=FakeClock())
-        assert isinstance(
-            rtg.engine.parse_stage.field_tracker, ValueDriftTracker
-        )
+        assert rtg.drift_max_values == rtg.config.streaming.drift_max_values > 0
         driver.feed([self.record(i) for i in range(3)], now=NOW)
         driver.close()
         assert driver.stats.n_flushes == 1
@@ -528,26 +538,36 @@ class TestDriftMerge:
         assert any("10.0.0.1" in example for example in general.examples)
 
 
-class TestValueDriftTracker:
+class TestDriftTracks:
+    """The drift tracks a service state keeps of its live matches."""
+
+    def state(self):
+        return ServiceState("svc", PatternDB())
+
     def test_overflowing_track_gives_up(self):
         from repro.analyzer.pattern import Pattern
 
         pattern = Pattern.from_text("user %user% logged in", service="svc")
-        tracker = ValueDriftTracker(max_values=2)
+        state = self.state()
         for i in range(5):
-            tracker.observe(pattern.id, pattern, {"user": f"u{i}"}, 10)
-        assert tracker.split_candidates(1) == []
+            state.observe(pattern.id, pattern, {"user": f"u{i}"}, 10, 2)
+        assert state.split_candidates(1) == []
 
-    def test_discard_forgets(self):
+    def test_retire_and_drop_forget(self):
         from repro.analyzer.pattern import Pattern
 
         pattern = Pattern.from_text("user %user% logged in", service="svc")
-        tracker = ValueDriftTracker()
-        tracker.observe(pattern.id, pattern, {"user": "bob"}, 5)
-        assert tracker.split_candidates(5) != []
-        tracker.discard(pattern.id)
-        assert len(tracker) == 0
-        assert tracker.split_candidates(1) == []
+        state = self.state()
+        state.observe(pattern.id, pattern, {"user": "bob"}, 5, 8)
+        assert state.split_candidates(5) == [
+            (pattern.id, pattern, "user", "bob")
+        ]
+        state.retire([pattern.id])
+        assert state.tracks == {}
+        assert state.split_candidates(1) == []
+        state.observe(pattern.id, pattern, {"user": "bob"}, 5, 8)
+        state.drop()
+        assert state.tracks == {}
 
     def test_time_and_rest_variables_never_tracked(self):
         from repro.analyzer.pattern import Pattern
@@ -555,12 +575,12 @@ class TestValueDriftTracker:
         pattern = Pattern.from_text(
             "%msgtime% backup done %ignorerest%", service="svc"
         )
-        tracker = ValueDriftTracker()
-        tracker.observe(
+        state = self.state()
+        state.observe(
             pattern.id, pattern,
-            {"msgtime": "Jan  1 00:00:00", "ignorerest": "x y z"}, 100,
+            {"msgtime": "Jan  1 00:00:00", "ignorerest": "x y z"}, 100, 8,
         )
-        assert tracker.split_candidates(1) == []
+        assert state.split_candidates(1) == []
 
 
 # ----------------------------------------------------------------------
