@@ -14,7 +14,7 @@ from repro import LogRecord, SequenceRTG
 MESSAGES = [
     # an sshd-like service — enough distinct users for the analyser to
     # recognise the position as a variable (a column needs more distinct
-    # values than the merge threshold; see AnalyzerConfig.merge_threshold)
+    # values than the merge threshold, 4; see repro.analyzer.analyzer.MERGE_THRESHOLD)
     ("sshd", "Accepted password for alice from 192.168.1.5 port 50321 ssh2"),
     ("sshd", "Accepted password for bob from 10.0.7.13 port 42100 ssh2"),
     ("sshd", "Accepted password for carol from 172.16.0.9 port 39980 ssh2"),

@@ -35,35 +35,32 @@ __all__ = ["Analyzer", "AnalyzerConfig", "LegacyAnalyzer"]
 # that happened to repeat within one batch will still differ in the next.
 _NEVER_FOLD = {VarClass.TIME, VarClass.REST, VarClass.STRING, VarClass.ALNUM}
 
+#: Rule A — more than this many distinct word-like literal siblings at
+#: one position merge into a single variable.  (Rule B, always on: two
+#: or more literal siblings that all look like identifiers merge
+#: regardless of this threshold.)
+MERGE_THRESHOLD = 4
+#: Minimum support before a single-valued variable is folded.
+FOLD_MIN_SUPPORT = 3
+#: Minimum child-key Jaccard similarity for two word siblings to count
+#: as the same pattern position: Rule A's grouping, and the seminal
+#: tool's pairwise same-level comparison.
+WORD_SIMILARITY = 0.5
+
 
 @dataclass(slots=True)
 class AnalyzerConfig:
-    """Tunable analysis behaviour (defaults follow the paper)."""
+    """The analysis behaviours the ablations switch (defaults follow the
+    paper).  Key/value, e-mail and hostname enrichment always runs."""
 
-    #: Rule A — more than this many distinct word-like literal siblings at
-    #: one position merge into a single variable.
-    merge_threshold: int = 4
-    #: Rule B — two or more literal siblings that all look like
-    #: identifiers (contain digits) merge regardless of the threshold.
-    id_merge: bool = True
     #: Fold variables observed with a single value back to static text
     #: (Sequence-RTG quality control; disable to reproduce limitation 4).
     fold_constants: bool = True
-    #: Minimum support before a single-valued variable is folded.
-    fold_min_support: int = 3
-    #: Run key/value, e-mail and hostname detection before insertion.
-    enrich: bool = True
-    #: minimum child-key Jaccard similarity for two word siblings to be
-    #: considered the same pattern position (Rule A grouping)
-    word_similarity: float = 0.5
     #: Future-work feature (§VI "semi-constant" values): when a variable
     #: takes at most this many distinct values, emit one pattern per
     #: value (each with the value as a constant) instead of a single
     #: variable pattern.  0 disables the expansion (published behaviour).
     semi_constant_max_values: int = 0
-    #: LegacyAnalyzer only: similarity used by the original pairwise
-    #: same-level comparison (merges at group size >= 2, no threshold)
-    legacy_similarity: float = 0.5
     #: Not a setting: the ``backend`` label on analyze-stage metrics,
     #: naming the one analyser the miner runs
     #: (:class:`repro.analyzer.compiled.CompiledAnalyzer`).
@@ -88,14 +85,12 @@ def _looks_id(text: str) -> bool:
     return len(text) >= 6 and set(text) <= _HEX_CHARS
 
 
-def _similarity_groups(
-    node: TrieNode, keys: list[str], threshold: float
-) -> list[list[str]]:
+def _similarity_groups(node: TrieNode, keys: list[str]) -> list[list[str]]:
     """Union-find grouping of sibling keys by child-key Jaccard overlap.
 
     Two siblings with no children at all (both terminal positions) are
     considered similar; otherwise the overlap of their child-key sets
-    must reach *threshold*.
+    must reach :data:`WORD_SIMILARITY`.
     """
     parent = list(range(len(keys)))
 
@@ -114,7 +109,7 @@ def _similarity_groups(
                 similar = True
             else:
                 union = len(a | b)
-                similar = union > 0 and len(a & b) / union >= threshold
+                similar = union > 0 and len(a & b) / union >= WORD_SIMILARITY
             if similar:
                 ri, rj = find(i), find(j)
                 if ri != rj:
@@ -147,8 +142,9 @@ class _BaseAnalyzer:
         trie = self._trie
         trie.reset()
         for i, msg in enumerate(messages):
-            tokens = enrich_tokens(msg.tokens) if self.config.enrich else msg.tokens
-            trie.insert(msg, tokens, n=1 if counts is None else counts[i])
+            trie.insert(
+                msg, enrich_tokens(msg.tokens), n=1 if counts is None else counts[i]
+            )
         return trie
 
     # -- merging helpers -------------------------------------------------
@@ -271,7 +267,7 @@ class _BaseAnalyzer:
             and not child.overflow
             and child.values is not None
             and len(child.values) == 1
-            and child.count >= self.config.fold_min_support
+            and child.count >= FOLD_MIN_SUPPORT
         ):
             text = next(iter(child.values))
             return (
@@ -331,10 +327,8 @@ class Analyzer(_BaseAnalyzer):
             k for k in node.children if k[0] == "L" and _wordlike(k[1:])
         ]
         if len(literal_keys) >= 2:
-            remaining = literal_keys
-            if self.config.id_merge:
-                remaining = self._merge_ids(node, literal_keys)
-            if len(remaining) > self.config.merge_threshold:
+            remaining = self._merge_ids(node, literal_keys)
+            if len(remaining) > MERGE_THRESHOLD:
                 self._merge_words(node, remaining)
         for child in node.children.values():
             self._merge(child)
@@ -356,7 +350,7 @@ class Analyzer(_BaseAnalyzer):
 
     def _merge_words(self, node: TrieNode, keys: list[str]) -> None:
         """Rule A: merge word siblings with *similar* child structure when
-        more than ``merge_threshold`` distinct values share it.
+        more than :data:`MERGE_THRESHOLD` distinct values share it.
 
         This is the paper's "comparison of all of the tokens positioned
         at the same level that share the same parent and child nodes":
@@ -368,11 +362,8 @@ class Analyzer(_BaseAnalyzer):
         hands the analyser one (service, token-count) partition at a
         time; the legacy analyser pays this cost on the full mixed trie.
         """
-        groups = _similarity_groups(
-            node, keys, threshold=self.config.word_similarity
-        )
-        for group in groups:
-            if len(group) > self.config.merge_threshold:
+        for group in _similarity_groups(node, keys):
+            if len(group) > MERGE_THRESHOLD:
                 self._merge_literal_group(node, group)
 
 
@@ -387,10 +378,8 @@ class LegacyAnalyzer(_BaseAnalyzer):
     ``exact_spacing=False`` (limitation 3).
     """
 
-    def __init__(self, config: AnalyzerConfig | None = None) -> None:
-        config = config or AnalyzerConfig()
-        config.fold_constants = False
-        super().__init__(config)
+    def __init__(self) -> None:
+        super().__init__(AnalyzerConfig(fold_constants=False))
 
     def analyze(self, messages: list[ScannedMessage]) -> list[Pattern]:
         if not messages:
@@ -405,10 +394,7 @@ class LegacyAnalyzer(_BaseAnalyzer):
             k for k in node.children if k[0] == "L" and _wordlike(k[1:])
         ]
         if len(literal_keys) >= 2:
-            groups = _similarity_groups(
-                node, literal_keys, threshold=self.config.legacy_similarity
-            )
-            for group in groups:
+            for group in _similarity_groups(node, literal_keys):
                 if len(group) >= 2:
                     self._merge_literal_group(node, group)
         for child in node.children.values():

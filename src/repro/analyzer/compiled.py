@@ -40,6 +40,9 @@ asserts this.
 from __future__ import annotations
 
 from repro.analyzer.analyzer import (
+    FOLD_MIN_SUPPORT,
+    MERGE_THRESHOLD,
+    WORD_SIMILARITY,
     AnalyzerConfig,
     _NEVER_FOLD,
     _looks_id,
@@ -166,7 +169,6 @@ class CompiledAnalyzer:
             else:
                 weights[at] += n
 
-        enrich = self.config.enrich
         lit_keys = self._lit_keys
         typed_keys = self._typed_keys
         kcol, ccol, kidcol = self._keys, self._counts, self._kids
@@ -175,10 +177,9 @@ class CompiledAnalyzer:
         excol = self._examples
         _LIT, _KEY = TokenType.LITERAL, TokenType.KEY
         for msg, n in zip(reps, weights):
-            tokens = enrich_tokens(msg.tokens) if enrich else msg.tokens
             ccol[0] += n
             node = 0
-            for tok in tokens:
+            for tok in enrich_tokens(msg.tokens):
                 ttype = tok.type
                 text = tok.text
                 if ttype is _LIT or ttype is _KEY:
@@ -272,10 +273,6 @@ class CompiledAnalyzer:
         every node *before* its (post-merge) children — so any top-down
         traversal order over disjoint subtrees produces the same tries.
         """
-        cfg = self.config
-        threshold = cfg.merge_threshold
-        id_merge = cfg.id_merge
-        word_similarity = cfg.word_similarity
         kidcol = self._kids
         stack = [0]
         while stack:
@@ -286,25 +283,18 @@ class CompiledAnalyzer:
             ]
             if len(literal_keys) >= 2:
                 remaining = literal_keys
-                if id_merge:
-                    id_keys = [k for k in literal_keys if self._is_id(k)]
-                    if len(id_keys) >= 2:
-                        self._merge_group(node, id_keys)
-                        dropped = set(id_keys)
-                        remaining = [
-                            k for k in literal_keys if k not in dropped
-                        ]
-                if len(remaining) > threshold:
-                    for group in self._similarity_groups(
-                        node, remaining, word_similarity
-                    ):
-                        if len(group) > threshold:
+                id_keys = [k for k in literal_keys if self._is_id(k)]
+                if len(id_keys) >= 2:
+                    self._merge_group(node, id_keys)
+                    dropped = set(id_keys)
+                    remaining = [k for k in literal_keys if k not in dropped]
+                if len(remaining) > MERGE_THRESHOLD:
+                    for group in self._similarity_groups(node, remaining):
+                        if len(group) > MERGE_THRESHOLD:
                             self._merge_group(node, group)
             stack.extend(kids.values())
 
-    def _similarity_groups(
-        self, node: int, keys: list[str], threshold: float
-    ) -> list[list[str]]:
+    def _similarity_groups(self, node: int, keys: list[str]) -> list[list[str]]:
         """Rule A grouping by child-key Jaccard overlap, over fingerprints.
 
         Similarity depends only on the two siblings' child-key frozensets,
@@ -316,15 +306,6 @@ class CompiledAnalyzer:
         kids = self._kids[node]
         kidcol = self._kids
         fingerprints = [frozenset(kidcol[kids[k]]) for k in keys]
-
-        if threshold > 1.0:
-            # Jaccard can never reach the threshold; only the
-            # unconditional both-empty rule groups anything
-            grouped: dict[object, list[str]] = {}
-            for i, (k, fp) in enumerate(zip(keys, fingerprints)):
-                grouped.setdefault("" if not fp else i, []).append(k)
-            return list(grouped.values())
-
         bucket_of: list[int] = []
         bucket_fp: list[frozenset] = []
         first: dict[frozenset, int] = {}
@@ -351,7 +332,7 @@ class CompiledAnalyzer:
                 # distinct fingerprints cannot both be empty, so only
                 # the Jaccard test applies across buckets
                 union = len(a | b)
-                if union and len(a & b) / union >= threshold:
+                if union and len(a & b) / union >= WORD_SIMILARITY:
                     ri, rj = find(i), find(j)
                     if ri != rj:
                         parent[rj] = ri
@@ -541,14 +522,13 @@ class CompiledAnalyzer:
             )
         # typed or merged-variable edge
         var = self._var[child] or VarClass.STRING
-        cfg = self.config
         if (
-            cfg.fold_constants
+            self.config.fold_constants
             and var not in _NEVER_FOLD
             and not self._overflow[child]
             and self._values[child] is not None
             and len(self._values[child]) == 1
-            and self._counts[child] >= cfg.fold_min_support
+            and self._counts[child] >= FOLD_MIN_SUPPORT
         ):
             text = next(iter(self._values[child]))
             return (

@@ -26,8 +26,7 @@ have produced), batch mode is literally the special case "absorb then
 flush immediately": ``AnalyzeStage`` runs exactly that, which is what
 keeps the serial/pool dump-equivalence suites bit-identical.
 
-The state is bounded: ``max_partition_pending`` caps one partition's
-distinct messages, and :attr:`pending_messages` lets the stream driver
+The state is bounded: :attr:`pending_messages` lets the stream driver
 apply a global bound — the evolving trie never grows past what the
 flush policy allows.
 """
@@ -64,35 +63,19 @@ class _PendingPartition:
 class EvolvingAnalyzer:
     """Per-message weighted absorption with deferred, bounded mining."""
 
-    def __init__(
-        self,
-        config: AnalyzerConfig | None = None,
-        max_partition_pending: int = 0,
-    ) -> None:
+    def __init__(self, config: AnalyzerConfig | None = None) -> None:
         self.config = config or AnalyzerConfig()
         #: one analyser instance serves every flush, exactly like the
         #: batch stage: its node arena is reset and reused across
         #: partitions
         self._analyzer = build_analyzer(self.config)
         self._n_pending = 0
-        self._n_over = 0  # partitions at or over max_partition_pending
-        #: distinct-message cap per partition (0 = unbounded); the
-        #: driver flushes when :attr:`over_partition_bound` reports it
-        self.max_partition_pending = max_partition_pending
 
     # -- telemetry -------------------------------------------------------
     @property
     def pending_messages(self) -> int:
         """Distinct messages pending across all partitions."""
         return self._n_pending
-
-    @property
-    def over_partition_bound(self) -> bool:
-        """True when some partition reached ``max_partition_pending``."""
-        return self._n_over > 0
-
-    def _over(self, size: int) -> bool:
-        return 0 < self.max_partition_pending <= size
 
     # -- absorption ------------------------------------------------------
     def absorb(
@@ -112,7 +95,6 @@ class EvolvingAnalyzer:
         partition = state.pending.get(length)
         if partition is None:
             partition = state.pending[length] = _PendingPartition()
-        was_over = self._over(len(partition.messages))
         index = partition.index
         for i, msg in enumerate(messages):
             n = 1 if counts is None else counts[i]
@@ -124,8 +106,30 @@ class EvolvingAnalyzer:
             partition.messages.append(msg)
             partition.counts.append(n)
             self._n_pending += 1
-        if not was_over and self._over(len(partition.messages)):
-            self._n_over += 1
+
+    # -- rollback --------------------------------------------------------
+    def checkpoint(self, state: "ServiceState") -> list[tuple]:
+        """What :meth:`restore` needs to put *state*'s pending partitions
+        back as they are now.  Partitions only grow until a flush pops
+        them, so their sizes and a copy of their counts suffice."""
+        return [
+            (length, partition, len(partition.messages), list(partition.counts))
+            for length, partition in state.pending.items()
+        ]
+
+    def restore(self, state: "ServiceState", checkpoint: list[tuple]) -> None:
+        """Undo every absorb and flush on *state* since *checkpoint*."""
+        pending = state.pending
+        for partition in pending.values():
+            self._n_pending -= len(partition.messages)
+        pending.clear()
+        for length, partition, size, counts in checkpoint:
+            for msg in partition.messages[size:]:
+                del partition.index[msg.original]
+            del partition.messages[size:]
+            partition.counts = counts
+            pending[length] = partition
+            self._n_pending += size
 
     # -- mining ----------------------------------------------------------
     def flush(self, state: "ServiceState"):
@@ -140,8 +144,6 @@ class EvolvingAnalyzer:
         for length in sorted(pending):
             partition = pending.pop(length)
             self._n_pending -= len(partition.messages)
-            if self._over(len(partition.messages)):
-                self._n_over -= 1
             patterns: list[Pattern] = self._analyzer.analyze(
                 partition.messages, counts=partition.counts
             )

@@ -39,14 +39,11 @@ class StreamingConfig:
     #: :meth:`~repro.core.streaming.StreamDriver.poll` processes it
     micro_batch_timeout_s: float = 0.5
     #: mine the pending partitions once this many distinct unmatched
-    #: messages have accumulated across all services
+    #: messages have accumulated across all services — the memory bound
+    #: of the evolving analysis state
     flush_pending: int = 2048
     #: mine at least this often (wall-clock seconds between flushes)
     flush_interval_s: float = 30.0
-    #: bound on one (service, token-count) partition's pending distinct
-    #: messages — the evolving-trie memory bound; reaching it forces a
-    #: flush (0 = unbounded)
-    max_partition_pending: int = 8192
     #: evict patterns whose ``last_matched`` date is older than this many
     #: days at flush time (0 = no TTL eviction)
     pattern_ttl_days: float = 0.0
@@ -60,9 +57,6 @@ class StreamingConfig:
     #: matches a variable must accumulate (with a single distinct value)
     #: before a drift split folds it
     split_min_matches: int = 128
-    #: distinct values tracked per pattern variable before the tracker
-    #: gives up on it (mirrors the analysis trie's VALUE_CAP)
-    drift_max_values: int = 8
 
     def __post_init__(self) -> None:
         if self.micro_batch_size < 1:
@@ -82,11 +76,6 @@ class StreamingConfig:
             raise ValueError(
                 f"flush_interval_s must be positive, got {self.flush_interval_s}"
             )
-        if self.max_partition_pending < 0:
-            raise ValueError(
-                "max_partition_pending must be >= 0, got "
-                f"{self.max_partition_pending}"
-            )
         if self.pattern_ttl_days < 0:
             raise ValueError(
                 f"pattern_ttl_days must be >= 0, got {self.pattern_ttl_days}"
@@ -94,10 +83,6 @@ class StreamingConfig:
         if self.split_min_matches < 1:
             raise ValueError(
                 f"split_min_matches must be >= 1, got {self.split_min_matches}"
-            )
-        if self.drift_max_values < 1:
-            raise ValueError(
-                f"drift_max_values must be >= 1, got {self.drift_max_values}"
             )
 
 

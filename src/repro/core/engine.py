@@ -205,7 +205,7 @@ class ParseStage(Stage):
         service = ctx.service
         state = rtg.state(service)
         parser = state.parser
-        drift_values = rtg.drift_max_values  # 0 = no drift tracking
+        track_drift = rtg.track_drift
         match = parser.match_columns if len(parser) > 0 else None
         frontiers = ctx.parse_frontiers
         example_cap = rtg.db.max_examples
@@ -224,8 +224,8 @@ class ParseStage(Stage):
             else:
                 pid = hit.pattern_id
                 ctx.match_counts[pid] = ctx.match_counts.get(pid, 0) + n
-                if drift_values:
-                    state.observe(pid, hit.pattern, hit.fields, n, drift_values)
+                if track_drift:
+                    state.observe(pid, hit.pattern, hit.fields, n)
                 examples = ctx.match_examples.setdefault(pid, [])
                 # accumulate only what the DB can store: the first
                 # `max_examples` distinct originals

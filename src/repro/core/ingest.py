@@ -9,7 +9,7 @@ The ingester accepts an iterable of JSON lines (a file object, a pipe,
 or any iterator of strings), validates the two-field schema, counts and
 skips malformed items, and yields :class:`~repro.core.records.LogRecord`
 batches of the configured size.  The final, possibly short, batch is
-yielded on stream end unless ``drop_partial`` is set.
+yielded on stream end.
 
 Every feed shares one record decoder, :func:`parse_record` (the serve
 tier's listeners too, through :func:`parse_records`).  It calls the C
@@ -48,6 +48,11 @@ _EOF = object()
 #: lines decoded per step: few enough that the raw lines held at once
 #: stay small next to the batch, enough to amortise the step
 _DECODE_SLICE = 512
+
+#: seconds :meth:`StreamIngester.batches_pipelined` waits for its reader
+#: thread to exit when the generator closes; a reader still alive after
+#: this is logged as a leak (and counted, when metrics are attached)
+_JOIN_TIMEOUT_S = 5.0
 
 
 #: the C scanner behind ``json.loads``, minus its Python wrapper
@@ -111,11 +116,6 @@ class StreamIngester:
     """
 
     batch_size: int = 100_000
-    drop_partial: bool = False
-    #: seconds :meth:`batches_pipelined` waits for its reader thread to
-    #: exit when the generator closes; a reader still alive after this
-    #: is logged as a leak (and counted, when *metrics* is attached)
-    join_timeout: float = 5.0
     #: optional :class:`~repro.obs.metrics.MetricsRegistry`
     metrics: object | None = None
     stats: IngestStats = field(default_factory=IngestStats)
@@ -126,10 +126,6 @@ class StreamIngester:
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.join_timeout <= 0:
-            raise ValueError(
-                f"join_timeout must be positive, got {self.join_timeout}"
-            )
         if self.metrics is not None:
             from repro.obs.observer import METRIC_HELP
 
@@ -187,7 +183,7 @@ class StreamIngester:
                     pending_lines = pending_malformed = 0
                     yield batch
                     batch = []
-            if batch and not self.drop_partial:
+            if batch:
                 stats.n_batches += 1
                 yield batch
         finally:
@@ -197,7 +193,6 @@ class StreamIngester:
         self,
         lines: Iterable[str],
         prefetch: int = 2,
-        join_timeout: float | None = None,
     ) -> Iterator[list[LogRecord]]:
         """Yield batches with parsing pipelined ahead of the consumer.
 
@@ -219,13 +214,9 @@ class StreamIngester:
         a reader blocked on a full queue can never be leaked behind a
         single drain pass.  A reader stuck inside the *source* (a socket
         read, a blocked pipe) cannot be interrupted from here; after
-        *join_timeout* seconds (:attr:`join_timeout` unless overridden)
-        the leak is logged and counted instead of silently abandoned.
+        five seconds (``_JOIN_TIMEOUT_S``) the leak is logged and counted
+        instead of silently abandoned.
         """
-        if join_timeout is None:
-            join_timeout = self.join_timeout
-        if join_timeout <= 0:
-            raise ValueError(f"join_timeout must be positive, got {join_timeout}")
         if prefetch < 1:
             raise ValueError(f"prefetch must be >= 1, got {prefetch}")
         ready: queue.Queue = queue.Queue(maxsize=prefetch)
@@ -269,7 +260,7 @@ class StreamIngester:
             # is not enough — the reader may complete a blocked put()
             # right after it and needs the stop-flag poll (≤50ms) to
             # notice it should exit
-            deadline = time.monotonic() + join_timeout
+            deadline = time.monotonic() + _JOIN_TIMEOUT_S
             while reader.is_alive() and time.monotonic() < deadline:
                 try:
                     ready.get_nowait()
@@ -280,7 +271,7 @@ class StreamIngester:
                 _log.warning(
                     "pipelined ingest reader did not exit within %.1fs; "
                     "the daemon thread is leaked (source is blocking?)",
-                    join_timeout,
+                    _JOIN_TIMEOUT_S,
                 )
                 if self._leak_counter is not None:
                     self._leak_counter.inc()

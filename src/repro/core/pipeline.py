@@ -61,15 +61,13 @@ class SequenceRTG:
         #: service -> its live state, in first-use order
         self.states: dict[str, ServiceState] = {}
         #: the one analyser every service's pending evidence is mined by
-        self.evolving = EvolvingAnalyzer(
-            self.config.analyzer,
-            max_partition_pending=self.config.streaming.max_partition_pending,
-        )
-        #: distinct values a drift track keeps before it overflows; 0 =
-        #: no tracking (a drift-splitting stream driver sets it)
-        self.drift_max_values = 0
-        #: states used inside the open :meth:`transaction`, if one is open
-        self._touched: set[ServiceState] | None = None
+        self.evolving = EvolvingAnalyzer(self.config.analyzer)
+        #: the parse stage feeds the states' drift tracks (a
+        #: drift-splitting stream driver turns it on)
+        self.track_drift = False
+        #: states used inside the open :meth:`transaction`, if one is
+        #: open, each with its pending evidence as the transaction found it
+        self._touched: dict[ServiceState, list[tuple]] | None = None
         #: runtime metrics registry (:mod:`repro.obs`); pool front ends
         #: pass theirs in so the in-process instance shares it
         self.metrics = metrics or MetricsRegistry()
@@ -83,26 +81,29 @@ class SequenceRTG:
             state = self.states[service] = ServiceState(
                 service, self.db, self.config.parser
             )
-        if self._touched is not None:
-            self._touched.add(state)
+        touched = self._touched
+        if touched is not None and state not in touched:
+            touched[state] = self.evolving.checkpoint(state)
         return state
 
     @contextmanager
     def transaction(self):
         """One database transaction; if the block raises, every state
         used inside it drops its parser and drift tracks, to reload from
-        the rolled-back rows.  The outermost of nested blocks owns the
-        commit and the rollback."""
+        the rolled-back rows, and gets back its pending evidence as the
+        block found it.  The outermost of nested blocks owns the commit
+        and the rollback."""
         if self._touched is not None:
             yield
             return
-        self._touched = touched = set()
+        self._touched = touched = {}
         try:
             with self.db.transaction():
                 yield
         except BaseException:
-            for state in touched:
+            for state, checkpoint in touched.items():
                 state.drop()
+                self.evolving.restore(state, checkpoint)
             raise
         finally:
             self._touched = None
@@ -154,7 +155,7 @@ class SequenceRTG:
         lengths share a single analysis trie, nothing is parsed against
         known patterns first, and nothing is persisted.
         """
-        analyzer = LegacyAnalyzer(None)
+        analyzer = LegacyAnalyzer()
         scanned = [self.scanner.scan(r.message, service=r.service) for r in records]
         patterns = analyzer.analyze(scanned)
         self.last_legacy_trie_nodes = analyzer.last_trie_nodes

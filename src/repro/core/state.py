@@ -7,7 +7,8 @@ known patterns (loaded lazily from the database), its pending partitions
 of stream-mode evidence, and its drift tracks.  The database is the
 ground truth they mirror: :meth:`ServiceState.drop` forgets the parser
 and the tracks, and a failed mining call or flush drops every state it
-touched (:meth:`repro.core.pipeline.SequenceRTG.transaction`).
+touched and puts its pending partitions back as the call found them
+(:meth:`repro.core.pipeline.SequenceRTG.transaction`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.analyzer.pattern import Pattern, VarClass
+from repro.analyzer.trie import VALUE_CAP
 from repro.parser import build_parser
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -93,11 +95,11 @@ class ServiceState:
         self.tracks.clear()
 
     def observe(
-        self, pattern_id: str, pattern: Pattern, fields: dict[str, str], n: int,
-        max_values: int,
+        self, pattern_id: str, pattern: Pattern, fields: dict[str, str], n: int
     ) -> None:
         """Record one match's variable bindings (*n* occurrences); a track
-        keeping over *max_values* distinct values overflows and only counts."""
+        keeping over the analysis trie's ``VALUE_CAP`` distinct values
+        overflows and only counts."""
         entry = self.tracks.get(pattern_id)
         if entry is None:
             names: dict[str, _FieldTrack] = {}
@@ -113,7 +115,7 @@ class ServiceState:
             if track.overflow:
                 continue
             track.values.add(value)
-            if len(track.values) > max_values:
+            if len(track.values) > VALUE_CAP:
                 track.overflow = True
                 track.values.clear()
 

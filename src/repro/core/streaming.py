@@ -15,8 +15,8 @@ Stream mode removes the barrier with two clocks instead of one:
   whose :meth:`~repro.obs.metrics.Histogram.quantile` reports the p99;
 * **flushes** mine the evolving analysis state the
   :class:`~repro.core.engine.AnalyzeStage` accumulates across
-  micro-batches, once enough unmatched evidence is pending (or a
-  partition hits its memory bound, or the flush interval elapses).
+  micro-batches, once enough unmatched evidence is pending (or the
+  flush interval elapses).
 
 Mining on less-than-a-batch evidence drifts: early flushes see few
 distinct values per variable position and mine overly *specific*
@@ -84,7 +84,7 @@ class StreamDriver:
     unmatched evidence; flush triggers are evaluated after every
     micro-batch; :meth:`close` drains everything.  With drift splitting
     on, the driver has the parse stage track every hit's variable values
-    in the service states (``rtg.drift_max_values``).
+    in the service states (``rtg.track_drift``).
 
     *clock* is injectable (monotonic seconds) so timeout/interval
     behaviour is testable without sleeping; the DB timestamp is the
@@ -95,7 +95,7 @@ class StreamDriver:
         self.rtg = rtg
         self.config = rtg.config.streaming
         if self.config.drift_split:
-            rtg.drift_max_values = self.config.drift_max_values
+            rtg.track_drift = True
         self.clock = clock
         self.stats = StreamStats()
         self._buffer: list[LogRecord] = []
@@ -192,8 +192,6 @@ class StreamDriver:
         evolving = self.rtg.evolving
         if evolving.pending_messages >= self.config.flush_pending:
             self.flush("pending")
-        elif evolving.over_partition_bound:
-            self.flush("partition_bound")
         elif (
             evolving.pending_messages
             and self.clock() - self._last_flush >= self.config.flush_interval_s
@@ -202,27 +200,38 @@ class StreamDriver:
 
     def flush(self, trigger: str = "manual") -> BatchResult:
         """Mine everything pending, then run drift/TTL maintenance: one
-        transaction (:meth:`~repro.core.pipeline.SequenceRTG.transaction`)."""
+        transaction (:meth:`~repro.core.pipeline.SequenceRTG.transaction`).
+        The counters count only a committed flush."""
         rtg = self.rtg
+        config = self.config
+        merged = split = 0
+        evicted: dict[str, int] = {}
         with rtg.transaction():
             result = rtg.engine.flush(now=self._now)
-            self._maintain(result)
+            if config.drift_merge and result.new_patterns:
+                merged = self._drift_merge(result.new_patterns)
+            if config.drift_split:
+                split = self._drift_split()
+            if config.pattern_ttl_days > 0:
+                evicted = self._evict_stale()
         self._last_flush = self.clock()
-        self.stats.n_flushes += 1
-        self.stats.n_new_patterns += result.n_new_patterns
+        stats = self.stats
+        stats.n_flushes += 1
+        stats.n_new_patterns += result.n_new_patterns
+        stats.n_drift_merges += merged
+        stats.n_drift_splits += split
         self._flush_counter.inc(trigger=trigger)
+        if merged:
+            self._drift_counter.inc(merged, event="merge")
+        if split:
+            self._drift_counter.inc(split, event="split")
+        for service, n in evicted.items():
+            stats.n_evicted += n
+            self._evict_counter.inc(n, service=service)
         return result
 
     # -- maintenance -----------------------------------------------------
-    def _maintain(self, result: BatchResult) -> None:
-        if self.config.drift_merge and result.new_patterns:
-            self._drift_merge(result.new_patterns)
-        if self.config.drift_split:
-            self._drift_split()
-        if self.config.pattern_ttl_days > 0:
-            self._evict_stale()
-
-    def _drift_merge(self, new_patterns: list[Pattern]) -> None:
+    def _drift_merge(self, new_patterns: list[Pattern]) -> int:
         """Retire stored patterns a newly mined general pattern subsumes.
 
         Subsumption is checked against evidence, not structure: an old
@@ -230,7 +239,7 @@ class StreamDriver:
         variables, whose *every* stored example matches a single-pattern
         probe parser built from the new pattern.  The old pattern's
         match count and examples fold into the new one before it
-        retires, so no statistics are lost.
+        retires, so no statistics are lost.  Returns how many retired.
 
         Cost per flush is O(new generals × stored rows of the *same
         length*): the service's rows are indexed once by the token count
@@ -240,6 +249,7 @@ class StreamDriver:
         that order decides which examples fold first.
         """
         rtg = self.rtg
+        n_retired = 0
         by_service: dict[str, list[Pattern]] = {}
         for pattern in new_patterns:
             if pattern.n_variables > 0:
@@ -273,8 +283,8 @@ class StreamDriver:
                     retired.add(row.id)
             if retired:
                 rtg.retire_patterns(service, retired)
-                self.stats.n_drift_merges += len(retired)
-                self._drift_counter.inc(len(retired), event="merge")
+                n_retired += len(retired)
+        return n_retired
 
     def _merge_candidates(self, service: str) -> dict[int, list[tuple]]:
         """``(row, variable count)`` of *service*'s stored rows that
@@ -301,7 +311,7 @@ class StreamDriver:
             pair = memo[example] = (scanned, enrich_tokens(scanned.tokens))
         return pair
 
-    def _drift_split(self) -> None:
+    def _drift_split(self) -> int:
         """Fold single-valued variables back to constants.
 
         A variable that matched ``split_min_matches`` occurrences with
@@ -309,8 +319,10 @@ class StreamDriver:
         few messages at discovery time to know the position was static.
         The pattern retires and a folded copy (variable → constant)
         inherits its count and the examples containing the value.
+        Returns how many patterns split.
         """
         rtg = self.rtg
+        n_split = 0
         for state in rtg.states.values():
             for pid, pattern, name, value in state.split_candidates(
                 self.config.split_min_matches
@@ -334,20 +346,18 @@ class StreamDriver:
                 )
                 rtg.retire_patterns(service, [pid])
                 rtg.add_known_pattern(folded, now=self._now)
-                self.stats.n_drift_splits += 1
-                self._drift_counter.inc(event="split")
+                n_split += 1
+        return n_split
 
-    def _evict_stale(self) -> None:
-        """TTL eviction off the ``last_matched`` dates the DB tracks."""
+    def _evict_stale(self) -> dict[str, int]:
+        """TTL eviction off the ``last_matched`` dates the DB tracks;
+        returns how many patterns each service lost."""
         stale = self.rtg.db.stale_patterns(
             self.config.pattern_ttl_days, now=self._now
         )
-        if not stale:
-            return
         by_service: dict[str, list[str]] = {}
         for service, pid in stale:
             by_service.setdefault(service, []).append(pid)
         for service, ids in by_service.items():
             self.rtg.retire_patterns(service, ids)
-            self.stats.n_evicted += len(ids)
-            self._evict_counter.inc(len(ids), service=service)
+        return {service: len(ids) for service, ids in by_service.items()}

@@ -61,14 +61,14 @@ METRIC_HELP = {
     "rtg_pool_events_total": "Worker pool lifecycle events (spawn, respawn)",
     "rtg_ingest_lines_total": "Stream items consumed by the ingest tier (network frames carry a source label: tcp, unix, http; the file-fed ingester reports unlabelled)",
     "rtg_ingest_malformed_total": "Stream items dropped as malformed (bad JSON or missing service/message fields), by source on the network path",
-    "rtg_ingest_reader_leaks_total": "Pipelined-ingest reader threads that failed to exit within join_timeout when their generator closed",
+    "rtg_ingest_reader_leaks_total": "Pipelined-ingest reader threads that failed to exit within 5 s (_JOIN_TIMEOUT_S) when their generator closed",
     "rtg_serve_accepted_total": "Records admitted into a serving-tier shard queue, by shard",
     "rtg_serve_shed_total": "Records shed at a serving-tier high-water mark (shed: newest refused, HTTP 429; drop_oldest: stalest queued record evicted; block: read but refused because the dispatcher stopped or the connection was cancelled while waiting), by shard and policy",
     "rtg_serve_queue_depth": "Current serving-tier shard queue depth in records, by shard",
     "rtg_serve_ingest_latency_seconds": "Seconds from socket arrival to shard-queue admission of each admitted slice of up to 512 frames, one observation weighted by its accepted records (includes block-policy backpressure waits)",
     "rtg_serve_connections_total": "Serving-tier connections accepted, by listener (tcp, unix, http)",
     "rtg_stream_message_latency_seconds": "Per-message processing latency in stream mode (micro-batch wall clock divided by its record count, one observation per record)",
-    "rtg_stream_flushes_total": "Evolving-state flushes in stream mode, by trigger (pending, partition_bound, interval, close, manual)",
+    "rtg_stream_flushes_total": "Evolving-state flushes in stream mode, by trigger (pending, interval, close, manual)",
     "rtg_stream_evictions_total": "Patterns TTL-evicted in stream mode, by service",
     "rtg_stream_drift_total": "Drift-maintenance pattern mutations in stream mode, by event (merge: retired into a subsuming general pattern; split: variable folded to a constant)",
 }

@@ -31,7 +31,6 @@ __all__ = [
 def build_parser(
     patterns: list[Pattern] | None = None,
     config: ParserConfig | None = None,
-    enrich: bool = True,
 ) -> Parser:
     """Construct the parser the miner runs (*config* has no settings)."""
-    return CompiledParser(patterns, enrich=enrich)
+    return CompiledParser(patterns)

@@ -221,7 +221,7 @@ class CompiledParser(Parser):
     ``tests/parser/test_compiled.py``, not assumed.
     """
 
-    def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
+    def __init__(self, patterns: list[Pattern] | None = None):
         #: bucket keys whose sub-trie was rebuilt since they were lowered
         self._dirty: set[int] = set()
         #: bucket key -> lowered programs in key order: per length, the
@@ -235,7 +235,7 @@ class CompiledParser(Parser):
         self._masks: dict[str, int] = {}
         #: literal text -> enrichment token type (EMAIL/HOST/LITERAL) memo
         self._classes: dict[str, TokenType] = {}
-        super().__init__(patterns, enrich=enrich)
+        super().__init__(patterns)
 
     # -- compilation -----------------------------------------------------
     def _pattern_added(self, bucket, pattern: Pattern) -> None:
@@ -383,9 +383,7 @@ class CompiledParser(Parser):
         """:meth:`match` for a message scanned to token columns (see
         :class:`repro.scanner.compiled.TokenColumns`): no :class:`Token`
         is built, and enrichment retypes a copy of *types*."""
-        if self._enrich:
-            types = self._enrich_types(texts, types)
-        return self._match(texts, types)
+        return self._match(texts, self._enrich_types(texts, types))
 
     def _match(self, texts: list[str], types: list[TokenType]) -> MatchResult | None:
         """The matching core over one message's (enriched) columns."""

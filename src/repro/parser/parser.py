@@ -161,14 +161,13 @@ class _Candidate:
 class Parser:
     """Match scanned messages against a set of known patterns."""
 
-    def __init__(self, patterns: list[Pattern] | None = None, enrich: bool = True):
+    def __init__(self, patterns: list[Pattern] | None = None):
         #: one sub-trie per exact pattern token count, plus the shared
         #: ignore-rest sub-trie under :data:`REST_BUCKET`; a bucket
         #: exists only while it has members
         self._buckets: dict[int, _Bucket] = {}
         #: pattern id -> the bucket holding it, the membership record
         self._where: dict[str, _Bucket] = {}
-        self._enrich = enrich
         #: candidate-frontier size of the last :meth:`match` call (trie
         #: states visited here; candidate programs considered in the
         #: compiled subclass) — the ``rtg_parse_candidates`` telemetry
@@ -248,9 +247,7 @@ class Parser:
         """
         if tokens is None:
             # no defensive copy: matching never mutates the token list
-            tokens = (
-                enrich_tokens(scanned.tokens) if self._enrich else scanned.tokens
-            )
+            tokens = enrich_tokens(scanned.tokens)
         # the scanner's REST marker only says "this message was truncated";
         # matching treats it like end-of-message
         if tokens and tokens[-1].type is TokenType.REST:

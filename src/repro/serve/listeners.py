@@ -141,7 +141,7 @@ async def handle_stream_connection(
     client's TCP window).
     """
     ingress.connection_opened(source)
-    decoder = FrameDecoder(max_frame=ingress.config.max_frame)
+    decoder = FrameDecoder()
     clock = ingress.clock
     try:
         while True:
@@ -270,7 +270,7 @@ async def handle_http_connection(
 
             body = await reader.readexactly(length)
             arrived = clock()
-            decoder = FrameDecoder(max_frame=ingress.config.max_frame)
+            decoder = FrameDecoder()
             frames = decoder.feed(body)
             tail = decoder.flush()
             if tail is not None:

@@ -51,7 +51,6 @@ from operator import methodcaller
 from repro.core.ingest import parse_records
 from repro.core.streaming import StreamDriver
 from repro.obs.observer import METRIC_HELP
-from repro.serve.framing import MAX_FRAME_BYTES
 from repro.serve.listeners import (
     ListenSpec,
     handle_http_connection,
@@ -91,8 +90,6 @@ class ServeConfig:
     #: seconds live connections get to finish after drain starts before
     #: they are cancelled
     drain_grace_s: float = 1.0
-    #: per-frame payload bound for the listeners
-    max_frame: int = MAX_FRAME_BYTES
 
     def __post_init__(self) -> None:
         if not self.listen:

@@ -3,6 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.analyzer import Analyzer, AnalyzerConfig, LegacyAnalyzer
+from repro.analyzer.analyzer import FOLD_MIN_SUPPORT, MERGE_THRESHOLD
 from repro.parser import Parser
 from repro.scanner import Scanner
 
@@ -33,11 +34,6 @@ class TestIdMerge:
         texts = pattern_texts(["job j1 ok", "job j2 ok"])
         assert texts == ["job %alphanum% ok"]
 
-    def test_disabled_by_config(self):
-        config = AnalyzerConfig(id_merge=False)
-        texts = pattern_texts(["job j1 ok", "job j2 ok"], config)
-        assert len(texts) == 2
-
     def test_plain_words_not_id_merged(self):
         texts = pattern_texts(["status up now", "status down now"])
         assert len(texts) == 2
@@ -66,10 +62,13 @@ class TestWordMerge:
         ]
         assert len(pattern_texts(messages)) == 5
 
-    def test_merge_threshold_configurable(self):
-        messages = [f"login {u} accepted" for u in ("alpha", "bravo", "carol")]
-        config = AnalyzerConfig(merge_threshold=2)
-        assert pattern_texts(messages, config) == ["login %string% accepted"]
+    def test_merge_threshold_is_four(self):
+        users = ("alpha", "bravo", "carol", "delta", "echo")
+        assert MERGE_THRESHOLD == 4
+        four = [f"login {u} accepted" for u in users[:4]]
+        assert len(pattern_texts(four)) == 4
+        five = [f"login {u} accepted" for u in users]
+        assert pattern_texts(five) == ["login %string% accepted"]
 
 
 class TestConstantFolding:
@@ -96,11 +95,11 @@ class TestConstantFolding:
         assert texts == ["at %msgtime% tick"]
 
     def test_below_min_support_not_folded(self):
-        config = AnalyzerConfig(fold_min_support=10)
-        messages = [f"conn from 10.0.0.{i} port 22" for i in range(5)]
-        assert pattern_texts(messages, config) == [
-            "conn from %srcip% port %srcport%"
-        ]
+        assert FOLD_MIN_SUPPORT == 3
+        two = [f"conn from 10.0.0.{i} port 22" for i in range(2)]
+        assert pattern_texts(two) == ["conn from %srcip% port %srcport%"]
+        three = [f"conn from 10.0.0.{i} port 22" for i in range(3)]
+        assert pattern_texts(three) == ["conn from %srcip% port 22"]
 
 
 class TestEmission:
@@ -241,21 +240,3 @@ class TestMergeMechanics:
         patterns = analyze(messages)
         texts = sorted(p.text for p in patterns)
         assert texts == ["conn port = %port% ok", "conn size = %size% ok"]
-
-    def test_word_similarity_config(self):
-        # with similarity 0 every word sibling is group-compatible; with
-        # 1.0 only identical child sets group
-        messages = [
-            "state alpha x1 done",
-            "state bravo x2 done",
-            "state carol x3 done",
-            "state delta x4 done",
-            "state echo x5 done",
-        ]
-        loose = AnalyzerConfig(word_similarity=0.0)
-        assert len(pattern_texts(messages, loose)) == 1
-        strict = AnalyzerConfig(word_similarity=1.0)
-        # each word's child (x1..x5 merge into one alnum var first? no:
-        # merging is top-down, children are distinct literals at group
-        # time) -> no grouping, events stay split
-        assert len(pattern_texts(messages, strict)) == 5

@@ -10,7 +10,7 @@ examples, token structures and semantic names, and the same
 * **mined corpora**: seeded generator, production-stream and loghub
   messages partitioned exactly the way ``AnalyzeStage`` partitions them
   (per service, per token count), across every behavioural config axis
-  (enrichment, folding, id-merge, thresholds, semi-constant expansion);
+  (folding, semi-constant expansion);
 * **handcrafted families** aimed at the merge seams: Rule B id groups,
   Rule A similarity groups at the threshold boundary, value-cap
   overflow, fold-support boundaries, and double merges colliding on one
@@ -71,19 +71,11 @@ def partitions_for(messages, service="svc"):
     return [partition for _, partition in sorted(by_length.items())]
 
 
-#: the behavioural axes of AnalyzerConfig, one variation each, plus the
-#: similarity edge cases (exact-match-only grouping and an impossible
-#: threshold where only the both-empty rule fires)
+#: the behavioural axes of AnalyzerConfig, one variation each
 CONFIG_VARIATIONS = (
     {},
-    {"enrich": False},
     {"fold_constants": False},
-    {"fold_min_support": 1},
-    {"id_merge": False},
-    {"merge_threshold": 1},
     {"semi_constant_max_values": 3},
-    {"word_similarity": 1.0},
-    {"word_similarity": 1.5},
 )
 
 
@@ -126,7 +118,7 @@ class TestMinedCorpora:
 
     def test_production_stream(self, steady_corpus):
         # a small stream under every variation, then the e2e steady
-        # workloads' 40-service shape with enrichment on and off
+        # workloads' 40-service shape with folding on and off
         steady = [messages for _, messages in steady_corpus.values()]
         for corpus, variations in (
             (stream_by_service(6, 0.3, 500), CONFIG_VARIATIONS),
@@ -168,7 +160,7 @@ class TestHandcraftedMergeFamilies:
         )
 
     def test_rule_a_at_threshold_boundary(self):
-        # exactly merge_threshold distinct words must NOT merge;
+        # exactly MERGE_THRESHOLD (4) distinct words must NOT merge;
         # threshold+1 must — run both sides of the boundary
         words = ["alpha", "bravo", "charlie", "delta", "echo"]
         self.check([f"state changed to {w} today" for w in words[:4]])
@@ -179,18 +171,22 @@ class TestHandcraftedMergeFamilies:
         self.check([f"served request in {i} ms" for i in range(12)])
 
     def test_fold_support_boundary(self):
-        # a single-valued integer edge right at/below fold_min_support
+        # a single-valued integer edge right at/below FOLD_MIN_SUPPORT (3)
         for copies in (2, 3, 4):
             self.check(["worker heartbeat 7 ok"] * copies)
 
     def test_double_merge_collides_on_one_v_key(self):
-        # Rule B merges ids into Valnum; a later Rule A group of
-        # id-looking words at the same position must absorb into the
-        # *existing* V node, not create a second one
-        messages = [f"job j{n} done fast" for n in range(3)] + [
-            f"job task{n}x done fast" for n in range(5)
+        # two Rule A groups at one position (their children differ, so
+        # they do not group together) both become Vstring: the second
+        # must absorb into the *existing* V node, not create a second one
+        messages = [
+            f"job {w} done fast"
+            for w in ("alpha", "bravo", "charlie", "delta", "echo")
+        ] + [
+            f"job {w} failed hard"
+            for w in ("foxtrot", "golf", "hotel", "india", "juliet")
         ]
-        self.check(messages, merge_threshold=2)
+        self.check(messages)
 
     def test_semi_constant_expansion(self):
         messages = (
@@ -216,9 +212,9 @@ class TestHandcraftedMergeFamilies:
         # and must merge (or not) identically on the unified trie
         messages = [
             f"host{a} reported {w} status" for a in range(6)
-            for w in ("good", "bad")
+            for w in ("good", "bad", "fine", "poor", "weak")
         ]
-        self.check(messages, merge_threshold=1)
+        self.check(messages)
 
 
 class TestWeightedInsertEquivalence:
@@ -301,7 +297,7 @@ class TestBackendSelection:
         assert type(evolving._analyzer) is CompiledAnalyzer
 
     def test_factory_passes_config(self):
-        config = AnalyzerConfig(merge_threshold=2)
+        config = AnalyzerConfig(semi_constant_max_values=2)
         assert build_analyzer(config).config is config
 
     def test_unknown_backend_rejected(self):

@@ -60,11 +60,6 @@ class TestBatching:
         batches = list(ingester.batches(lines(25)))
         assert [len(b) for b in batches] == [10, 10, 5]
 
-    def test_drop_partial(self):
-        ingester = StreamIngester(batch_size=10, drop_partial=True)
-        batches = list(ingester.batches(lines(25)))
-        assert [len(b) for b in batches] == [10, 10]
-
     def test_malformed_lines_skipped_and_counted(self):
         stream = lines(5) + ["garbage", "{bad json"] + lines(5)
         ingester = StreamIngester(batch_size=100)
@@ -272,21 +267,18 @@ class TestIngestMetrics:
 
 
 class TestReaderJoinTimeout:
-    def test_invalid_join_timeout(self):
-        with pytest.raises(ValueError):
-            StreamIngester(batch_size=10, join_timeout=0)
-        ingester = StreamIngester(batch_size=10)
-        with pytest.raises(ValueError):
-            next(ingester.batches_pipelined(lines(5), join_timeout=-1))
-
-    def test_blocked_source_leak_is_logged_and_counted(self, caplog):
+    def test_blocked_source_leak_is_logged_and_counted(self, caplog, monkeypatch):
         """A reader stuck inside the source cannot be joined; after
-        join_timeout the leak is reported instead of hanging close()."""
+        the join timeout the leak is reported instead of hanging close()."""
         import logging
         import threading
         import time
 
+        from repro.core import ingest
         from repro.obs.metrics import MetricsRegistry
+
+        # the 5 s production wait, shortened so the test stays quick
+        monkeypatch.setattr(ingest, "_JOIN_TIMEOUT_S", 0.3)
 
         registry = MetricsRegistry()
         forever = threading.Event()
@@ -297,9 +289,7 @@ class TestReaderJoinTimeout:
             entered.set()
             forever.wait()  # a socket read that never returns
 
-        ingester = StreamIngester(
-            batch_size=5, join_timeout=0.3, metrics=registry
-        )
+        ingester = StreamIngester(batch_size=5, metrics=registry)
         gen = ingester.batches_pipelined(blocking_source(), prefetch=1)
         assert len(next(gen)) == 5
         # wait until the reader is actually stuck inside the source —
@@ -309,7 +299,7 @@ class TestReaderJoinTimeout:
         with caplog.at_level(logging.WARNING, logger="repro.ingest"):
             gen.close()
         elapsed = time.monotonic() - start
-        assert elapsed < 5.0  # bounded by join_timeout, not forever
+        assert elapsed < 5.0  # bounded by the join timeout, not forever
         assert any("did not exit" in r.message for r in caplog.records)
         assert (
             registry.counter("rtg_ingest_reader_leaks_total").value() == 1
@@ -319,7 +309,7 @@ class TestReaderJoinTimeout:
     def test_fast_source_does_not_warn(self, caplog):
         import logging
 
-        ingester = StreamIngester(batch_size=10, join_timeout=5.0)
+        ingester = StreamIngester(batch_size=10)
         with caplog.at_level(logging.WARNING, logger="repro.ingest"):
             list(ingester.batches_pipelined(lines(25)))
         assert not caplog.records
@@ -483,7 +473,7 @@ class _LineByLineIngester(StreamIngester):
                     pending_lines = pending_malformed = 0
                     yield batch
                     batch = []
-            if batch and not self.drop_partial:
+            if batch:
                 self.stats.n_batches += 1
                 yield batch
         finally:
@@ -530,11 +520,10 @@ class TestBatchesEqualLineByLine:
     @given(
         kinds=st.lists(st.sampled_from(["ok", "ok", "ok", "bad", "empty"]), max_size=60),
         batch_size=st.integers(1, 12),
-        drop_partial=st.booleans(),
         fail_at=st.none() | st.integers(0, 60),
     )
     @settings(max_examples=150, deadline=None)
-    def test_batches_stats_counters_and_reads(self, kinds, batch_size, drop_partial, fail_at):
+    def test_batches_stats_counters_and_reads(self, kinds, batch_size, fail_at):
         bad = {"bad": '{"service": "s"}', "empty": "   "}
         source_lines = [
             json.dumps({"service": f"s{i % 3}", "message": f"m {i}"})
@@ -542,20 +531,19 @@ class TestBatchesEqualLineByLine:
             for i, kind in enumerate(kinds)
         ]
         oracle, bulk = (
-            _observed(cls, source_lines, fail_at, batch_size=batch_size, drop_partial=drop_partial)
+            _observed(cls, source_lines, fail_at, batch_size=batch_size)
             for cls in (_LineByLineIngester, StreamIngester)
         )
         assert bulk == oracle
 
     @pytest.mark.parametrize("fail_at", [None, 1700])
-    @pytest.mark.parametrize("drop_partial", [False, True])
-    def test_batches_longer_than_a_decode_step(self, drop_partial, fail_at):
+    def test_batches_longer_than_a_decode_step(self, fail_at):
         source_lines = [
             "{broken" if i % 7 == 3 else json.dumps({"service": "s", "message": f"m {i}"})
             for i in range(3000)
         ]
         oracle, bulk = (
-            _observed(cls, source_lines, fail_at, batch_size=1300, drop_partial=drop_partial)
+            _observed(cls, source_lines, fail_at, batch_size=1300)
             for cls in (_LineByLineIngester, StreamIngester)
         )
         assert bulk == oracle

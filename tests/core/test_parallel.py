@@ -89,7 +89,7 @@ class TestEquivalence:
         batches = batches_for_test(n_batches=5)
         serial, serial_results = serial_reference(batches)
 
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as engine:
             for batch, now, expected in zip(batches, DAYS, serial_results):
                 result = engine.analyze_by_service(batch, now=now)
                 # per-batch aggregate counters match serial too
@@ -124,7 +124,7 @@ class TestEquivalence:
         was handed, so a non-default example cap stores what the serial
         miner stores."""
         serial = SequenceRTG(db=PatternDB(max_examples=8))
-        with PersistentParallelSequenceRTG(PatternDB(max_examples=8), n_workers=2) as engine:
+        with PatternDB(max_examples=8) as db, PersistentParallelSequenceRTG(db, n_workers=2) as engine:
             for miner in (serial, engine):
                 for now in DAYS[:2]:
                     miner.analyze_by_service(sshd_records(n=20), now=now)
@@ -133,7 +133,7 @@ class TestEquivalence:
 
     def test_second_batch_parses_against_known(self):
         records = records_for_test()
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=2) as engine:
             engine.analyze_by_service(records)
             n_patterns = len(engine.db.rows())
             # replay some of the same traffic: should match, not re-discover
@@ -147,7 +147,7 @@ class TestStickyRouting:
         """The same worker owns the same services for the pool's whole
         life: no process is replaced and no service ever moves."""
         batches = batches_for_test(n_batches=4)
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as engine:
             engine.analyze_by_service(batches[0])
             pids = [worker.process.pid for worker in engine._workers]
             for batch in batches[1:]:
@@ -287,7 +287,7 @@ class TestWorkerCrash:
         }
 
     def run_pool(self, batches, worker_main=None, kill_before=None):
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as engine:
             if worker_main is not None:
                 engine._worker_main = worker_main
             for i, (batch, now) in enumerate(zip(batches, DAYS)):
@@ -336,7 +336,7 @@ class TestWorkerCrash:
         worker_main = partial(
             _dying_worker, victim=0, point="before_commit", at_call=1, marker=None
         )
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=1) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=1) as engine:
             engine._worker_main = worker_main
             with pytest.raises(RuntimeError, match="died twice"):
                 engine.analyze_by_service(records_for_test(n=50))
@@ -344,32 +344,35 @@ class TestWorkerCrash:
 
 class TestEngineLifecycle:
     def test_close_is_idempotent_and_terminates_workers(self):
-        engine = PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        engine.analyze_by_service(records_for_test(n=120))
-        procs = [w.process for w in engine._workers if w is not None]
-        assert procs
-        engine.close()
-        engine.close()
+        with PatternDB() as db:
+            engine = PersistentParallelSequenceRTG(db=db, n_workers=2)
+            engine.analyze_by_service(records_for_test(n=120))
+            procs = [w.process for w in engine._workers if w is not None]
+            assert procs
+            engine.close()
+            engine.close()
         for proc in procs:
             assert not proc.is_alive()
 
     def test_closed_engine_rejects_work(self):
-        engine = PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        engine.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.analyze_by_service(records_for_test(n=10))
+        with PatternDB() as db:
+            engine = PersistentParallelSequenceRTG(db=db, n_workers=2)
+            engine.close()
+            with pytest.raises(RuntimeError, match="closed"):
+                engine.analyze_by_service(records_for_test(n=10))
 
     def test_context_manager_closes(self):
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as engine:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=2) as engine:
             engine.analyze_by_service(records_for_test(n=120))
             procs = [w.process for w in engine._workers if w is not None]
         for proc in procs:
             assert not proc.is_alive()
 
     def test_db_stays_readable_after_close(self):
-        engine = PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2)
-        engine.analyze_by_service(records_for_test(n=200))
-        n_patterns = len(engine.db.rows())
-        engine.close()
-        assert len(engine.db.rows()) == n_patterns
-        assert engine.db.counts()["patterns"] == n_patterns
+        with PatternDB() as db:
+            engine = PersistentParallelSequenceRTG(db=db, n_workers=2)
+            engine.analyze_by_service(records_for_test(n=200))
+            n_patterns = len(engine.db.rows())
+            engine.close()
+            assert len(engine.db.rows()) == n_patterns
+            assert engine.db.counts()["patterns"] == n_patterns

@@ -4,10 +4,46 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import RTGConfig
+from repro.analyzer import AnalyzerConfig, LegacyAnalyzer
+from repro.analyzer.evolving import EvolvingAnalyzer
+from repro.core.config import RTGConfig, StreamingConfig
+from repro.core.ingest import StreamIngester
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
+from repro.parser import Parser, build_parser
+from repro.parser.compiled import CompiledParser
+from repro.serve import ListenSpec, ServeConfig
+
+
+#: each removed setting, passed the way its old callers would have
+REMOVED_SETTINGS = {
+    "AnalyzerConfig.merge_threshold": lambda: AnalyzerConfig(merge_threshold=4),
+    "AnalyzerConfig.id_merge": lambda: AnalyzerConfig(id_merge=True),
+    "AnalyzerConfig.fold_min_support": lambda: AnalyzerConfig(fold_min_support=3),
+    "AnalyzerConfig.enrich": lambda: AnalyzerConfig(enrich=True),
+    "AnalyzerConfig.word_similarity": lambda: AnalyzerConfig(word_similarity=0.5),
+    "AnalyzerConfig.legacy_similarity": lambda: AnalyzerConfig(legacy_similarity=0.5),
+    "LegacyAnalyzer(config)": lambda: LegacyAnalyzer(AnalyzerConfig()),
+    "Parser(enrich)": lambda: Parser([], enrich=True),
+    "CompiledParser(enrich)": lambda: CompiledParser([], enrich=True),
+    "build_parser(enrich)": lambda: build_parser([], enrich=True),
+    "StreamingConfig.max_partition_pending": lambda: StreamingConfig(
+        max_partition_pending=8192
+    ),
+    "StreamingConfig.drift_max_values": lambda: StreamingConfig(drift_max_values=8),
+    "EvolvingAnalyzer(max_partition_pending)": lambda: EvolvingAnalyzer(
+        max_partition_pending=8192
+    ),
+    "StreamIngester.drop_partial": lambda: StreamIngester(drop_partial=False),
+    "StreamIngester.join_timeout": lambda: StreamIngester(join_timeout=5.0),
+    "batches_pipelined(join_timeout)": lambda: StreamIngester().batches_pipelined(
+        [], join_timeout=5.0
+    ),
+    "ServeConfig.max_frame": lambda: ServeConfig(
+        listen=(ListenSpec(scheme="tcp", host="127.0.0.1"),), max_frame=1 << 20
+    ),
+}
 
 
 class TestFirstBatch:
@@ -155,6 +191,18 @@ class TestConfigValidation:
     def test_deleted_fields_rejected(self, name):
         with pytest.raises(TypeError):
             RTGConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name", sorted(REMOVED_SETTINGS))
+    def test_constant_settings_rejected(self, name):
+        """Values no caller set to anything but their default are
+        constants now: passing one is a TypeError."""
+        with pytest.raises(TypeError):
+            REMOVED_SETTINGS[name]()
+
+    def test_analyzer_config_keeps_the_ablation_switches(self):
+        assert [f.name for f in dataclasses.fields(AnalyzerConfig)] == [
+            "fold_constants", "semi_constant_max_values",
+        ]
 
     def test_fast_lane_is_a_constant(self):
         with pytest.raises(AttributeError):

@@ -2,8 +2,9 @@
 
 * A stream flush and its drift/TTL maintenance are one transaction: a
   failure in any maintenance pass leaves the database exactly as before
-  the flush, and every service state the flush touched reloads from the
-  rolled-back rows.
+  the flush, every service state the flush touched reloads from the
+  rolled-back rows and keeps the pending evidence it had, and the
+  driver's counters count only committed flushes.
 * Over arbitrary small stream-driver runs, every live parser holds
   exactly its service's database ids, drift tracks only name live
   patterns, and the driver's pending count is the states' sum.
@@ -196,6 +197,81 @@ class TestCrashAtomicMaintenance:
         for service in rtg.states:
             rtg.parser_for(service)
         assert_states_mirror_db(rtg)
+
+
+def pending_dump(rtg):
+    """Every state's pending partitions: messages and counts."""
+    return {
+        service: {
+            length: ([m.original for m in part.messages], list(part.counts))
+            for length, part in state.pending.items()
+        }
+        for service, state in rtg.states.items()
+    }
+
+
+def fail_once(owner, name):
+    """Make the next ``owner.name`` call raise; later calls run."""
+    real = getattr(owner, name)
+
+    def failing(*args, **kwargs):
+        setattr(owner, name, real)
+        raise Fault(name)
+
+    setattr(owner, name, failing)
+
+
+class TestRollbackKeepsEvidence:
+    def two_services(self):
+        rtg, driver = driver_for(streaming(micro_batch_size=16))
+        driver.feed(
+            [LogRecord("sshd", f"accepted key {i} for u{i} from h{i}") for i in range(40)]
+            + [LogRecord("cron", f"job {i} ran cmd c{i} as r{i}") for i in range(40)],
+            now=NOW,
+        )
+        return rtg, driver
+
+    def test_failed_flush_keeps_every_partition(self):
+        rtg, driver = self.two_services()
+        assert driver.pending == 80
+        before = pending_dump(rtg)
+        fail_once(rtg.engine.persist_stage, "run")
+        with pytest.raises(Fault):
+            driver.flush()
+        assert rtg.db.rows() == []
+        assert driver.pending == 80
+        assert pending_dump(rtg) == before
+        driver.flush()  # the retry mines both services
+        assert driver.pending == 0
+        assert {row.service for row in rtg.db.rows()} == {"sshd", "cron"}
+
+    def test_failed_micro_batch_absorbs_nothing(self):
+        rtg, driver = self.two_services()
+        before = pending_dump(rtg)
+        fail_once(rtg.engine.persist_stage, "run")
+        with pytest.raises(Fault):
+            driver.feed(
+                [LogRecord("sshd", f"accepted key {i} for u{i} from h{i}") for i in range(8)]
+                + [LogRecord("cron", f"disk {i} is full") for i in range(8)],
+                now=NOW,
+            )
+        assert driver.pending == 80
+        assert pending_dump(rtg) == before
+
+
+class TestCountersCountCommits:
+    def test_rolled_back_merge_is_not_counted(self):
+        rtg, driver = merge_setup()
+        driver.config.pattern_ttl_days = 30.0  # eviction runs after the merge
+        drift = rtg.metrics.counter("rtg_stream_drift_total")
+        fail_once(rtg.db, "stale_patterns")
+        with pytest.raises(Fault):
+            driver.flush()
+        assert driver.stats.n_drift_merges == 0
+        assert drift.value(event="merge") == 0
+        driver.flush()  # committed: now it counts
+        assert driver.stats.n_drift_merges > 0
+        assert drift.value(event="merge") == driver.stats.n_drift_merges
 
 
 class TestTransaction:

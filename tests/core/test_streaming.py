@@ -103,25 +103,6 @@ class TestEvolvingAnalyzer:
             (p.text, p.support) for p in expected
         ]
 
-    def test_partition_bound_bookkeeping(self):
-        evolving = EvolvingAnalyzer(max_partition_pending=3)
-        messages = self.scan([f"job {i} done" for i in range(4)])
-        length = messages[0].token_count()
-        a, b = self.state("a"), self.state("b")
-        evolving.absorb(a, length, messages[:2])
-        assert not evolving.over_partition_bound
-        evolving.absorb(b, length, messages)
-        assert evolving.over_partition_bound
-        evolving.absorb(b, length, messages)  # still one partition over
-        assert len(a.pending[length].messages) == 2
-        assert len(b.pending[length].messages) == 4
-        assert evolving.pending_messages == 6
-        list(evolving.flush(b))
-        assert not evolving.over_partition_bound
-        assert evolving.pending_messages == 2
-        evolving.absorb(a, length, messages[2:])  # a reaches the bound
-        assert evolving.over_partition_bound
-
     def test_flush_of_unknown_partition_is_empty(self):
         evolving = EvolvingAnalyzer()
         assert list(evolving.flush(self.state("nope"))) == []
@@ -279,9 +260,9 @@ class TestStreamDriver:
         """There is no mode to require: a default miner hands out a
         driver, which turns on drift tracking in the service states."""
         rtg = SequenceRTG(db=PatternDB())
-        assert rtg.drift_max_values == 0
+        assert not rtg.track_drift
         driver = rtg.stream_driver(clock=FakeClock())
-        assert rtg.drift_max_values == rtg.config.streaming.drift_max_values > 0
+        assert rtg.track_drift
         driver.feed([self.record(i) for i in range(3)], now=NOW)
         driver.close()
         assert driver.stats.n_flushes == 1
@@ -328,14 +309,6 @@ class TestStreamDriver:
         driver.feed([self.record(i) for i in range(2)], now=NOW)
         assert driver.stats.n_flushes == 0
         driver.feed([self.record(i) for i in range(2, 4)], now=NOW)
-        assert driver.stats.n_flushes == 1
-
-    def test_partition_bound_forces_flush(self):
-        rtg = stream_rtg(quiet_streaming(
-            micro_batch_size=2, max_partition_pending=4,
-        ))
-        driver = rtg.stream_driver(clock=FakeClock())
-        driver.feed([self.record(i) for i in range(4)], now=NOW)
         assert driver.stats.n_flushes == 1
 
     def test_close_drains_and_seals(self):
@@ -430,7 +403,7 @@ class TestDriftSplit:
         rtg = SequenceRTG(db=PatternDB(), config=config)
         return rtg, rtg.stream_driver(clock=FakeClock())
 
-    # more than merge_threshold distinct names: the position mines as a
+    # more than MERGE_THRESHOLD distinct names: the position mines as a
     # string variable
     NAMES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
@@ -546,11 +519,16 @@ class TestDriftTracks:
 
     def test_overflowing_track_gives_up(self):
         from repro.analyzer.pattern import Pattern
+        from repro.analyzer.trie import VALUE_CAP
 
         pattern = Pattern.from_text("user %user% logged in", service="svc")
         state = self.state()
-        for i in range(5):
-            state.observe(pattern.id, pattern, {"user": f"u{i}"}, 10, 2)
+        for i in range(VALUE_CAP):
+            state.observe(pattern.id, pattern, {"user": f"u{i}"}, 10)
+        track = state.tracks[pattern.id][1]["user"]
+        assert not track.overflow and len(track.values) == VALUE_CAP
+        state.observe(pattern.id, pattern, {"user": "one more"}, 10)
+        assert track.overflow and track.count == 10 * (VALUE_CAP + 1)
         assert state.split_candidates(1) == []
 
     def test_retire_and_drop_forget(self):
@@ -558,14 +536,14 @@ class TestDriftTracks:
 
         pattern = Pattern.from_text("user %user% logged in", service="svc")
         state = self.state()
-        state.observe(pattern.id, pattern, {"user": "bob"}, 5, 8)
+        state.observe(pattern.id, pattern, {"user": "bob"}, 5)
         assert state.split_candidates(5) == [
             (pattern.id, pattern, "user", "bob")
         ]
         state.retire([pattern.id])
         assert state.tracks == {}
         assert state.split_candidates(1) == []
-        state.observe(pattern.id, pattern, {"user": "bob"}, 5, 8)
+        state.observe(pattern.id, pattern, {"user": "bob"}, 5)
         state.drop()
         assert state.tracks == {}
 
@@ -578,7 +556,7 @@ class TestDriftTracks:
         state = self.state()
         state.observe(
             pattern.id, pattern,
-            {"msgtime": "Jan  1 00:00:00", "ignorerest": "x y z"}, 100, 8,
+            {"msgtime": "Jan  1 00:00:00", "ignorerest": "x y z"}, 100,
         )
         assert state.split_candidates(1) == []
 
@@ -655,15 +633,18 @@ class TestStreamingConfigValidation:
         {"micro_batch_timeout_s": 0.0},
         {"flush_pending": 0},
         {"flush_interval_s": -1.0},
-        {"max_partition_pending": -1},
+        # deleted knobs: flush_pending bounds the evolving state, and a
+        # drift track keeps the analysis trie's VALUE_CAP values
+        {"max_partition_pending": 8192},
         {"pattern_ttl_days": -0.5},
         {"split_min_matches": 0},
-        {"drift_max_values": 0},
+        {"drift_max_values": 8},
         # a deleted knob: latency quantiles come from the registry histogram
         {"latency_window": 8192},
     ])
     def test_invalid_values_rejected(self, kwargs):
-        error = TypeError if "latency_window" in kwargs else ValueError
+        deleted = {"max_partition_pending", "drift_max_values", "latency_window"}
+        error = TypeError if deleted & set(kwargs) else ValueError
         with pytest.raises(error):
             StreamingConfig(**kwargs)
 
@@ -679,6 +660,7 @@ class BruteForceMergeDriver(StreamDriver):
 
     def _drift_merge(self, new_patterns):
         rtg = self.rtg
+        n_retired = 0
         by_service = {}
         for pattern in new_patterns:
             if pattern.n_variables > 0:
@@ -716,7 +698,8 @@ class BruteForceMergeDriver(StreamDriver):
                     retired.add(row.id)
             if retired:
                 rtg.retire_patterns(service, retired)
-                self.stats.n_drift_merges += len(retired)
+                n_retired += len(retired)
+        return n_retired
 
 
 def drifting_days(n_days=8, seed=5):

@@ -73,7 +73,7 @@ class TestEndpointDuringStream:
         drive_and_scrape(SequenceRTG(db=PatternDB()), expect_workers=False)
 
     def test_pool_path(self):
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as miner:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as miner:
             drive_and_scrape(miner, expect_workers=True)
             # the pool's own lifecycle events, on the same endpoint
             text = render_prometheus(miner.metrics)
@@ -84,7 +84,7 @@ class TestPoolAggregation:
     def test_worker_samples_survive_merge_with_labels(self):
         """Stage histograms recorded inside workers surface in the
         parent registry with their worker label."""
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=2) as miner:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=2) as miner:
             for batch in batches(n_batches=2):
                 miner.analyze_by_service(batch)
             snap = miner.metrics.snapshot()
@@ -123,14 +123,14 @@ class TestPoolAggregation:
         for batch in batches():
             serial.analyze_by_service(batch)
 
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as warm:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as warm:
             for batch in batches():
                 warm.analyze_by_service(batch)
             assert totals(serial.metrics) == totals(warm.metrics)
 
     def test_batches_total_counts_each_batch_once(self):
         """Worker-side batch aggregates must not double-count on merge."""
-        with PersistentParallelSequenceRTG(db=PatternDB(), n_workers=3) as warm:
+        with PatternDB() as db, PersistentParallelSequenceRTG(db=db, n_workers=3) as warm:
             for batch in batches(n_batches=4):
                 warm.analyze_by_service(batch)
             assert warm.metrics.counter("rtg_batches_total").value() == 4

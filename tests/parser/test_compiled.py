@@ -57,18 +57,26 @@ def columns(message):
     return tuple(cols.texts), tuple(cols.types)
 
 
-def assert_backends_agree(patterns, messages, enrich=True):
+def assert_backends_agree(patterns, messages, raw=False):
     """Both backends, loaded with the *same* pattern objects, produce
     identical results — winner identity, fields, static count — on every
     message, through ``match`` and through ``match_columns`` on the
-    compiled scanner's columns."""
-    ref = Parser(patterns, enrich=enrich)
-    comp = CompiledParser(patterns, enrich=enrich)
+    compiled scanner's columns.  With *raw* every message goes in as
+    ``match(scanned, scanned.tokens)``: the caller skips enrichment."""
+    ref, comp = Parser(patterns), CompiledParser(patterns)
     for message in messages:
         scanned = scan(message)
-        a = ref.match(scanned)
-        texts, types = columns(message)
-        for b in (comp.match(scanned), comp.match_columns(list(texts), list(types))):
+        if raw:
+            a = ref.match(scanned, scanned.tokens)
+            results = (comp.match(scanned, scanned.tokens),)
+        else:
+            a = ref.match(scanned)
+            texts, types = columns(message)
+            results = (
+                comp.match(scanned),
+                comp.match_columns(list(texts), list(types)),
+            )
+        for b in results:
             if a is None:
                 assert b is None, repr(message)
                 continue
@@ -140,8 +148,8 @@ class TestMinedCorpora:
         for patterns, messages in corpora:
             messages = list(dict.fromkeys(messages))
             probes = messages + mutated(messages, seed=17)
-            for enrich in (True, False):
-                assert_backends_agree(patterns, probes, enrich=enrich)
+            for raw in (False, True):
+                assert_backends_agree(patterns, probes, raw=raw)
 
     def test_loghub_datasets(self):
         for name in DATASET_NAMES:
@@ -153,10 +161,11 @@ class TestMinedCorpora:
                 )
 
     def test_enrichment_disabled_parity(self):
+        """The caller skipping enrichment (unenriched tokens passed in)."""
         records = MessageGenerator(seed=29).records(200, n_services=2)
         for patterns, messages in mined_by_service(records):
             assert_backends_agree(
-                patterns, messages + mutated(messages, seed=23), enrich=False
+                patterns, messages + mutated(messages, seed=23), raw=True
             )
 
 
@@ -315,7 +324,7 @@ class TestColumnMatching:
 
     def test_enrichment_and_rest_marker(self):
         patterns = patterns_from(self.PATTERNS)
-        assert_backends_agree(patterns, self.MESSAGES, enrich=False)
+        assert_backends_agree(patterns, self.MESSAGES, raw=True)
         ref, _ = assert_backends_agree(patterns, self.MESSAGES)
         # the set does reach the enriched and truncated cells
         winners = {
@@ -673,12 +682,10 @@ class TestBackendSelection:
         assert type(build_parser(config=ParserConfig())) is CompiledParser
         assert type(SequenceRTG().parser_for("svc")) is CompiledParser
 
-    def test_factory_passes_patterns_and_enrich(self):
+    def test_factory_passes_patterns(self):
         patterns = patterns_from(["mail from %email%"])
-        on = build_parser(patterns, config=ParserConfig())
-        off = build_parser(patterns, config=ParserConfig(), enrich=False)
-        assert on.match(SC.scan("mail from ops@example.com")) is not None
-        assert off.match(SC.scan("mail from ops@example.com")) is None
+        parser = build_parser(patterns, config=ParserConfig())
+        assert parser.match(SC.scan("mail from ops@example.com")) is not None
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(TypeError, match="backend"):

@@ -180,17 +180,17 @@ class TestLengthBuckets:
 
 class TestNoCopy:
     def test_match_does_not_mutate_tokens_without_enrichment(self):
-        parser = Parser([pattern_from("evt %integer%")], enrich=False)
+        parser = Parser([pattern_from("evt %integer%")])
         scanned = SC.scan("evt 7")
         before = list(scanned.tokens)
-        assert parser.match(scanned) is not None
+        assert parser.match(scanned, scanned.tokens) is not None
         assert scanned.tokens == before
 
     def test_rest_marker_sliced_only_when_present(self):
-        parser = Parser([pattern_from("evt %integer%")], enrich=False)
+        parser = Parser([pattern_from("evt %integer%")])
         truncated = SC.scan("evt 7\ntail text")
         assert truncated.tokens[-1].type.value == "rest"
-        assert parser.match(truncated) is not None
+        assert parser.match(truncated, truncated.tokens) is not None
         assert truncated.tokens[-1].type.value == "rest"  # untouched
 
     def test_pre_enriched_tokens_accepted(self):
