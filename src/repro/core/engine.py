@@ -21,6 +21,11 @@ module makes the workflow an explicit object instead:
 * :class:`MiningEngine` — partitions a batch by service and drives each
   group through the stages, notifying observers around every stage.
 
+The stages keep no state of their own: what persists between calls —
+a service's parser, its pending evidence, its drift tracks — lives in
+the miner's :class:`~repro.core.state.ServiceState` objects, and the
+analyze stage mines a state's evidence with the miner's one analyser.
+
 Every execution path runs this one engine: a pool worker
 (:mod:`repro.core.parallel`) is a serial miner over its own shard file,
 so there is nothing for the paths to differ in — which is what keeps
@@ -251,31 +256,29 @@ class LengthPartitionStage(Stage):
 
 
 class AnalyzeStage(Stage):
-    """Absorb each length partition into the evolving analysis state and,
-    when the call flushes, mine the service's pending evidence.
+    """Absorb each length partition into the service's pending evidence
+    and, when the call flushes, mine it.
 
-    The mining itself lives in the miner's one
-    :class:`repro.analyzer.evolving.EvolvingAnalyzer` (wrapping one
-    analyser, its trie scratch reset and reused across flushes); the
-    evidence lives in the service's
-    :class:`~repro.core.state.ServiceState`.  A batch call absorbs
-    and mines at once, every partition within its own batch: exactly
-    the paper's workflow.  A stream driver's micro-batch only absorbs,
-    so evidence accumulates across micro-batches in the bounded
-    evolving trie until the driver flushes.
+    The evidence lives in the service's
+    :class:`~repro.core.state.ServiceState`, and the miner's one
+    analyser (its trie scratch reset and reused across partitions)
+    mines it.  A batch call absorbs and mines at once, every partition
+    within its own batch: exactly the paper's workflow.  A stream
+    driver's micro-batch only absorbs, so evidence accumulates across
+    micro-batches until the driver flushes.
     """
 
     name = "analyze"
 
     def run(self, ctx: ServiceBatchContext) -> None:
-        evolving = self.rtg.evolving
-        state = self.rtg.state(ctx.service)
+        rtg = self.rtg
+        state = rtg.state(ctx.service)
         for length, (partition, partition_counts) in ctx.by_length.items():
-            evolving.absorb(state, length, partition, counts=partition_counts)
+            state.absorb(length, partition, partition_counts)
         if not ctx.flush:
             return
         # token-count order: persistence, so DB row order, follows it
-        for patterns, n_nodes in evolving.flush(state):
+        for patterns, n_nodes in state.mine(rtg.analyzer):
             ctx.trie_node_sizes.append(n_nodes)
             ctx.max_trie_nodes = max(ctx.max_trie_nodes, n_nodes)
             for pattern in patterns:
@@ -415,7 +418,7 @@ class MiningEngine:
         return self._mine(by_service, self.stages, now, flush, len(records))
 
     def flush(self, now: datetime | None = None) -> BatchResult:
-        """Mine and persist everything pending in the evolving state.
+        """Mine and persist every service state's pending evidence.
 
         Every service with pending partitions runs the analyze and
         persist stages over an empty batch, inside the same observer

@@ -5,7 +5,8 @@ count partition → per-trie analyse → persist — lives in
 :mod:`repro.core.engine` as explicit stage objects; this module owns the
 long-lived miner state those stages operate on (scanner, pattern
 database, one :class:`~repro.core.state.ServiceState` per service, the
-shared evolving analyser) and the thin drivers around the engine.
+one analyser their pending evidence is mined by) and the thin drivers
+around the engine.
 
 ``analyze_legacy`` reproduces the seminal single-trie ``Analyze`` method
 for the Fig. 5 comparison.
@@ -18,8 +19,8 @@ from contextlib import contextmanager
 from datetime import datetime
 from typing import TYPE_CHECKING
 
+from repro.analyzer import build_analyzer
 from repro.analyzer.analyzer import LegacyAnalyzer
-from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.analyzer.pattern import Pattern
 from repro.core.config import RTGConfig
 from repro.core.engine import BatchResult, MiningEngine, drive_stream
@@ -40,7 +41,7 @@ class SequenceRTG:
     """Production-ready pattern miner (the paper's contribution).
 
     A :class:`SequenceRTG` instance owns one scanner, one pattern
-    database, one evolving analyser and a map of service →
+    database, one analyser and a map of service →
     :class:`~repro.core.state.ServiceState`.  ``analyze_by_service``
     processes one batch on the staged
     :class:`~repro.core.engine.MiningEngine`; :meth:`process_stream`
@@ -60,8 +61,9 @@ class SequenceRTG:
         self.scanner = build_scanner(self.config.scanner)
         #: service -> its live state, in first-use order
         self.states: dict[str, ServiceState] = {}
-        #: the one analyser every service's pending evidence is mined by
-        self.evolving = EvolvingAnalyzer(self.config.analyzer)
+        #: the one analyser every service's pending evidence is mined by:
+        #: its node arena is reset and reused across partitions
+        self.analyzer = build_analyzer(self.config.analyzer)
         #: the parse stage feeds the states' drift tracks (a
         #: drift-splitting stream driver turns it on)
         self.track_drift = False
@@ -83,7 +85,7 @@ class SequenceRTG:
             )
         touched = self._touched
         if touched is not None and state not in touched:
-            touched[state] = self.evolving.checkpoint(state)
+            touched[state] = state.checkpoint()
         return state
 
     @contextmanager
@@ -103,7 +105,7 @@ class SequenceRTG:
         except BaseException:
             for state, checkpoint in touched.items():
                 state.drop()
-                self.evolving.restore(state, checkpoint)
+                state.restore(checkpoint)
             raise
         finally:
             self._touched = None
@@ -111,11 +113,6 @@ class SequenceRTG:
     def parser_for(self, service: str) -> Parser:
         """Parser over the known patterns of *service* (cached)."""
         return self.state(service).parser
-
-    def invalidate_service(self, service: str) -> None:
-        """Drop one service's parser (after that service's patterns were
-        mutated outside this instance); the next use reloads it."""
-        self.state(service).drop()
 
     def add_known_pattern(self, pattern: Pattern, now: datetime | None = None) -> str:
         """Persist *pattern*; a loaded parser of its service learns it
@@ -162,15 +159,6 @@ class SequenceRTG:
         return patterns
 
     # ------------------------------------------------------------------
-    def flush(self, now: datetime | None = None) -> BatchResult:
-        """Mine and persist everything pending in the evolving state.
-
-        Only a stream driver's micro-batches leave evidence pending (see
-        :meth:`~repro.core.engine.MiningEngine.flush`); after a batch
-        call this is a no-op with an empty result.
-        """
-        return self.engine.flush(now=now)
-
     def stream_driver(self, clock=time.monotonic) -> "StreamDriver":
         """A :class:`~repro.core.streaming.StreamDriver` over this miner.
 

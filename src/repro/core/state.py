@@ -3,12 +3,29 @@
 Services never share patterns — "each instance could have its own
 database" (paper §IV) — so everything a miner keeps for one service
 between mining calls is one :class:`ServiceState`: the parser over its
-known patterns (loaded lazily from the database), its pending partitions
-of stream-mode evidence, and its drift tracks.  The database is the
-ground truth they mirror: :meth:`ServiceState.drop` forgets the parser
-and the tracks, and a failed mining call or flush drops every state it
-touched and puts its pending partitions back as the call found them
+known patterns (loaded lazily from the database), its pending evidence
+and its drift tracks.  The database is the ground truth they mirror:
+:meth:`ServiceState.drop` forgets the parser and the tracks, and a
+failed mining call or flush drops every state it touched and puts its
+pending partitions back as the call found them
 (:meth:`repro.core.pipeline.SequenceRTG.transaction`).
+
+The pending evidence is stream mode's evolving analysis state.  Batch
+mode builds one analysis trie per (service, token count) partition,
+mines it and throws it away; stream mode has to accumulate evidence
+*across* micro-batches before it is worth emitting a pattern (USTEP's
+evolving search tree, arXiv:2304.12331).  A state keeps one *pending
+partition* per token count: the distinct unmatched messages in
+first-occurrence order with their accumulated multiplicities — exactly
+the weighted form the analysis trie's insertion contract is defined over
+("inserting a message once with ``n=k`` produces the same trie as
+inserting it ``k`` times", :meth:`repro.analyzer.trie.AnalysisTrie.insert`).
+:meth:`ServiceState.absorb` is the per-message incremental step, an O(1)
+dedup-and-count update, and :meth:`ServiceState.mine` replays the
+partitions through the miner's one analyser.  Absorption is associative
+(the partitions after any sequence of ``absorb`` calls equal what one
+big batch would have produced), so batch mode is the special case
+"absorb, then mine at once" and mines byte-identically.
 """
 
 from __future__ import annotations
@@ -20,8 +37,10 @@ from repro.analyzer.trie import VALUE_CAP
 from repro.parser import build_parser
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analyzer.analyzer import Analyzer
     from repro.core.patterndb import PatternDB
     from repro.parser.parser import Parser, ParserConfig
+    from repro.scanner.scanner import ScannedMessage
 
 __all__ = ["ServiceState"]
 
@@ -42,17 +61,34 @@ class _FieldTrack:
         self.overflow = False
 
 
+class _PendingPartition:
+    """Distinct messages of one token count, with counts."""
+
+    __slots__ = ("index", "messages", "counts")
+
+    def __init__(self) -> None:
+        #: message original -> position in ``messages``
+        self.index: dict[str, int] = {}
+        #: distinct scanned messages in first-occurrence order
+        self.messages: "list[ScannedMessage]" = []
+        #: accumulated multiplicities, parallel to ``messages``
+        self.counts: list[int] = []
+
+
 class ServiceState:
     """Parser, pending evidence and drift tracks of one service.
 
     *pending* maps token count → pending partition (distinct unmatched
-    messages and their counts), filled and mined by the miner's one
-    :class:`~repro.analyzer.evolving.EvolvingAnalyzer`.  *tracks* maps
-    pattern id → per-variable value distributions of live matches, fed
-    by the parse stage while a drift-splitting stream driver is attached.
+    messages and their counts), filled by :meth:`absorb` and emptied by
+    :meth:`mine`; *n_pending* counts their distinct messages.  *tracks*
+    maps pattern id → per-variable value distributions of live matches,
+    fed by the parse stage while a drift-splitting stream driver is
+    attached.
     """
 
-    __slots__ = ("service", "db", "parser_config", "_parser", "pending", "tracks")
+    __slots__ = (
+        "service", "db", "parser_config", "_parser", "pending", "n_pending", "tracks",
+    )
 
     def __init__(
         self, service: str, db: "PatternDB", parser_config: "ParserConfig | None" = None
@@ -61,7 +97,8 @@ class ServiceState:
         self.db = db
         self.parser_config = parser_config
         self._parser: "Parser | None" = None
-        self.pending: dict = {}
+        self.pending: dict[int, _PendingPartition] = {}
+        self.n_pending = 0
         #: pattern id -> (pattern, variable name -> track)
         self.tracks: dict[str, tuple[Pattern, dict[str, _FieldTrack]]] = {}
 
@@ -94,6 +131,69 @@ class ServiceState:
         self._parser = None
         self.tracks.clear()
 
+    # -- pending evidence ------------------------------------------------
+    def absorb(
+        self, length: int, messages: "list[ScannedMessage]", counts: list[int]
+    ) -> None:
+        """Fold *messages* into the pending partition of *length*.
+
+        *counts* carries dedup multiplicities parallel to *messages*.
+        Duplicates of an already-pending message only bump its count —
+        the per-message incremental insert the weighted trie contract
+        makes exact.
+        """
+        partition = self.pending.get(length)
+        if partition is None:
+            partition = self.pending[length] = _PendingPartition()
+        index = partition.index
+        for msg, n in zip(messages, counts):
+            at = index.get(msg.original)
+            if at is not None:
+                partition.counts[at] += n
+                continue
+            index[msg.original] = len(partition.messages)
+            partition.messages.append(msg)
+            partition.counts.append(n)
+            self.n_pending += 1
+
+    def checkpoint(self) -> list[tuple]:
+        """What :meth:`restore` needs to put the pending partitions back
+        as they are now.  Partitions only grow until :meth:`mine` pops
+        them, so their sizes and a copy of their counts suffice."""
+        return [
+            (length, partition, len(partition.messages), list(partition.counts))
+            for length, partition in self.pending.items()
+        ]
+
+    def restore(self, checkpoint: list[tuple]) -> None:
+        """Undo every absorb and mine since *checkpoint*."""
+        pending = self.pending
+        pending.clear()
+        self.n_pending = 0
+        for length, partition, size, counts in checkpoint:
+            for msg in partition.messages[size:]:
+                del partition.index[msg.original]
+            del partition.messages[size:]
+            partition.counts = counts
+            pending[length] = partition
+            self.n_pending += size
+
+    def mine(self, analyzer: "Analyzer"):
+        """Mine and clear the pending partitions in token-count order.
+
+        Yields ``(patterns, trie_nodes)`` per partition — the order the
+        batch stage walks, so the output (and its telemetry) is ordered
+        identically to a batch that had accumulated the same messages.
+        The patterns do not carry a service; the caller stamps them.
+        """
+        pending = self.pending
+        for length in sorted(pending):
+            partition = pending.pop(length)
+            self.n_pending -= len(partition.messages)
+            patterns = analyzer.analyze(partition.messages, counts=partition.counts)
+            yield patterns, analyzer.last_trie_nodes
+
+    # -- drift tracks ----------------------------------------------------
     def observe(
         self, pattern_id: str, pattern: Pattern, fields: dict[str, str], n: int
     ) -> None:

@@ -1,4 +1,4 @@
-"""The stream driver: micro-batches over the evolving engine.
+"""The stream driver: micro-batches over the engine, mined by flushes.
 
 Batch mode (the paper's workflow) holds records until ``batch_size`` has
 accumulated and mines each batch to completion — fine for throughput,
@@ -13,10 +13,11 @@ Stream mode removes the barrier with two clocks instead of one:
   latency is bounded by ``micro_batch_size``/``micro_batch_timeout_s``
   and recorded in the ``rtg_stream_message_latency_seconds`` histogram,
   whose :meth:`~repro.obs.metrics.Histogram.quantile` reports the p99;
-* **flushes** mine the evolving analysis state the
-  :class:`~repro.core.engine.AnalyzeStage` accumulates across
-  micro-batches, once enough unmatched evidence is pending (or the
-  flush interval elapses).
+* **flushes** mine the pending evidence the
+  :class:`~repro.core.engine.AnalyzeStage` accumulates in each service's
+  :class:`~repro.core.state.ServiceState` across micro-batches, once
+  enough unmatched evidence is pending (or the flush interval elapses).
+  A micro-batch whose run raises stays buffered for the next attempt.
 
 Mining on less-than-a-batch evidence drifts: early flushes see few
 distinct values per variable position and mine overly *specific*
@@ -39,6 +40,9 @@ what batch mode would have mined:
 All three mutate the pattern set incrementally (a DB write plus
 :meth:`~repro.core.state.ServiceState.retire`/``add``), in one
 transaction with the engine's flush: a failure anywhere rolls both back.
+The merge probes run the miner's own compiled path — the scanner's
+``scan_columns`` and a one-pattern ``build_parser`` — never the
+reference classes.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import TYPE_CHECKING
 
-from repro.analyzer.enrich import enrich_tokens
 from repro.analyzer.pattern import Pattern, PatternToken
 from repro.core.engine import BatchResult
 from repro.core.records import LogRecord
 from repro.obs.observer import METRIC_HELP
-from repro.parser.parser import Parser
+from repro.parser import build_parser
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import SequenceRTG
@@ -122,8 +125,8 @@ class StreamDriver:
     # -- ingestion -------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Distinct unmatched messages awaiting a flush."""
-        return self.rtg.evolving.pending_messages
+        """Distinct unmatched messages awaiting a flush, over all services."""
+        return sum(state.n_pending for state in self.rtg.states.values())
 
     def offer(self, record: LogRecord, now: datetime | None = None) -> None:
         """Buffer one record; process when the micro-batch fills."""
@@ -176,10 +179,12 @@ class StreamDriver:
     # -- processing ------------------------------------------------------
     def _process(self) -> None:
         batch = self._buffer
+        began = self.clock()
+        # the buffer empties only once the run committed: a failed
+        # micro-batch stays buffered, and the next attempt mines it
+        result = self.rtg.engine.run(batch, now=self._now)
         self._buffer = []
         self._buffer_at = None
-        began = self.clock()
-        result = self.rtg.engine.run(batch, now=self._now)
         per_message = (self.clock() - began) / len(batch)
         stats = self.stats
         stats.n_messages += len(batch)
@@ -189,11 +194,11 @@ class StreamDriver:
         self._maybe_flush()
 
     def _maybe_flush(self) -> None:
-        evolving = self.rtg.evolving
-        if evolving.pending_messages >= self.config.flush_pending:
+        pending = self.pending
+        if pending >= self.config.flush_pending:
             self.flush("pending")
         elif (
-            evolving.pending_messages
+            pending
             and self.clock() - self._last_flush >= self.config.flush_interval_s
         ):
             self.flush("interval")
@@ -244,7 +249,7 @@ class StreamDriver:
         Cost per flush is O(new generals × stored rows of the *same
         length*): the service's rows are indexed once by the token count
         the live parser already holds for them, and each row's examples
-        are scanned and enriched at most once, however many generals
+        are scanned to token columns at most once, however many generals
         probe them.  Candidates keep the row order within a length —
         that order decides which examples fold first.
         """
@@ -256,15 +261,18 @@ class StreamDriver:
                 by_service.setdefault(pattern.service, []).append(pattern)
         for service, generals in by_service.items():
             candidates = self._merge_candidates(service)
-            #: example -> (scanned, enriched tokens), filled on first use:
-            #: a probe stops at the first example it misses
-            probe_inputs: dict[str, tuple] = {}
+            #: example -> its token columns, filled on first use: a probe
+            #: stops at the first example it misses
+            columns: dict[str, tuple] = {}
             retired: set[str] = set()
             for general in generals:
-                probe = Parser([general])
+                same_length = candidates.get(len(general.tokens))
+                if not same_length:
+                    continue
+                probe = build_parser([general]).match_columns
                 general_id = general.id
                 n_variables = general.n_variables
-                for row, row_variables in candidates.get(len(general.tokens), ()):
+                for row, row_variables in same_length:
                     if (
                         row.id == general_id
                         or row.id in retired
@@ -272,8 +280,7 @@ class StreamDriver:
                     ):
                         continue
                     if not all(
-                        probe.match(*self._probe_input(probe_inputs, service, example))
-                        is not None
+                        probe(*self._columns(columns, example)) is not None
                         for example in row.examples
                     ):
                         continue
@@ -302,13 +309,14 @@ class StreamDriver:
             )
         return out
 
-    def _probe_input(self, memo: dict[str, tuple], service: str, example: str):
-        """``(scanned, enriched tokens)`` of one stored example — the
-        arguments of a probe's ``match`` — computed once per *memo*."""
+    def _columns(self, memo: dict[str, tuple], example: str):
+        """``(texts, types)`` of one stored example scanned to token
+        columns — the arguments of a probe's ``match_columns`` —
+        computed once per *memo*."""
         pair = memo.get(example)
         if pair is None:
-            scanned = self.rtg.scanner.scan(example, service=service)
-            pair = memo[example] = (scanned, enrich_tokens(scanned.tokens))
+            cols = self.rtg.scanner.scan_columns([example])
+            pair = memo[example] = (cols.texts, cols.types)
         return pair
 
     def _drift_split(self) -> int:

@@ -8,7 +8,9 @@ telemetry, both from that one measurement:
 * per-stage latency histograms, and ``BatchResult.timings`` (the same
   seconds, summed per stage over the call's service groups);
 * per-service rows-in / matched / unmatched / patterns-out counters,
-  tallied when a service group's ``persist`` stage completes;
+  tallied when a service group's ``persist`` stage completes and
+  published when the call ends — a call that raises rolls its writes
+  back and publishes none of them;
 * ``BatchResult.cache``, the scan stage's dedup tallies summed over the
   call's service groups;
 * batch-level aggregates — batches total, parse matched-fraction gauge,
@@ -18,7 +20,8 @@ telemetry, both from that one measurement:
 
 Inside pool workers ``batch_level`` is switched off: a worker still
 fills its ``BatchResult`` timings and cache and accumulates the
-stage-level signal, and ships the registry delta with its reply; the
+stage-level signal and the outcome counters, and ships the registry
+delta with its reply; the
 parent folds the batch-level aggregates exactly once from the summed
 result via :func:`fold_batch_result`, so nothing is double-counted.
 """
@@ -41,6 +44,12 @@ __all__ = [
     "METRIC_HELP",
 ]
 
+#: help suffix of the outcome counters, which ``on_batch_end`` publishes
+_COMMITTED = (
+    " (committed calls only; a stream flush whose maintenance fails after"
+    " the engine's flush returned still counts)"
+)
+
 #: metric name -> help string, the single naming authority (docs table
 #: in docs/architecture.md mirrors this)
 METRIC_HELP = {
@@ -48,10 +57,10 @@ METRIC_HELP = {
     "rtg_scan_tokens_total": "Tokens emitted by the scan stage, by service (backend label: the tokenizer implementation)",
     "rtg_parse_candidates": "Candidate-frontier size per parse-stage match (candidate match programs considered; backend label: the matcher implementation)",
     "rtg_analyze_trie_nodes": "Analysis-trie node count per mined length partition (peak footprint before sibling merging; backend label: the analyser implementation)",
-    "rtg_records_total": "Log records entering the engine, by service",
-    "rtg_matched_total": "Record occurrences matched by already-known patterns, by service",
-    "rtg_unmatched_total": "Record occurrences passed on to the analyser, by service",
-    "rtg_patterns_total": "Newly discovered patterns persisted, by service",
+    "rtg_records_total": "Log records entering the engine, by service" + _COMMITTED,
+    "rtg_matched_total": "Record occurrences matched by already-known patterns, by service" + _COMMITTED,
+    "rtg_unmatched_total": "Record occurrences passed on to the analyser, by service" + _COMMITTED,
+    "rtg_patterns_total": "Newly discovered patterns persisted, by service" + _COMMITTED,
     "rtg_batches_total": "Batches analysed",
     "rtg_matched_fraction": "Fraction of the last batch's records matched by known patterns (a flush, which carries no records, leaves it alone)",
     "rtg_fastlane_events_total": "Batch-dedup outcomes of the scan stage (unique: messages scanned; duplicate: occurrences folded into them)",
@@ -138,12 +147,16 @@ class MetricsObserver(StageObserver):
         )
         self._timings: dict[str, float] = {}
         self._cache: dict[str, int] = {}
+        #: ``(service, records, matched, unmatched, patterns)`` of the
+        #: call's finished groups, published by :meth:`on_batch_end`
+        self._outcomes: list[tuple[str, int, int, int, int]] = []
         self._stage_t0 = 0.0
 
     # -- stage-level -----------------------------------------------------
     def on_batch_start(self, result: BatchResult) -> None:
         self._timings = result.timings
         self._cache = result.cache
+        self._outcomes = []
         result.cache.update(dedup_unique=0, dedup_duplicates=0)
 
     def on_stage_start(self, stage: str, ctx: ServiceBatchContext) -> None:
@@ -187,19 +200,25 @@ class MetricsObserver(StageObserver):
         if stage != "persist":
             return
         # the group's flow is complete; tally its per-service outcome
-        service = ctx.service
-        self._records.inc(len(ctx.records), service=service)
-        matched = sum(ctx.match_counts.values())
-        if matched:
-            self._matched.inc(matched, service=service)
-        unmatched = sum(ctx.unmatched_counts)
-        if unmatched:
-            self._unmatched.inc(unmatched, service=service)
-        if ctx.new_patterns:
-            self._patterns.inc(len(ctx.new_patterns), service=service)
+        self._outcomes.append((
+            ctx.service,
+            len(ctx.records),
+            sum(ctx.match_counts.values()),
+            sum(ctx.unmatched_counts),
+            len(ctx.new_patterns),
+        ))
 
     # -- batch-level -----------------------------------------------------
     def on_batch_end(self, result: BatchResult) -> None:
+        # reached only by a call that did not raise: its outcome counts
+        for service, records, matched, unmatched, patterns in self._outcomes:
+            self._records.inc(records, service=service)
+            if matched:
+                self._matched.inc(matched, service=service)
+            if unmatched:
+                self._unmatched.inc(unmatched, service=service)
+            if patterns:
+                self._patterns.inc(patterns, service=service)
         if self.batch_level:
             fold_batch_result(self.registry, result, db=self.db)
 

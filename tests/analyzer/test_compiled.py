@@ -293,8 +293,7 @@ class TestBackendSelection:
 
     def test_factory_builds_each_backend(self):
         assert type(build_analyzer()) is CompiledAnalyzer
-        evolving = SequenceRTG().evolving
-        assert type(evolving._analyzer) is CompiledAnalyzer
+        assert type(SequenceRTG().analyzer) is CompiledAnalyzer
 
     def test_factory_passes_config(self):
         config = AnalyzerConfig(semi_constant_max_values=2)

@@ -8,9 +8,8 @@ import socketserver
 
 import pytest
 
-from repro.analyzer import evolving
 from repro.analyzer.analyzer import Analyzer
-from repro.core import pipeline, state
+from repro.core import pipeline, state, streaming
 from repro.core.engine import ScanStage
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -213,16 +212,20 @@ class OracleParser(Parser):
 def reference_stages(monkeypatch) -> None:
     """Every ``SequenceRTG`` built in this process while the test runs
     mines with the reference oracles: the three ``build_*`` names are
-    patched, in the modules that call them (a service state builds the
+    patched, in the modules that call them (the miner builds the scanner
+    and the analyser, a service state and the drift-merge probes the
     parser), to construct
     ``OracleScanner``, ``OracleParser`` (the reference classes behind the
     stages' column interface) and ``Analyzer``.  (Spawned pool workers
     are untouched.)"""
+
+    def build_parser(patterns, config=None):
+        return OracleParser(patterns)
+
     monkeypatch.setattr(pipeline, "build_scanner", OracleScanner)
-    monkeypatch.setattr(
-        state, "build_parser", lambda patterns, config: OracleParser(patterns)
-    )
-    monkeypatch.setattr(evolving, "build_analyzer", Analyzer)
+    monkeypatch.setattr(pipeline, "build_analyzer", Analyzer)
+    monkeypatch.setattr(state, "build_parser", build_parser)
+    monkeypatch.setattr(streaming, "build_parser", build_parser)
 
 
 @pytest.fixture()

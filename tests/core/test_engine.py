@@ -117,7 +117,7 @@ class TestCrossPathEquivalence:
             return (
                 type(rtg.scanner),
                 type(rtg.parser_for(batches[0][0].service)),
-                type(rtg.evolving._analyzer),
+                type(rtg.analyzer),
             )
 
         production, expected = mine()
@@ -421,7 +421,7 @@ class TestOneTransactionPerMiningCall:
         persist = _FailingPersist(rtg)
         first, second, _ = batches_for_test(n_batches=3)
         rtg.engine.run(first, now=NOW)
-        rtg.flush(now=NOW)
+        rtg.engine.flush(now=NOW)
         before = full_dump(rtg.db)
         assert before
 
@@ -431,7 +431,7 @@ class TestOneTransactionPerMiningCall:
         assert len(services) >= 2
         persist.arm(fail_at=2)
         with pytest.raises(RuntimeError, match="disk full"):
-            rtg.flush(now=NOW)
+            rtg.engine.flush(now=NOW)
         assert full_dump(rtg.db) == matched
         _assert_parsers_mirror_db(rtg, services)
 

@@ -70,7 +70,7 @@ class TestPipelineInvalidation:
         rtg.analyze_by_service(ssh_records + hdfs_records)
         ssh_parser = rtg.parser_for("sshd")
         hdfs_parser = rtg.parser_for("hdfs")
-        rtg.invalidate_service("sshd")
+        rtg.states["sshd"].drop()
         assert rtg.parser_for("sshd") is not ssh_parser
         assert rtg.parser_for("hdfs") is hdfs_parser
 

@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 
 from repro.analyzer import AnalyzerConfig, LegacyAnalyzer
-from repro.analyzer.evolving import EvolvingAnalyzer
 from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.ingest import StreamIngester
 from repro.core.patterndb import PatternDB
@@ -32,9 +31,6 @@ REMOVED_SETTINGS = {
         max_partition_pending=8192
     ),
     "StreamingConfig.drift_max_values": lambda: StreamingConfig(drift_max_values=8),
-    "EvolvingAnalyzer(max_partition_pending)": lambda: EvolvingAnalyzer(
-        max_partition_pending=8192
-    ),
     "StreamIngester.drop_partial": lambda: StreamIngester(drop_partial=False),
     "StreamIngester.join_timeout": lambda: StreamIngester(join_timeout=5.0),
     "batches_pipelined(join_timeout)": lambda: StreamIngester().batches_pipelined(
@@ -134,7 +130,7 @@ class TestParserCache:
 
     def test_invalidate_reloads_from_db(self, rtg, ssh_records):
         rtg.analyze_by_service(ssh_records)
-        rtg.invalidate_service("sshd")
+        rtg.states["sshd"].drop()
         parser = rtg.parser_for("sshd")
         assert len(parser) == 1  # reloaded from the database
 

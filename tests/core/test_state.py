@@ -1,5 +1,9 @@
 """One ``ServiceState`` per service: the rollback rule and its invariants.
 
+* A state's pending evidence mines like one batch: absorbing in pieces,
+  or duplicates as weights, then mining equals analysing the same
+  messages at once; and ``restore`` undoes any absorbs and mines since
+  its ``checkpoint``.
 * A stream flush and its drift/TTL maintenance are one transaction: a
   failure in any maintenance pass leaves the database exactly as before
   the flush, every service state the flush touched reloads from the
@@ -17,10 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analyzer import build_analyzer
 from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
+from repro.core.state import ServiceState
+from repro.scanner import build_scanner
 from tests.core.test_engine import NOW, full_dump
 from tests.core.test_streaming import FakeClock
 
@@ -58,6 +65,120 @@ def assert_states_mirror_db(rtg):
 def n_pending(state) -> int:
     """Distinct messages pending across one state's partitions."""
     return sum(len(partition.messages) for partition in state.pending.values())
+
+
+# ----------------------------------------------------------------------
+# Pending evidence: batch mining as the degenerate case
+# ----------------------------------------------------------------------
+
+def scan(messages, service="svc"):
+    scanner = build_scanner()
+    return [scanner.scan(m, service=service) for m in messages]
+
+
+class TestPendingEvidence:
+    def test_absorb_then_mine_equals_one_batch_analyze(self):
+        messages = scan([f"user u{i} logged in from 10.0.0.{i}" for i in range(6)])
+        expected = build_analyzer().analyze(messages)
+
+        state = ServiceState("svc", PatternDB())
+        length = messages[0].token_count()
+        state.absorb(length, messages[:2], [1] * 2)
+        state.absorb(length, messages[2:], [1] * 4)
+        ((patterns, n_nodes),) = list(state.mine(build_analyzer()))
+        assert [p.text for p in patterns] == [p.text for p in expected]
+        assert [p.support for p in patterns] == [p.support for p in expected]
+        assert n_nodes > 0
+        assert state.n_pending == 0
+        assert state.pending == {}
+
+    def test_absorb_dedups_into_weighted_counts(self):
+        distinct = scan(["session 1 opened", "session 2 opened", "session 3 opened"])
+        expected = build_analyzer().analyze(distinct, counts=[3, 2, 1])
+
+        state = ServiceState("svc", PatternDB())
+        length = distinct[0].token_count()
+        # 3x the first, 2x the second, 1x the third, interleaved
+        replay = [distinct[0], distinct[1], distinct[2], distinct[0],
+                  distinct[1], distinct[0]]
+        state.absorb(length, replay, [1] * len(replay))
+        assert state.n_pending == 3  # distinct, not occurrences
+        assert len(state.pending[length].messages) == 3
+        ((patterns, _),) = list(state.mine(build_analyzer()))
+        assert [(p.text, p.support) for p in patterns] == [
+            (p.text, p.support) for p in expected
+        ]
+
+    def test_mine_without_evidence_is_empty(self):
+        state = ServiceState("nope", PatternDB())
+        assert list(state.mine(build_analyzer())) == []
+        assert state.n_pending == 0
+
+
+#: a small vocabulary of messages over three token counts
+VOCABULARY = [
+    f"{verb} {i}" if i % 3 == 0 else f"{verb} job {i}" if i % 3 == 1
+    else f"{verb} job {i} as root"
+    for verb in ("start", "stop")
+    for i in range(6)
+]
+
+
+def partitions(state):
+    """A state's pending partitions: messages, counts and index."""
+    return {
+        length: (
+            [m.original for m in part.messages], list(part.counts), dict(part.index)
+        )
+        for length, part in state.pending.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    before=st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)), max_size=12),
+    steps=st.lists(
+        st.one_of(
+            st.lists(
+                st.tuples(st.integers(0, 11), st.integers(1, 4)),
+                min_size=1, max_size=6,
+            ),
+            st.just("mine"),
+        ),
+        max_size=8,
+    ),
+)
+def test_restore_undoes_absorbs_and_mines(before, steps):
+    """Checkpoint, then any sequence of absorbs and partition mines, then
+    restore: the partitions, their counts and the pending total are
+    what was checkpointed — the rollback half of the state's invariants."""
+    scanned = scan(VOCABULARY)
+    analyzer = build_analyzer()
+    state = ServiceState("svc", PatternDB())
+
+    def absorb(picks):
+        by_length = {}
+        for at, n in picks:
+            msgs, counts = by_length.setdefault(scanned[at].token_count(), ([], []))
+            msgs.append(scanned[at])
+            counts.append(n)
+        for length, (msgs, counts) in by_length.items():
+            state.absorb(length, msgs, counts)
+
+    absorb(before)
+    expected = partitions(state)
+    n_expected = state.n_pending
+    assert n_expected == n_pending(state)
+    checkpoint = state.checkpoint()
+    for step in steps:
+        if step == "mine":
+            next(iter(state.mine(analyzer)), None)  # the lowest partition
+        else:
+            absorb(step)
+        assert state.n_pending == n_pending(state)
+    state.restore(checkpoint)
+    assert partitions(state) == expected
+    assert state.n_pending == n_expected
 
 
 def streaming(**kwargs) -> StreamingConfig:
@@ -257,6 +378,27 @@ class TestRollbackKeepsEvidence:
             )
         assert driver.pending == 80
         assert pending_dump(rtg) == before
+
+
+    def test_failed_micro_batch_stays_buffered(self):
+        """The records of a micro-batch whose run raises are not lost: the
+        next trigger — here the timeout, so the buffer kept its age —
+        mines them, exactly once, and only then are they counted."""
+        rtg, driver = driver_for(streaming(micro_batch_size=16))
+        records = [LogRecord("svc", f"job {i} ran cmd c{i} as r{i}") for i in range(16)]
+        fail_once(rtg.engine.persist_stage, "run")
+        with pytest.raises(Fault):
+            driver.feed(records, now=NOW)
+        assert (driver.stats.n_messages, driver.stats.n_micro_batches) == (0, 0)
+        assert driver.pending == 0
+        driver.clock.advance(driver.config.micro_batch_timeout_s)
+        driver.poll()
+        assert (driver.stats.n_messages, driver.stats.n_micro_batches) == (16, 1)
+        assert driver.pending == 16
+        driver.close()
+        assert driver.stats.n_messages == 16
+        (row,) = rtg.db.rows()
+        assert row.match_count == 16
 
 
 class TestCountersCountCommits:

@@ -14,12 +14,12 @@ The tentpole invariants:
 """
 
 import dataclasses
+import sys
 from datetime import timedelta
 
 import pytest
 
-from repro.analyzer import AnalyzerConfig, build_analyzer
-from repro.analyzer.evolving import EvolvingAnalyzer
+from repro.analyzer.enrich import enrich_tokens
 from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.patterndb import PatternDB
 from repro.core.pipeline import SequenceRTG
@@ -29,6 +29,7 @@ from repro.core.streaming import StreamDriver
 from repro.parser.compiled import CompiledParser
 from repro.parser.parser import Parser
 from repro.scanner import build_scanner
+from repro.scanner.compiled import CompiledScanner
 from repro.workflow.stream import ProductionStream, StreamConfig
 from tests.core.test_engine import NOW, batches_for_test, full_dump
 
@@ -49,64 +50,6 @@ class FakeClock:
 def stream_rtg(streaming: StreamingConfig) -> SequenceRTG:
     config = RTGConfig(streaming=streaming)
     return SequenceRTG(db=PatternDB(), config=config)
-
-
-# ----------------------------------------------------------------------
-# The evolving analyzer: batch mining as the degenerate case
-# ----------------------------------------------------------------------
-
-class TestEvolvingAnalyzer:
-    def scan(self, messages, service="svc"):
-        scanner = build_scanner()
-        return [scanner.scan(m, service=service) for m in messages]
-
-    def state(self, service="svc"):
-        return ServiceState(service, PatternDB())
-
-    def test_absorb_then_flush_equals_one_batch_analyze(self):
-        messages = self.scan(
-            [f"user u{i} logged in from 10.0.0.{i}" for i in range(6)]
-        )
-        expected = build_analyzer(AnalyzerConfig()).analyze(messages)
-
-        evolving = EvolvingAnalyzer()
-        state = self.state()
-        length = messages[0].token_count()
-        evolving.absorb(state, length, messages[:2])
-        evolving.absorb(state, length, messages[2:])
-        ((patterns, n_nodes),) = list(evolving.flush(state))
-        assert [p.text for p in patterns] == [p.text for p in expected]
-        assert [p.support for p in patterns] == [p.support for p in expected]
-        assert n_nodes > 0
-        assert evolving.pending_messages == 0
-        assert state.pending == {}
-
-    def test_absorb_dedups_into_weighted_counts(self):
-        distinct = self.scan(
-            ["session 1 opened", "session 2 opened", "session 3 opened"]
-        )
-        expected = build_analyzer(AnalyzerConfig()).analyze(
-            distinct, counts=[3, 2, 1]
-        )
-
-        evolving = EvolvingAnalyzer()
-        state = self.state()
-        length = distinct[0].token_count()
-        # 3x the first, 2x the second, 1x the third, interleaved
-        replay = [distinct[0], distinct[1], distinct[2], distinct[0],
-                  distinct[1], distinct[0]]
-        evolving.absorb(state, length, replay)
-        assert evolving.pending_messages == 3  # distinct, not occurrences
-        assert len(state.pending[length].messages) == 3
-        ((patterns, _),) = list(evolving.flush(state))
-        assert [(p.text, p.support) for p in patterns] == [
-            (p.text, p.support) for p in expected
-        ]
-
-    def test_flush_of_unknown_partition_is_empty(self):
-        evolving = EvolvingAnalyzer()
-        assert list(evolving.flush(self.state("nope"))) == []
-        assert evolving.pending_messages == 0
 
 
 # ----------------------------------------------------------------------
@@ -510,6 +453,58 @@ class TestDriftMerge:
         # the specific pattern's examples were folded into the general
         assert any("10.0.0.1" in example for example in general.examples)
 
+    def test_probes_run_the_compiled_path(self, monkeypatch):
+        """While a drift merge runs, nothing calls the reference parser's
+        ``match``, the token-building ``CompiledScanner.scan`` or
+        ``enrich_tokens``: the probes scan to columns and match them."""
+        calls = {"inside": [], "outside": []}
+        inside = False
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls["inside" if inside else "outside"].append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Parser, "match", spy("Parser.match", Parser.match))
+        monkeypatch.setattr(
+            CompiledScanner, "scan", spy("CompiledScanner.scan", CompiledScanner.scan)
+        )
+        # every module that bound the function by name
+        for module in list(sys.modules.values()):
+            if getattr(module, "enrich_tokens", None) is enrich_tokens:
+                monkeypatch.setattr(
+                    module, "enrich_tokens", spy("enrich_tokens", enrich_tokens)
+                )
+
+        rtg = stream_rtg(StreamingConfig(
+            micro_batch_size=4, flush_pending=4, flush_interval_s=10 ** 6,
+            drift_merge=True, drift_split=False,
+        ))
+        driver = rtg.stream_driver(clock=FakeClock())
+        merge = driver._drift_merge
+
+        def watched(new_patterns):
+            nonlocal inside
+            inside = True
+            try:
+                return merge(new_patterns)
+            finally:
+                inside = False
+
+        driver._drift_merge = watched
+        for ips in (["10.0.0.1"] * 4, [f"10.0.0.{2 + i}" for i in range(4)]):
+            driver.feed(
+                [LogRecord("svc", f"connection from {ip} port {4000 + i}")
+                 for i, ip in enumerate(ips)],
+                now=NOW,
+            )
+        assert driver.stats.n_drift_merges == 1
+        assert calls["inside"] == []
+        # the spies are live: the analyser enriched outside the merge
+        assert "enrich_tokens" in calls["outside"]
+
 
 class TestDriftTracks:
     """The drift tracks a service state keeps of its live matches."""
@@ -601,7 +596,7 @@ class TestRemovePatterns:
         )
         driver.flush()
         (row,) = rtg.db.rows(service="svc")
-        rtg.invalidate_service("svc")  # drop the cached parser
+        rtg.states["svc"].drop()  # drop the cached parser
         assert rtg.retire_patterns("svc", [row.id]) == 1
         assert rtg.db.rows(service="svc") == []
         assert rtg.parser_for("svc").match(
@@ -622,7 +617,7 @@ class TestModeGuards:
 
     def test_batch_mode_flush_is_empty_noop(self):
         rtg = SequenceRTG(db=PatternDB())
-        result = rtg.flush(now=NOW)
+        result = rtg.engine.flush(now=NOW)
         assert result.n_new_patterns == 0
         assert result.n_services == 0
 

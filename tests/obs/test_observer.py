@@ -85,6 +85,36 @@ class TestSerialPath:
         assert total("rtg_patterns_total") == result.n_new_patterns
         assert rtg.metrics.counter("rtg_batches_total").value() == 1
 
+    def test_rolled_back_call_counts_nothing(self):
+        """The outcome counters count committed calls only: when the
+        second service group's persist raises, the whole call rolls
+        back, the first group's finished persist included."""
+        rtg = SequenceRTG(db=PatternDB())
+        persist = rtg.engine.persist_stage
+        real = persist.run
+
+        def failing(ctx):
+            if ctx.service == "b":
+                raise RuntimeError("disk full")
+            real(ctx)
+
+        persist.run = failing
+        records = [LogRecord("a", f"job {i} done") for i in range(5)] + [
+            LogRecord("b", f"disk {i} full") for i in range(5)
+        ]
+        with pytest.raises(RuntimeError, match="disk full"):
+            rtg.analyze_by_service(records)
+        assert rtg.db.rows() == []
+        for name in (
+            "rtg_records_total", "rtg_matched_total",
+            "rtg_unmatched_total", "rtg_patterns_total",
+        ):
+            assert rtg.metrics.counter(name).value(service="a") == 0, name
+        persist.run = real
+        rtg.analyze_by_service(records)  # committed: now it counts
+        assert rtg.metrics.counter("rtg_records_total").value(service="a") == 5
+        assert rtg.metrics.counter("rtg_patterns_total").value(service="a") == 1
+
     def test_db_gauges_track_database_state(self):
         rtg, _ = mined()
         counts = rtg.db.counts()
@@ -272,6 +302,8 @@ class TestWorkerMode:
         assert "rtg_batches_total" not in names
         assert "rtg_patterndb_rows" not in names
         assert "rtg_stage_latency_seconds" in names
+        # the outcome counters ride the reply's delta
+        assert "rtg_records_total" in names
         # the pool sums these from every worker's reply
         assert set(result.timings) == {
             "scan", "parse", "partition_length", "analyze", "persist",

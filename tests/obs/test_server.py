@@ -42,7 +42,8 @@ class TestMetricsServer:
             root = server.url.rsplit("/metrics", 1)[0] + "/other"
             with pytest.raises(urllib.error.HTTPError) as exc_info:
                 urllib.request.urlopen(root, timeout=5)
-            assert exc_info.value.code == 404
+            with exc_info.value as error:  # closes the response's socket
+                assert error.code == 404
 
     def test_port_zero_binds_a_real_port(self):
         server = MetricsServer(MetricsRegistry(), port=0)

@@ -382,19 +382,17 @@ class TestBitIdentity:
         batch = 100
         config = RTGConfig(batch_size=batch)
 
-        reference_pool = PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=2
-        )
-        try:
-            for k in range(0, len(records), batch):
-                reference_pool.analyze_by_service(records[k:k + batch])
-        finally:
-            reference_pool.close()
+        with PatternDB() as reference_db:
+            with PersistentParallelSequenceRTG(
+                db=reference_db, config=config, n_workers=2
+            ) as reference_pool:
+                for k in range(0, len(records), batch):
+                    reference_pool.analyze_by_service(records[k:k + batch])
+            expected = db_fingerprint(reference_db)
 
-        pool = PersistentParallelSequenceRTG(
-            db=PatternDB(), config=config, n_workers=2
-        )
-        try:
+        with PatternDB() as db, PersistentParallelSequenceRTG(
+            db=db, config=config, n_workers=2
+        ) as pool:
             server = ServeServer(
                 pool, serve_config(batch_size=batch, dispatch_timeout_s=30)
             )
@@ -404,11 +402,9 @@ class TestBitIdentity:
             stats = server.shutdown()
             assert server.n_shards == 2
             assert stats.records_mined == len(records)
-            fingerprint = db_fingerprint(pool.db)
-        finally:
-            pool.close()
+            fingerprint = db_fingerprint(db)
 
-        assert fingerprint == db_fingerprint(reference_pool.db)
+        assert fingerprint == expected
 
 
 class TestStreamMode:
