@@ -13,12 +13,12 @@ Shape targets asserted:
   approximately 15%");
 * batch fill time grows as promotions thin the unmatched stream
   (paper §IV: ~15 minutes initially, 25-30 minutes later);
-* a single instance keeps pace (analysis time well under the fill time).
+* a single instance keeps pace: no day takes two minutes to analyse.
+  The table leaves the analysis seconds out, as they differ run to run;
+  the rate claim is the ``paper_floor`` gate of ``benchmarks/gates.py``.
 """
 
 from repro.workflow import ProductionSimulation, SimulationConfig, StreamConfig
-
-_HISTORY: list = []
 
 
 def _config() -> SimulationConfig:
@@ -34,18 +34,14 @@ def _config() -> SimulationConfig:
     )
 
 
-def test_fig7_sixty_days(benchmark, table_writer):
-    sim = ProductionSimulation(_config())
-
-    history = benchmark.pedantic(sim.run, rounds=1, iterations=1)
-    _HISTORY.extend(history)
+def test_fig7_sixty_days(table_writer):
+    history = ProductionSimulation(_config()).run()
 
     rows = [
         [
             d.day,
             f"{d.unmatched_fraction:.1%}",
             d.n_batches,
-            f"{d.analysis_seconds:.2f}s",
             f"{d.batch_fill_minutes:.0f}min",
             d.n_promoted,
             d.patterndb_size,
@@ -55,7 +51,7 @@ def test_fig7_sixty_days(benchmark, table_writer):
     ]
     table_writer(
         "fig7_production.md",
-        ["day", "unmatched", "batches", "analysis", "fill time", "promoted", "patterndb"],
+        ["day", "unmatched", "batches", "fill time", "promoted", "patterndb"],
         rows,
     )
 

@@ -11,8 +11,6 @@ Shape targets asserted:
 * every baseline average lands within ±0.08 of the paper's value.
 """
 
-import pytest
-
 from repro.baselines import ALL_BASELINES
 from repro.loghub import DATASET_NAMES, evaluate_baseline, load_dataset
 
@@ -41,38 +39,23 @@ PAPER = {
 
 ORDER = ("AEL", "IPLoM", "Spell", "Drain")
 
-_SCORES: dict[tuple[str, str], float] = {}
 
-
-@pytest.mark.parametrize("algo", ORDER)
-def test_table3_algorithm(benchmark, algo):
+def test_table3_baselines(table_writer):
     datasets = [load_dataset(name) for name in DATASET_NAMES]
-
-    def evaluate():
-        return [
-            evaluate_baseline(ALL_BASELINES[algo](), dataset)
-            for dataset in datasets
-        ]
-
-    scores = benchmark.pedantic(evaluate, rounds=1, iterations=1)
-    for name, score in zip(DATASET_NAMES, scores):
-        _SCORES[(name, algo)] = score
-        assert 0.0 <= score <= 1.0
-
-
-def test_table3_summary(table_writer, benchmark):
-    if len(_SCORES) < len(ORDER) * len(DATASET_NAMES):
-        pytest.skip("per-algorithm evaluations did not run")
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    scores = {}
+    for algo in ORDER:
+        for name, dataset in zip(DATASET_NAMES, datasets):
+            score = scores[(name, algo)] = evaluate_baseline(ALL_BASELINES[algo](), dataset)
+            assert 0.0 <= score <= 1.0
 
     rows = []
     for name in DATASET_NAMES:
         row = [name]
         for i, algo in enumerate(ORDER):
-            row.append(f"{_SCORES[(name, algo)]:.3f} ({PAPER[name][i]:.3f})")
+            row.append(f"{scores[(name, algo)]:.3f} ({PAPER[name][i]:.3f})")
         rows.append(row)
     averages = {
-        algo: sum(_SCORES[(n, algo)] for n in DATASET_NAMES) / 16 for algo in ORDER
+        algo: sum(scores[(n, algo)] for n in DATASET_NAMES) / 16 for algo in ORDER
     }
     rows.append(
         ["Average"]

@@ -1,18 +1,25 @@
-"""Shared benchmark fixtures.
+"""Shared fixtures of the paper's tables.
 
-Every benchmark regenerates one table or figure of the paper and, in
-addition to the pytest-benchmark timing, writes the measured values next
-to the paper's values into ``results/`` so EXPERIMENTS.md can be checked
-against fresh runs.
+Every ``bench_*.py`` test computes one table or figure of the paper,
+writes it next to the paper's values into ``results/`` and asserts its
+shape findings.  The tables hold deterministic values only, so a rerun
+that changes one is a change of the program (CI diffs ``results/``
+after the run); the paper's timing claims are ``benchmarks/gates.py``.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
 import pytest
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+RESULTS_DIR = os.path.join(ROOT, "results")
+# plain ``pytest``, unlike ``python -m pytest``, does not put the
+# repository root on ``sys.path``; the Fig. 5 test imports ``benchmarks.gates``
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
 
 
 @pytest.fixture(scope="session")

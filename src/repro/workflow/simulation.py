@@ -53,10 +53,6 @@ class SimulationConfig:
     promote_max_complexity: float = 0.9
     initial_coverage: float = 0.22  # paper: 20-25% matched before RTG
     churn_templates_per_day: int = 6  # software updates add new events
-    #: mine on a persistent worker pool of this size (1 = in-process
-    #: serial miner, the historical behaviour); the mined database is
-    #: identical either way — only wall-clock changes
-    n_workers: int = 1
     stream: StreamConfig = field(default_factory=StreamConfig)
     seed: int = 7
 
@@ -74,9 +70,6 @@ class DayStats:
     batch_fill_minutes: float
     n_promoted: int
     patterndb_size: int
-    #: batch dedup summed over the day's mining batches (unique
-    #: messages scanned, duplicate occurrences folded into them)
-    cache: dict[str, int] = field(default_factory=dict)
 
     @property
     def unmatched_fraction(self) -> float:
@@ -95,30 +88,12 @@ class ProductionSimulation:
         self.rtg = self._make_miner()
         self._promoted_ids: set[str] = set()
 
-    def _make_miner(self):
-        """Fresh miner over an empty DB (serial or persistent pool)."""
-        rtg_config = RTGConfig(batch_size=self.config.batch_size, save_threshold=1)
-        if self.config.n_workers > 1:
-            from repro.core.parallel import PersistentParallelSequenceRTG
-
-            return PersistentParallelSequenceRTG(
-                db=PatternDB(),
-                config=rtg_config,
-                n_workers=self.config.n_workers,
-            )
-        return SequenceRTG(db=PatternDB(), config=rtg_config)
-
-    def close(self) -> None:
-        """Stop the miner's worker pool, if it has one (idempotent)."""
-        close = getattr(self.rtg, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "ProductionSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def _make_miner(self) -> SequenceRTG:
+        """Fresh miner over an empty DB."""
+        return SequenceRTG(
+            db=PatternDB(),
+            config=RTGConfig(batch_size=self.config.batch_size, save_threshold=1),
+        )
 
     # ------------------------------------------------------------------
     def bootstrap(self) -> int:
@@ -143,7 +118,6 @@ class ProductionSimulation:
         self._promoted_ids.update(p.id for p in chosen)
         # the bootstrap mining session belongs to the "before" era: reset
         # the miner so day-1 statistics start from a clean database
-        self.close()
         self.rtg = self._make_miner()
         return report.promoted
 
@@ -155,15 +129,12 @@ class ProductionSimulation:
         n_matched = 0
         n_batches = 0
         analysis_seconds = 0.0
-        cache_totals: dict[str, int] = {}
         index = f"logs-{day:03d}"
         def analyze_batch(records: list[LogRecord]) -> None:
             nonlocal n_batches, analysis_seconds
             start = time.perf_counter()
-            batch_result = self.rtg.analyze_by_service(records)
+            self.rtg.analyze_by_service(records)
             analysis_seconds += time.perf_counter() - start
-            for key, value in batch_result.cache.items():
-                cache_totals[key] = cache_totals.get(key, 0) + value
             n_batches += 1
 
         for record in self.stream.records(n_messages):
@@ -208,7 +179,6 @@ class ProductionSimulation:
             batch_fill_minutes=_MINUTES_PER_DAY / max(1, n_batches),
             n_promoted=n_promoted,
             patterndb_size=self.syslog.n_patterns,
-            cache=cache_totals,
         )
 
     def _review(self) -> int:

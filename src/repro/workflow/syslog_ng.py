@@ -9,7 +9,8 @@ to ensure that all the example messages match their pattern, and no
 other in the whole pattern database" (§III) — a pattern whose examples
 match a different stored pattern is flagged as a conflict, mirroring the
 multi-match review the paper describes ("the most correct pattern would
-be promoted and the other discarded", §IV).
+be promoted and the other discarded", §IV).  Routing and the test cases
+run the miner's compiled scanner and parser, on token columns.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
-from repro.parser.parser import Parser
-from repro.scanner.scanner import Scanner, ScannerConfig
+from repro.parser import Parser, build_parser
+from repro.scanner import build_scanner
 
 __all__ = ["SyslogNG", "RouteResult", "PromotionReport"]
 
@@ -45,8 +46,8 @@ class PromotionReport:
 class SyslogNG:
     """Pattern-database front end of the log management workflow."""
 
-    def __init__(self, scanner: Scanner | None = None) -> None:
-        self.scanner = scanner or Scanner(ScannerConfig())
+    def __init__(self) -> None:
+        self.scanner = build_scanner()
         self._parsers: dict[str, Parser] = {}
         self._patterns: dict[str, Pattern] = {}
         self.n_matched = 0
@@ -66,8 +67,8 @@ class SyslogNG:
         if parser is None or len(parser) == 0:
             self.n_unmatched += 1
             return RouteResult(matched=False)
-        scanned = self.scanner.scan(record.message, service=record.service)
-        hit = parser.match(scanned)
+        cols = self.scanner.scan_columns([record.message])
+        hit = parser.match_columns(cols.texts, cols.types)
         if hit is None:
             self.n_unmatched += 1
             return RouteResult(matched=False)
@@ -83,7 +84,7 @@ class SyslogNG:
                 continue
             verdict = self._validate(pattern)
             if verdict == "ok":
-                parser = self._parsers.setdefault(pattern.service, Parser())
+                parser = self._parsers.setdefault(pattern.service, build_parser())
                 parser.add_pattern(pattern)
                 self._patterns[pattern.id] = pattern
                 report.promoted += 1
@@ -95,14 +96,14 @@ class SyslogNG:
 
     def _validate(self, pattern: Pattern) -> str:
         """Run the pattern's stored examples as patterndb test cases."""
-        candidate = Parser([pattern])
+        candidate = build_parser([pattern])
         existing = self._parsers.get(pattern.service)
         for example in pattern.examples:
-            scanned = self.scanner.scan(example, service=pattern.service)
-            if candidate.match(scanned) is None:
+            cols = self.scanner.scan_columns([example])
+            if candidate.match_columns(cols.texts, cols.types) is None:
                 return "rejected"
             if existing is not None:
-                other = existing.match(scanned)
+                other = existing.match_columns(cols.texts, cols.types)
                 if other is not None and other.pattern.id != pattern.id:
                     # the example already matches a promoted pattern: the
                     # reviewer keeps the most correct one and discards

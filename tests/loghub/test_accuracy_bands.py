@@ -1,6 +1,7 @@
 """Accuracy regression bands for the key Table II datasets.
 
-The full sweep lives in ``benchmarks/bench_table2_accuracy.py``; these
+Table II itself is ``benchmarks/bench_table2_accuracy.py``, which CI
+reruns and diffs against ``results/table2_accuracy.md``; these
 unit-suite bands cover the datasets whose behaviour carries the paper's
 story, with margins wide enough to be stable across refactors but tight
 enough to catch a broken merge rule or scanner regression.

@@ -8,7 +8,11 @@ from benchmarks import gates
 from benchmarks.gates import FAIL, PASS, SKIP
 
 
-def record(file_rate=20_000.0, pool_rate=30_000.0, nproc=2, pairs=None):
+#: ``(lines, Analyze s, AnalyzeByService s)`` rows that meet ``fig5_shape``
+FIG5_OK = [(2_000, 0.4, 0.4), (5_000, 1.0, 0.9), (12_000, 3.0, 2.0), (30_000, 10.0, 4.5)]
+
+
+def record(file_rate=20_000.0, pool_rate=30_000.0, nproc=2, pairs=None, fig5=FIG5_OK):
     """An e2e result shaped like ``benchmarks.gates.measure``'s."""
 
     def workload(rate):
@@ -18,6 +22,7 @@ def record(file_rate=20_000.0, pool_rate=30_000.0, nproc=2, pairs=None):
         "header": {"nproc": nproc},
         "workloads": {"steady_file": workload(file_rate), "steady_pool": workload(pool_rate)},
         "metrics_pairs_s": [(0.20, 0.20)] * 5 if pairs is None else pairs,
+        "fig5_s": fig5,
     }
 
 
@@ -70,3 +75,26 @@ class TestMetricsOverhead:
         status, reason = gates.metrics_overhead(record(pairs=[(0.2, 0.2)] * 4))
         assert status == FAIL
         assert "4 timing pairs" in reason
+
+
+class TestFig5Shape:
+    def test_the_paper_shape_passes(self):
+        status, reason = gates.fig5_shape(record())
+        assert status == PASS
+        assert "30,000 10.00s/4.50s" in reason
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            # AnalyzeByService slower at the crossover size
+            (12_000, 2.0, 2.5),
+            # faster at the largest size, but by less than FIG5_SPEEDUP
+            (30_000, 6.0, 4.5),
+            # AnalyzeByService's per-line cost grows faster than legacy's
+            (2_000, 0.4, 0.1),
+        ],
+        ids=["crossover", "speed-up", "growth"],
+    )
+    def test_each_broken_condition_fails(self, row):
+        fig5 = [row if old[0] == row[0] else old for old in FIG5_OK]
+        assert gates.fig5_shape(record(fig5=fig5))[0] == FAIL

@@ -70,47 +70,3 @@ class TestSinks:
         sim, days = history
         assert len(sim.es.indices()) == len(days)
 
-
-class TestWorkerPoolSimulation:
-    def _config(self, n_workers):
-        return SimulationConfig(
-            days=3,
-            msgs_per_day=(700, 900),
-            batch_size=200,
-            review_every_days=2,
-            promote_min_count=5,
-            churn_templates_per_day=2,
-            n_workers=n_workers,
-            stream=StreamConfig(n_services=20),
-        )
-
-    def test_pool_miner_matches_serial(self):
-        """n_workers > 1 swaps the miner for a persistent pool; the
-        deployment dynamics and the mined database must not change."""
-        with ProductionSimulation(self._config(1)) as serial:
-            serial_days = serial.run()
-            serial_rows = sorted(
-                (r.id, r.service, r.match_count) for r in serial.rtg.db.rows()
-            )
-        with ProductionSimulation(self._config(2)) as pooled:
-            pooled_days = pooled.run()
-            pooled_rows = sorted(
-                (r.id, r.service, r.match_count) for r in pooled.rtg.db.rows()
-            )
-        assert pooled_rows == serial_rows
-        for s, p in zip(serial_days, pooled_days):
-            assert (s.n_messages, s.n_matched, s.n_promoted) == (
-                p.n_messages,
-                p.n_matched,
-                p.n_promoted,
-            )
-
-    def test_close_terminates_pool_workers(self):
-        sim = ProductionSimulation(self._config(2))
-        sim.run(days=1)
-        procs = [h.process for h in sim.rtg._workers if h is not None]
-        assert procs
-        sim.close()
-        for proc in procs:
-            assert not proc.is_alive()
-        sim.close()  # idempotent

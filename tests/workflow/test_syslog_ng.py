@@ -2,6 +2,10 @@
 
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
+from repro.parser.compiled import CompiledParser
+from repro.parser.parser import Parser
+from repro.scanner.compiled import CompiledScanner
+from repro.scanner.scanner import Scanner
 from repro.workflow.syslog_ng import SyslogNG
 
 
@@ -73,3 +77,25 @@ class TestPromotion:
     def test_pattern_without_examples_promotes(self):
         pattern = Pattern.from_text("bare %integer% pattern", "svc")
         assert SyslogNG().promote([pattern]).promoted == 1
+
+
+class TestCompiledPath:
+    def test_routes_and_validates_on_token_columns(self, monkeypatch):
+        """Promotion test cases and routing scan to token columns and
+        match those: no token-building ``scan`` and no token ``match``,
+        of the reference classes or the compiled ones, runs."""
+        pattern = auth_pattern()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("token path called")
+
+        for cls in (Scanner, CompiledScanner):
+            monkeypatch.setattr(cls, "scan", refuse)
+        for cls in (Parser, CompiledParser):
+            monkeypatch.setattr(cls, "match", refuse)
+        ng = SyslogNG()
+        assert ng.promote([pattern]).promoted == 1
+        result = ng.route(
+            LogRecord("sshd", "Accepted password for u9 from 9.9.9.9 port 2222 ssh2")
+        )
+        assert result.matched and result.fields["srcip"] == "9.9.9.9"
