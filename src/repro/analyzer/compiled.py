@@ -14,11 +14,16 @@ style in a node arena reused across partitions:
 * edge keys are interned through bounded memo tables
   (text → ``"L"+text``, (type, semantic) → ``"T…"`` key + var class),
   so the hot insert loop performs no string formatting;
-* insertion batches the whole partition: identical raw messages are
-  grouped first and inserted once with their summed weight — exact by
-  the weighted-insert contract documented on
-  :meth:`~repro.analyzer.trie.AnalysisTrie.insert` — which also runs
-  enrichment once per distinct message;
+* insertion reads token *columns*: :meth:`CompiledAnalyzer.analyze_columns`
+  takes a partition's texts, enriched types and spacing as flat lists
+  plus each message's end, original and multiplicity — what a service
+  state's pending partition holds — and builds no
+  :class:`~repro.scanner.token_types.Token`; the k=v value's semantic
+  tag is the key text two positions back (see
+  :func:`~repro.analyzer.enrich.enrich_types`).  A message inserted
+  twice lands where one insert with the summed weight does (the
+  weighted-insert contract of
+  :meth:`~repro.analyzer.trie.AnalysisTrie.insert`);
 * literal edges skip value tracking entirely: an unmerged ``L`` node's
   observed values are always exactly ``{text: count}``, so the dict is
   materialised lazily, only if the node ever takes part in a merge;
@@ -48,7 +53,7 @@ from repro.analyzer.analyzer import (
     _looks_id,
     _wordlike,
 )
-from repro.analyzer.enrich import enrich_tokens
+from repro.analyzer.enrich import enrich_types
 from repro.analyzer.naming import assign_names
 from repro.analyzer.pattern import Pattern, PatternToken, VarClass, var_class_for
 from repro.analyzer.trie import END_KEY, VALUE_CAP
@@ -69,7 +74,9 @@ class CompiledAnalyzer:
 
     Same constructor, same ``analyze(messages, counts=None)`` contract,
     same ``last_trie_nodes`` telemetry and bit-identical patterns as the
-    reference :class:`~repro.analyzer.analyzer.Analyzer`.
+    reference :class:`~repro.analyzer.analyzer.Analyzer`;
+    :meth:`analyze_columns` is the same over token columns, and what
+    the miner calls.
     """
 
     def __init__(self, config: AnalyzerConfig | None = None) -> None:
@@ -134,12 +141,45 @@ class CompiledAnalyzer:
         """Mine patterns from one partition of scanned messages.
 
         Identical contract to the reference analyser: *counts* carries
-        dedup multiplicities parallel to *messages*.
+        dedup multiplicities parallel to *messages*.  The messages are
+        taken apart into columns, enriched, for :meth:`analyze_columns`.
         """
-        if not messages:
+        texts: list[str] = []
+        types: list[TokenType] = []
+        spaces: list[bool] = []
+        ends: list[int] = []
+        for msg in messages:
+            message_texts = [tok.text for tok in msg.tokens]
+            texts += message_texts
+            types += enrich_types(message_texts, [tok.type for tok in msg.tokens])
+            spaces += [tok.is_space_before for tok in msg.tokens]
+            ends.append(len(texts))
+        originals = [msg.original for msg in messages]
+        return self.analyze_columns(
+            texts, types, spaces, ends, originals, counts or [1] * len(messages)
+        )
+
+    def analyze_columns(
+        self,
+        texts: list[str],
+        types: list[TokenType],
+        spaces: list[bool],
+        ends: list[int],
+        originals: list[str],
+        counts: list[int],
+    ) -> list[Pattern]:
+        """Mine patterns from one partition given as token columns.
+
+        Message *k*'s tokens are the slice from ``ends[k - 1]`` (0 for
+        the first) to ``ends[k]`` of *texts*, *types* — enriched, as
+        :func:`~repro.analyzer.enrich.enrich_types` returns them — and
+        *spaces* (``is_space_before``); *originals* and *counts* are
+        parallel to *ends*.
+        """
+        if not originals:
             return []
         self._reset()
-        self._insert_many(messages, counts)
+        self._insert_columns(texts, types, spaces, ends, originals, counts)
         # telemetry point matches the reference: peak node count is the
         # trie *before* merging collapses siblings
         self.last_trie_nodes = self._n
@@ -148,27 +188,8 @@ class CompiledAnalyzer:
         self._walk(0, [], [], patterns, 1.0, ())
         return patterns
 
-    # -- batch insertion --------------------------------------------------
-    def _insert_many(
-        self, messages: list[ScannedMessage], counts: list[int] | None
-    ) -> None:
-        # group identical raw messages first: scanning and enrichment are
-        # pure functions of the message text, so duplicates replay the
-        # same edge walk and fold into one weighted insert (and one
-        # enrichment pass) by the weighted-insert contract
-        index: dict[str, int] = {}
-        reps: list[ScannedMessage] = []
-        weights: list[int] = []
-        for i, msg in enumerate(messages):
-            n = 1 if counts is None else counts[i]
-            at = index.get(msg.original)
-            if at is None:
-                index[msg.original] = len(reps)
-                reps.append(msg)
-                weights.append(n)
-            else:
-                weights[at] += n
-
+    # -- insertion ----------------------------------------------------------
+    def _insert_columns(self, texts, types, spaces, ends, originals, counts) -> None:
         lit_keys = self._lit_keys
         typed_keys = self._typed_keys
         kcol, ccol, kidcol = self._keys, self._counts, self._kids
@@ -176,12 +197,13 @@ class CompiledAnalyzer:
         varcol, semcol, spcol = self._var, self._sem, self._space
         excol = self._examples
         _LIT, _KEY = TokenType.LITERAL, TokenType.KEY
-        for msg, n in zip(reps, weights):
+        lo = 0
+        for hi, original, n in zip(ends, originals, counts):
             ccol[0] += n
             node = 0
-            for tok in enrich_tokens(msg.tokens):
-                ttype = tok.type
-                text = tok.text
+            for j in range(lo, hi):
+                ttype = types[j]
+                text = texts[j]
                 if ttype is _LIT or ttype is _KEY:
                     key = lit_keys.get(text)
                     if key is None:
@@ -190,7 +212,8 @@ class CompiledAnalyzer:
                         key = lit_keys[text] = "L" + text
                     var = None
                 else:
-                    sem = tok.semantic
+                    # a k=v value is tagged with its key's text
+                    sem = texts[j - 2] if j - lo > 1 and types[j - 2] is _KEY else None
                     entry = typed_keys.get((ttype, sem))
                     if entry is None:
                         if len(typed_keys) >= _MEMO_CAP:
@@ -209,10 +232,10 @@ class CompiledAnalyzer:
                     child = self._alloc()
                     kcol[child] = key
                     ccol[child] = n
-                    spcol[child] = tok.is_space_before
+                    spcol[child] = spaces[j]
                     if var is not None:
                         varcol[child] = var
-                        semcol[child] = tok.semantic
+                        semcol[child] = sem
                         vcol[child] = {text: n}
                     kids[key] = child
                 else:
@@ -231,19 +254,20 @@ class CompiledAnalyzer:
                         else:
                             vals[text] = n
                 node = child
+            lo = hi
             kids = kidcol[node]
             end = kids.get(END_KEY)
             if end is None:
                 end = self._alloc()
                 kcol[end] = END_KEY
                 ccol[end] = n
-                excol[end] = [msg.original]
+                excol[end] = [original]
                 kids[END_KEY] = end
             else:
                 ccol[end] += n
                 examples = excol[end]
-                if msg.original not in examples and len(examples) < 3:
-                    examples.append(msg.original)
+                if original not in examples and len(examples) < 3:
+                    examples.append(original)
 
     # -- classification memos ---------------------------------------------
     def _is_wordlike(self, key: str) -> bool:

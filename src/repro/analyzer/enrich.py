@@ -5,13 +5,19 @@ i.e. key/value pairs, email addresses, and host names" (paper §III).
 The scanner deliberately leaves these as literals — detecting them needs
 more context than a single-pass character FSM has — and the analyser
 re-types them here before trie insertion.
+
+The miner enriches on token *columns*: :func:`enrich_types` retypes a
+message's types column, once per distinct message, for both the parser
+and the analyser.  :func:`enrich_tokens` is the same rule over
+:class:`~repro.scanner.token_types.Token` objects, kept for the
+reference classes and the ``scan``/``analyze`` contracts.
 """
 
 from __future__ import annotations
 
 from repro.scanner.token_types import Token, TokenType
 
-__all__ = ["enrich_tokens", "is_email", "is_hostname"]
+__all__ = ["enrich_tokens", "enrich_types", "is_email", "is_hostname"]
 
 # Common top-level domains accepted for two-label host names; longer
 # dotted names qualify regardless of their last label.
@@ -97,4 +103,61 @@ def enrich_tokens(tokens: list[Token]) -> list[Token]:
             out[i] = tok.with_type(TokenType.EMAIL)
         elif is_hostname(text):
             out[i] = tok.with_type(TokenType.HOST)
+    return out
+
+
+#: distinct literal texts whose EMAIL/HOST/LITERAL class
+#: :func:`enrich_types` memoises before the memo is dropped wholesale
+#: (the scanner's ``WordCache`` policy): the two classifiers are pure
+#: functions of the text, and log vocabulary is tiny next to log volume
+_MEMO_SIZE = 65536
+_CLASSES: dict[str, TokenType] = {}
+
+_LITERAL = TokenType.LITERAL
+_KEY = TokenType.KEY
+_VALUE = TokenType.VALUE
+_EMAIL = TokenType.EMAIL
+_HOST = TokenType.HOST
+
+
+def enrich_types(texts: list[str], types: list[TokenType]) -> list[TokenType]:
+    """:func:`enrich_tokens` on one message's columns: a retyped copy of
+    *types*, type for type what :func:`enrich_tokens` assigns.
+
+    A column has no semantic tag: the k=v value at position *i* carries
+    the key text ``texts[i - 2]``, which is exactly when position
+    ``i - 2`` is typed ``KEY`` here (the scanner never emits ``KEY``).
+    """
+    out = list(types)
+    n = len(out)
+    pairs = "=" in texts
+    memo = _CLASSES
+    for i, text in enumerate(texts):
+        if out[i] is not _LITERAL:
+            continue
+        if (
+            pairs
+            and i + 2 < n
+            and texts[i + 1] == "="
+            and text
+            and text[0].isalpha()
+            and texts[i + 2] != "="
+        ):
+            out[i] = _KEY
+            if out[i + 2] is _LITERAL:
+                out[i + 2] = _VALUE
+            continue
+        cls = memo.get(text)
+        if cls is None:
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            if is_email(text):
+                cls = _EMAIL
+            elif is_hostname(text):
+                cls = _HOST
+            else:
+                cls = _LITERAL
+            memo[text] = cls
+        if cls is not _LITERAL:
+            out[i] = cls
     return out

@@ -39,10 +39,11 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
 
+from repro.analyzer.enrich import enrich_types
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
 from repro.scanner.compiled import TokenColumns
-from repro.scanner.scanner import ScannedMessage
+from repro.scanner.token_types import TokenType
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.pipeline import SequenceRTG
@@ -114,10 +115,12 @@ class ServiceBatchContext:
     scanned: TokenColumns = field(default_factory=lambda: TokenColumns([]))
     #: dedup multiplicities parallel to ``scanned`` (ScanStage)
     counts: list[int] = field(default_factory=list)
-    #: messages no known pattern matched — the only ones whose tokens
-    #: are built (ParseStage) — with their multiplicities
-    unmatched: list[ScannedMessage] = field(default_factory=list)
+    #: messages no known pattern matched, as indices into ``scanned``,
+    #: with their multiplicities and — when the parse stage enriched
+    #: them to match — their enriched types, else None (ParseStage)
+    unmatched: list[int] = field(default_factory=list)
     unmatched_counts: list[int] = field(default_factory=list)
+    unmatched_types: list[list[TokenType] | None] = field(default_factory=list)
     #: pattern id -> occurrences matched this batch (ParseStage)
     match_counts: dict[str, int] = field(default_factory=dict)
     #: candidate-frontier sizes of the parse matches, one per distinct
@@ -125,8 +128,9 @@ class ServiceBatchContext:
     parse_frontiers: list[int] = field(default_factory=list)
     #: pattern id -> originals worth storing as examples (ParseStage)
     match_examples: dict[str, list[str]] = field(default_factory=dict)
-    #: token count -> (messages, multiplicities) (LengthPartitionStage)
-    by_length: dict[int, tuple[list[ScannedMessage], list[int]]] = field(
+    #: token count -> the ``unmatched`` indices, multiplicities and
+    #: enriched types of that count (LengthPartitionStage)
+    by_length: dict[int, tuple[list[int], list[int], list]] = field(
         default_factory=dict
     )
     #: patterns mined from the length partitions (AnalyzeStage), before
@@ -198,61 +202,78 @@ class ParseStage(Stage):
     "If a match is found the last matched date and the number of
     examples ... are adjusted accordingly and no further processing
     occurs" (paper §III) — the adjustments are tallied here and written
-    by :class:`PersistStage`.  A hit is matched on its token columns
-    and never becomes a :class:`~repro.scanner.token_types.Token`; only
-    a miss is built into a :class:`ScannedMessage` for the analyser.
+    by :class:`PersistStage`.  A message is matched on its token columns
+    (enriched once, :func:`~repro.analyzer.enrich.enrich_types`) and
+    never becomes a :class:`~repro.scanner.token_types.Token`; a miss
+    goes on as its index into the columns, with the enriched types.
     """
 
     name = "parse"
 
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
-        service = ctx.service
-        state = rtg.state(service)
+        state = rtg.state(ctx.service)
         parser = state.parser
+        cols = ctx.scanned
+        unmatched, unmatched_counts = ctx.unmatched, ctx.unmatched_counts
+        unmatched_types = ctx.unmatched_types
+        if len(parser) == 0:
+            # nothing to match: every message is a miss, which the
+            # analyze stage enriches when it absorbs it
+            unmatched.extend(range(len(cols)))
+            unmatched_counts.extend(ctx.counts)
+            unmatched_types.extend([None] * len(cols))
+            return
+        match = parser.match_enriched
         track_drift = rtg.track_drift
-        match = parser.match_columns if len(parser) > 0 else None
         frontiers = ctx.parse_frontiers
         example_cap = rtg.db.max_examples
-        cols = ctx.scanned
-        texts, types, build = cols.texts, cols.types, cols.scanned
+        texts, types = cols.texts, cols.types
         lo = 0
         for k, (hi, n) in enumerate(zip(cols.ends, ctx.counts)):
-            hit = None
-            if match is not None:
-                hit = match(texts[lo:hi], types[lo:hi])
-                frontiers.append(parser.last_frontier)
+            message_texts = texts[lo:hi]
+            enriched = enrich_types(message_texts, types[lo:hi])
             lo = hi
+            hit = match(message_texts, enriched)
+            frontiers.append(parser.last_frontier)
             if hit is None:
-                ctx.unmatched.append(build(k, service))
-                ctx.unmatched_counts.append(n)
-            else:
-                pid = hit.pattern_id
-                ctx.match_counts[pid] = ctx.match_counts.get(pid, 0) + n
-                if track_drift:
-                    state.observe(pid, hit.pattern, hit.fields, n)
-                examples = ctx.match_examples.setdefault(pid, [])
-                # accumulate only what the DB can store: the first
-                # `max_examples` distinct originals
-                original = cols.originals[k]
-                if len(examples) < example_cap and original not in examples:
-                    examples.append(original)
+                unmatched.append(k)
+                unmatched_counts.append(n)
+                unmatched_types.append(enriched)
+                continue
+            pid = hit.pattern_id
+            ctx.match_counts[pid] = ctx.match_counts.get(pid, 0) + n
+            if track_drift:
+                state.observe(pid, hit.pattern, hit.fields, n)
+            examples = ctx.match_examples.setdefault(pid, [])
+            # accumulate only what the DB can store: the first
+            # `max_examples` distinct originals
+            original = cols.originals[k]
+            if len(examples) < example_cap and original not in examples:
+                examples.append(original)
 
 
 class LengthPartitionStage(Stage):
     """Second partitioning: group unmatched messages by token count.
 
     "Only token sets of the same length are compared in the same
-    analysis trie" (paper §III).
+    analysis trie" (paper §III).  A message's token count is the length
+    of its column slice.
     """
 
     name = "partition_length"
 
     def run(self, ctx: ServiceBatchContext) -> None:
-        for msg, n in zip(ctx.unmatched, ctx.unmatched_counts):
-            msgs, ns = ctx.by_length.setdefault(msg.token_count(), ([], []))
-            msgs.append(msg)
-            ns.append(n)
+        ends = ctx.scanned.ends
+        by_length = ctx.by_length
+        for k, n, types in zip(ctx.unmatched, ctx.unmatched_counts, ctx.unmatched_types):
+            length = ends[k] - (ends[k - 1] if k else 0)
+            group = by_length.get(length)
+            if group is None:
+                group = by_length[length] = ([], [], [])
+            group[0].append(k)
+            group[1].append(n)
+            group[2].append(types)
 
 
 class AnalyzeStage(Stage):
@@ -273,8 +294,8 @@ class AnalyzeStage(Stage):
     def run(self, ctx: ServiceBatchContext) -> None:
         rtg = self.rtg
         state = rtg.state(ctx.service)
-        for length, (partition, partition_counts) in ctx.by_length.items():
-            state.absorb(length, partition, partition_counts)
+        for length, (rows, counts, types) in ctx.by_length.items():
+            state.absorb(length, ctx.scanned, rows, counts, types)
         if not ctx.flush:
             return
         # token-count order: persistence, so DB row order, follows it
@@ -291,8 +312,13 @@ class PersistStage(Stage):
 
     "The newly found patterns are eventually saved in the database for
     comparison against subsequent batches and exporting" (paper §III).
-    The save threshold applies here.  Under the engine the transaction
-    block below nests inside the one that spans the whole mining call
+    The save threshold applies here, and every table is written in bulk:
+    one statement for the match counts, one read and one write for the
+    hits' examples, one
+    :meth:`~repro.core.patterndb.PatternDB.upsert_many` for the new
+    patterns, whose ids the parser then takes as they are.  Under the
+    engine the transaction block below nests inside the one that spans
+    the whole mining call
     (:meth:`~repro.core.pipeline.SequenceRTG.transaction`) and commits
     nothing itself; it is what keeps a stage driven directly at one
     commit per service.
@@ -305,18 +331,14 @@ class PersistStage(Stage):
         db = rtg.db
         parser = rtg.state(ctx.service).parser
         threshold = rtg.config.save_threshold
+        saved = [p for p in ctx.discovered if p.support >= threshold]
+        ctx.n_below_threshold += len(ctx.discovered) - len(saved)
         with db.transaction():
             db.record_matches(ctx.match_counts, now=ctx.now)
-            for pid, examples in ctx.match_examples.items():
-                for example in examples:
-                    db.add_example(pid, example)
-            for pattern in ctx.discovered:
-                if pattern.support < threshold:
-                    ctx.n_below_threshold += 1
-                    continue
-                db.upsert(pattern, now=ctx.now)
-                parser.add_pattern(pattern)
-                ctx.new_patterns.append(pattern)
+            db.add_examples(ctx.match_examples)
+            ids = db.upsert_many(ctx.service, saved, now=ctx.now)
+            parser.add_patterns(zip(ids, saved))
+        ctx.new_patterns.extend(saved)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import groupby
 import os
 import sqlite3
 import tempfile
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from operator import attrgetter
 
+from repro._util.hashing import pattern_id
 from repro.analyzer.pattern import Pattern
 
 __all__ = ["PatternDB", "PatternRow", "route_service"]
@@ -154,6 +156,9 @@ class PatternDB:
         self._conn.executescript(_SCHEMA)
         self.max_examples = max_examples
         self._tx_depth = 0
+        #: service name -> ``services.id`` on this connection; cleared
+        #: whenever a rollback or a drop can take a ``services`` row away
+        self._service_ids: dict[str, int] = {}
         #: home of the shard files of an in-memory main database
         self._shard_dir: tempfile.TemporaryDirectory | None = None
         #: one plain handle per shard file, in shard order (empty = this
@@ -332,6 +337,7 @@ class PatternDB:
                 (service,),
             )
             self._conn.execute("DELETE FROM services WHERE name = ?", (service,))
+        self._service_ids.clear()
         self._commit()
 
     # ------------------------------------------------------------------
@@ -364,8 +370,8 @@ class PatternDB:
     def transaction(self):
         """Batch many writes into one commit.
 
-        Inside the block every write method (:meth:`upsert`,
-        :meth:`add_example`, :meth:`record_match`, ...) defers its
+        Inside the block every write method (:meth:`upsert_many`,
+        :meth:`add_examples`, :meth:`record_matches`, ...) defers its
         commit; the block commits once on success and rolls everything
         back on error.  Nesting is allowed — the outermost block owns
         the commit.  ``MiningEngine`` wraps every mining call in one
@@ -390,6 +396,7 @@ class PatternDB:
             yield self
         except BaseException:
             self._conn.rollback()
+            self._service_ids.clear()
             raise
         else:
             self._conn.commit()
@@ -409,14 +416,19 @@ class PatternDB:
 
     # ------------------------------------------------------------------
     def _service_id(self, name: str) -> int:
-        self._conn.execute(
-            "INSERT INTO services(name) VALUES (?) ON CONFLICT(name) DO NOTHING",
-            (name,),
-        )
-        row = self._conn.execute(
-            "SELECT id FROM services WHERE name = ?", (name,)
-        ).fetchone()
-        return int(row[0])
+        """The ``services`` row id of *name*, inserting the row on first
+        use; memoised (see ``_service_ids``)."""
+        service_id = self._service_ids.get(name)
+        if service_id is None:
+            self._conn.execute(
+                "INSERT INTO services(name) VALUES (?) ON CONFLICT(name) DO NOTHING",
+                (name,),
+            )
+            (service_id,) = self._conn.execute(
+                "SELECT id FROM services WHERE name = ?", (name,)
+            ).fetchone()
+            self._service_ids[name] = service_id
+        return service_id
 
     # ------------------------------------------------------------------
     def upsert(self, pattern: Pattern, now: datetime | None = None) -> str:
@@ -424,64 +436,105 @@ class PatternDB:
 
         Returns the pattern id.  The id is content-derived (SHA1 of text +
         service), so re-discovering a pattern in a later batch updates
-        the existing row instead of duplicating it.
+        the existing row instead of duplicating it.  A one-pattern
+        :meth:`upsert_many`.
         """
         self._check_writable()
         if not pattern.service:
             raise ValueError("pattern must carry a service before persisting")
-        now = now or _utcnow()
-        stamp = now.isoformat()
-        pid = pattern.id
-        service_id = self._service_id(pattern.service)
-        existing = self._conn.execute(
-            "SELECT match_count FROM patterns WHERE id = ?", (pid,)
-        ).fetchone()
-        if existing is None:
-            self._conn.execute(
-                "INSERT INTO patterns(id, service_id, pattern_text, tokens_json,"
-                " complexity, match_count, first_seen, last_matched)"
-                " VALUES (?,?,?,?,?,?,?,?)",
-                (
-                    pid,
-                    service_id,
-                    pattern.text,
-                    json.dumps(pattern.to_dict()),
-                    pattern.complexity,
-                    pattern.support,
-                    stamp,
-                    stamp,
-                ),
-            )
-        else:
-            self._conn.execute(
-                "UPDATE patterns SET match_count = match_count + ?,"
-                " last_matched = ? WHERE id = ?",
-                (pattern.support, stamp, pid),
-            )
-        for example in pattern.examples:
-            self._add_example(pid, example)
+        return self.upsert_many(pattern.service, [pattern], now=now)[0]
+
+    def upsert_many(
+        self, service: str, patterns: list[Pattern], now: datetime | None = None
+    ) -> list[str]:
+        """:meth:`upsert` every pattern of *service*, in order, in one
+        statement per table; returns their ids.
+
+        Each pattern's text and id are rendered once.  A new id is
+        inserted (rowid order follows *patterns*); a stored one — or one
+        earlier in *patterns* — gets the support added to its match
+        count and its last-matched date set.  All rows share one stamp.
+        The examples then go through :meth:`add_examples`'s cap and
+        dedup, pattern by pattern.
+        """
+        self._check_writable()
+        if not service:
+            raise ValueError("pattern must carry a service before persisting")
+        if not patterns:
+            return []
+        stamp = (now or _utcnow()).isoformat()
+        service_id = self._service_id(service)
+        ids: list[str] = []
+        rows: list[tuple] = []
+        for pattern in patterns:
+            text = pattern.text
+            pid = pattern_id(text, service)
+            ids.append(pid)
+            rows.append((
+                pid,
+                service_id,
+                text,
+                json.dumps(pattern.to_dict()),
+                pattern.complexity,
+                pattern.support,
+                stamp,
+                stamp,
+            ))
+        self._conn.executemany(
+            "INSERT INTO patterns(id, service_id, pattern_text, tokens_json,"
+            " complexity, match_count, first_seen, last_matched)"
+            " VALUES (?,?,?,?,?,?,?,?)"
+            " ON CONFLICT(id) DO UPDATE SET"
+            " match_count = match_count + excluded.match_count,"
+            " last_matched = excluded.last_matched",
+            rows,
+        )
+        self._add_examples(
+            [(pid, p.examples) for pid, p in zip(ids, patterns) if p.examples]
+        )
         self._commit()
-        return pid
+        return ids
 
     def add_example(self, pattern_id: str, message: str) -> None:
-        """Store *message* as an example of the pattern if new and under cap."""
+        """Store *message* as an example of the pattern if new and under
+        cap: a one-example :meth:`add_examples`."""
+        self.add_examples({pattern_id: [message]})
+
+    def add_examples(self, examples: dict[str, list[str]]) -> None:
+        """Store pattern id -> messages as examples, in order, each one
+        only if new and under the ``max_examples`` cap: one read of the
+        stored examples and one ``executemany`` for the lot."""
         self._check_writable()
-        self._add_example(pattern_id, message)
+        self._add_examples(list(examples.items()))
         self._commit()
 
-    def _add_example(self, pattern_id: str, message: str) -> None:
-        rows = self._conn.execute(
-            "SELECT seq, message FROM examples WHERE pattern_id = ? ORDER BY seq",
-            (pattern_id,),
-        ).fetchall()
-        if len(rows) >= self.max_examples:
+    def _add_examples(self, items: list[tuple[str, list[str]]]) -> None:
+        if not items:
             return
-        if any(message == m for _, m in rows):
-            return
-        next_seq = (rows[-1][0] + 1) if rows else 0
-        self._conn.execute(
-            "INSERT INTO examples(pattern_id, seq, message) VALUES (?,?,?)",
-            (pattern_id, next_seq, message),
+        held: dict[str, list] = {pid: [[], 0] for pid, _ in items}
+        for pid, seq, message in self._conn.execute(
+            "SELECT pattern_id, seq, message FROM examples WHERE pattern_id IN"
+            " (SELECT value FROM json_each(?)) ORDER BY pattern_id, seq",
+            (json.dumps(list(held)),),
+        ):
+            entry = held[pid]
+            entry[0].append(message)
+            entry[1] = seq + 1
+        cap = self.max_examples
+        rows = []
+        for pid, messages in items:
+            entry = held[pid]
+            stored = entry[0]
+            for message in messages:
+                if len(stored) >= cap:
+                    break
+                if message in stored:
+                    continue
+                stored.append(message)
+                rows.append((pid, entry[1], message))
+                entry[1] += 1
+        self._conn.executemany(
+            "INSERT INTO examples(pattern_id, seq, message) VALUES (?,?,?)", rows
         )
 
     # ------------------------------------------------------------------
@@ -689,9 +742,11 @@ class PatternDB:
         with ExitStack() as stack:
             for holder in self._shards or [self]:
                 stack.enter_context(holder.transaction())
-            for row in other.rows():
-                self._owner(row.service).upsert(row.to_pattern())
-                n += 1
+            # rows() keeps each service's rows together
+            for service, rows in groupby(other.rows(), key=attrgetter("service")):
+                patterns = [row.to_pattern() for row in rows]
+                self._owner(service).upsert_many(service, patterns)
+                n += len(patterns)
         return n
 
     def dump(self) -> list[dict]:

@@ -16,7 +16,9 @@ mines it and throws it away; stream mode has to accumulate evidence
 *across* micro-batches before it is worth emitting a pattern (USTEP's
 evolving search tree, arXiv:2304.12331).  A state keeps one *pending
 partition* per token count: the distinct unmatched messages in
-first-occurrence order with their accumulated multiplicities — exactly
+first-occurrence order — their token texts, enriched types and spacing
+as flat columns, never :class:`~repro.scanner.token_types.Token`
+objects — with their accumulated multiplicities: exactly
 the weighted form the analysis trie's insertion contract is defined over
 ("inserting a message once with ``n=k`` produces the same trie as
 inserting it ``k`` times", :meth:`repro.analyzer.trie.AnalysisTrie.insert`).
@@ -30,17 +32,19 @@ big batch would have produced), so batch mode is the special case
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import TYPE_CHECKING
 
+from repro.analyzer.enrich import enrich_types
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.analyzer.trie import VALUE_CAP
 from repro.parser import build_parser
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analyzer.analyzer import Analyzer
+    from repro.analyzer.compiled import CompiledAnalyzer
     from repro.core.patterndb import PatternDB
     from repro.parser.parser import Parser, ParserConfig
-    from repro.scanner.scanner import ScannedMessage
+    from repro.scanner.compiled import TokenColumns
 
 __all__ = ["ServiceState"]
 
@@ -62,24 +66,42 @@ class _FieldTrack:
 
 
 class _PendingPartition:
-    """Distinct messages of one token count, with counts."""
+    """Distinct messages of one token count as flat columns, with counts.
 
-    __slots__ = ("index", "messages", "counts")
+    Message *j*'s tokens are the ``length``-wide slice at ``j * length``
+    of ``texts``, ``types`` (enriched) and ``spaces``.
+    """
 
-    def __init__(self) -> None:
-        #: message original -> position in ``messages``
+    __slots__ = ("length", "index", "originals", "texts", "types", "spaces", "counts")
+
+    def __init__(self, length: int) -> None:
+        self.length = length
+        #: message original -> position in ``originals``
         self.index: dict[str, int] = {}
-        #: distinct scanned messages in first-occurrence order
-        self.messages: "list[ScannedMessage]" = []
-        #: accumulated multiplicities, parallel to ``messages``
+        #: distinct messages in first-occurrence order
+        self.originals: list[str] = []
+        self.texts: list[str] = []
+        self.types: list = []
+        self.spaces: list[bool] = []
+        #: accumulated multiplicities, parallel to ``originals``
         self.counts: list[int] = []
+
+    def truncate(self, size: int) -> None:
+        """Forget every message after the first *size*."""
+        for original in self.originals[size:]:
+            del self.index[original]
+        del self.originals[size:]
+        cut = size * self.length
+        del self.texts[cut:]
+        del self.types[cut:]
+        del self.spaces[cut:]
 
 
 class ServiceState:
     """Parser, pending evidence and drift tracks of one service.
 
     *pending* maps token count → pending partition (distinct unmatched
-    messages and their counts), filled by :meth:`absorb` and emptied by
+    messages as token columns, and their counts), filled by :meth:`absorb` and emptied by
     :meth:`mine`; *n_pending* counts their distinct messages.  *tracks*
     maps pattern id → per-variable value distributions of live matches,
     fed by the parse stage while a drift-splitting stream driver is
@@ -133,27 +155,45 @@ class ServiceState:
 
     # -- pending evidence ------------------------------------------------
     def absorb(
-        self, length: int, messages: "list[ScannedMessage]", counts: list[int]
+        self,
+        length: int,
+        cols: "TokenColumns",
+        rows: list[int],
+        counts: list[int],
+        types: "list | None" = None,
     ) -> None:
-        """Fold *messages* into the pending partition of *length*.
+        """Fold messages *rows* of *cols* — each *length* tokens long —
+        into the pending partition of *length*.
 
-        *counts* carries dedup multiplicities parallel to *messages*.
-        Duplicates of an already-pending message only bump its count —
-        the per-message incremental insert the weighted trie contract
-        makes exact.
+        *counts* carries dedup multiplicities parallel to *rows*, and
+        *types* each message's enriched types, or None where it has not
+        been enriched yet.  Duplicates of an already-pending message
+        only bump its count — the per-message incremental insert the
+        weighted trie contract makes exact — so a message is copied and
+        enriched once.
         """
         partition = self.pending.get(length)
         if partition is None:
-            partition = self.pending[length] = _PendingPartition()
+            partition = self.pending[length] = _PendingPartition(length)
         index = partition.index
-        for msg, n in zip(messages, counts):
-            at = index.get(msg.original)
+        originals, ends = cols.originals, cols.ends
+        for k, n, enriched in zip(rows, counts, repeat(None) if types is None else types):
+            original = originals[k]
+            at = index.get(original)
             if at is not None:
                 partition.counts[at] += n
                 continue
-            index[msg.original] = len(partition.messages)
-            partition.messages.append(msg)
+            index[original] = len(partition.originals)
+            partition.originals.append(original)
             partition.counts.append(n)
+            hi = ends[k]
+            lo = hi - length
+            texts = cols.texts[lo:hi]
+            partition.texts += texts
+            partition.types += (
+                enrich_types(texts, cols.types[lo:hi]) if enriched is None else enriched
+            )
+            partition.spaces += cols.spaces[lo:hi]
             self.n_pending += 1
 
     def checkpoint(self) -> list[tuple]:
@@ -161,7 +201,7 @@ class ServiceState:
         as they are now.  Partitions only grow until :meth:`mine` pops
         them, so their sizes and a copy of their counts suffice."""
         return [
-            (length, partition, len(partition.messages), list(partition.counts))
+            (length, partition, len(partition.originals), list(partition.counts))
             for length, partition in self.pending.items()
         ]
 
@@ -171,14 +211,12 @@ class ServiceState:
         pending.clear()
         self.n_pending = 0
         for length, partition, size, counts in checkpoint:
-            for msg in partition.messages[size:]:
-                del partition.index[msg.original]
-            del partition.messages[size:]
+            partition.truncate(size)
             partition.counts = counts
             pending[length] = partition
             self.n_pending += size
 
-    def mine(self, analyzer: "Analyzer"):
+    def mine(self, analyzer: "CompiledAnalyzer"):
         """Mine and clear the pending partitions in token-count order.
 
         Yields ``(patterns, trie_nodes)`` per partition — the order the
@@ -189,8 +227,16 @@ class ServiceState:
         pending = self.pending
         for length in sorted(pending):
             partition = pending.pop(length)
-            self.n_pending -= len(partition.messages)
-            patterns = analyzer.analyze(partition.messages, counts=partition.counts)
+            n = len(partition.originals)
+            self.n_pending -= n
+            patterns = analyzer.analyze_columns(
+                partition.texts,
+                partition.types,
+                partition.spaces,
+                [length * j for j in range(1, n + 1)],
+                partition.originals,
+                partition.counts,
+            )
             yield patterns, analyzer.last_trie_nodes
 
     # -- drift tracks ----------------------------------------------------

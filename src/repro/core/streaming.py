@@ -244,7 +244,8 @@ class StreamDriver:
         variables, whose *every* stored example matches a single-pattern
         probe parser built from the new pattern.  The old pattern's
         match count and examples fold into the new one before it
-        retires, so no statistics are lost.  Returns how many retired.
+        retires, so no statistics are lost: one ``record_matches`` and
+        one ``add_examples`` per service.  Returns how many retired.
 
         Cost per flush is O(new generals × stored rows of the *same
         length*): the service's rows are indexed once by the token count
@@ -265,6 +266,9 @@ class StreamDriver:
             #: stops at the first example it misses
             columns: dict[str, tuple] = {}
             retired: set[str] = set()
+            #: general id -> folded match count / examples, in fold order
+            folds: dict[str, int] = {}
+            examples: dict[str, list[str]] = {}
             for general in generals:
                 same_length = candidates.get(len(general.tokens))
                 if not same_length:
@@ -284,11 +288,12 @@ class StreamDriver:
                         for example in row.examples
                     ):
                         continue
-                    rtg.db.record_match(general_id, n=row.match_count, now=self._now)
-                    for example in row.examples:
-                        rtg.db.add_example(general_id, example)
+                    folds[general_id] = folds.get(general_id, 0) + row.match_count
+                    examples.setdefault(general_id, []).extend(row.examples)
                     retired.add(row.id)
             if retired:
+                rtg.db.record_matches(folds, now=self._now)
+                rtg.db.add_examples(examples)
                 rtg.retire_patterns(service, retired)
                 n_retired += len(retired)
         return n_retired

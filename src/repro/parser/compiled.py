@@ -4,9 +4,8 @@
 :class:`~repro.parser.parser.Parser` that flattens the pointer-chasing
 trie DFS into contiguous per-pattern *match programs*, following the
 table-driven search-core technique of Cookiecutter's C++ trie and the
-evolving-search-tree framing of USTEP.  Construction, the incremental
-``add_pattern`` contract and the ``enrich`` switch
-are all inherited from the reference parser — the trie stays the source
+evolving-search-tree framing of USTEP.  Construction and the
+incremental ``add_patterns`` contract are inherited from the reference parser — the trie stays the source
 of truth — and is lowered into:
 
 * **match programs** — one flat step array per matchable pattern, each
@@ -35,8 +34,9 @@ of truth — and is lowered into:
   built on first use.
 
 The pattern set is maintained in O(Δ), the way USTEP keeps its search
-tree current: ``add_pattern`` lowers only the added pattern, inserts it
-into its bucket's key-sorted program list and gives it the next bit of
+tree current: ``add_patterns`` lowers each added pattern from the trail
+of its one insert walk (no second walk from the root), inserts it into
+its bucket's key-sorted program list and gives it the next bit of
 every built frontier it joins — no key changes, no bit is renumbered,
 only the memo entries the new bit can change are dropped.  A removal
 rebuilds its buckets' sub-tries, so it re-lowers exactly those buckets
@@ -59,19 +59,18 @@ calls on the scan stage's
 token, and ``match`` (with or without pre-enriched tokens) feeds the
 same core the columns of its tokens.
 
-Enrichment (k=v pairs, e-mail addresses, host names) retypes a copy of
-the types column, type for type what
-:func:`repro.analyzer.enrich.enrich_tokens` assigns; the compiled
-parser memoises the two pure text classifiers (``is_email``,
-``is_hostname``) per distinct literal, which removes the dominant
-per-message enrichment cost for recurring vocabulary.
+Enrichment (k=v pairs, e-mail addresses, host names) is
+:func:`repro.analyzer.enrich.enrich_types`, the one column enrichment
+the miner runs: the parse stage enriches a message once and matches the
+enriched column with :meth:`CompiledParser.match_enriched`, and a miss
+carries that column on to the analyser.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.analyzer.enrich import is_email, is_hostname
+from repro.analyzer.enrich import enrich_types
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.parser.acceptance import TYPE_MASKS_BY_VALUE, VAR_BITS, literal_mask
 from repro.parser.parser import REST_BUCKET, MatchResult, Parser
@@ -80,18 +79,13 @@ from repro.scanner.token_types import Token, TokenType
 
 __all__ = ["CompiledParser"]
 
-#: distinct literal texts memoised (masks and enrichment classes)
-#: before the memo is dropped wholesale, mirroring the scanner's
-#: ``WordCache`` policy
+#: distinct literal texts memoised (acceptance masks) before the memo
+#: is dropped wholesale, mirroring the scanner's ``WordCache`` policy
 _MEMO_SIZE = 65536
 
 _REST = VarClass.REST
 _REST_TYPE = TokenType.REST
 _LITERAL = TokenType.LITERAL
-_KEY = TokenType.KEY
-_VALUE = TokenType.VALUE
-_EMAIL = TokenType.EMAIL
-_HOST = TokenType.HOST
 
 
 #: shared path elements (see :func:`_path_element`)
@@ -159,6 +153,33 @@ def _program(steps, static, extract, rest_name, leaf, trie, path) -> _Program:
     )
 
 
+def _lower(bucket_key: int, pattern: Pattern, leaf, trail) -> _Program | None:
+    """The program of *pattern*, from the *trail* of edges its insert
+    walk took to *leaf* (see :meth:`repro.parser.parser._Bucket.insert`)."""
+    rest_trie = 1 if bucket_key == REST_BUCKET else 0
+    steps: list = []
+    extract: list = []
+    path: list = []
+    static = 0
+    last = len(pattern.tokens) - 1
+    for i, (tok, k) in enumerate(zip(pattern.tokens, trail)):
+        if not tok.is_variable:
+            steps.append(tok.text)
+            static += 1
+            path.append(_path_element(1, -k))
+            continue
+        if tok.var_class is _REST:
+            if i != last:
+                return None
+            path.append(_path_element(-1, k))
+            return _program(steps, static, extract, tok.name, leaf, rest_trie, path)
+        path.append(_path_element(0, -k))
+        extract.append((len(steps), tok.name))
+        steps.append(VAR_BITS[tok.var_class])
+    path.append(_OWN_LEAF)
+    return _program(steps, static, extract, None, leaf, rest_trie, path)
+
+
 def _key(program: _Program) -> tuple:
     return program.key
 
@@ -212,9 +233,9 @@ class _Frontier:
 class CompiledParser(Parser):
     """Drop-in parser executing flattened match programs.
 
-    Same constructor, ``add_pattern`` and ``match``/``match_many``
+    Same constructor, ``add_patterns`` and ``match``/``match_many``
     contract as :class:`~repro.parser.parser.Parser`, plus
-    :meth:`match_columns`; only the matching machinery differs.  Match
+    :meth:`match_columns` and :meth:`match_enriched`; only the matching machinery differs.  Match
     results are bit-identical — same winning pattern under the full
     tie-break order, same extracted fields, same static count —
     asserted by the differential suite in
@@ -233,19 +254,18 @@ class CompiledParser(Parser):
         self._frontier: dict[int, _Frontier] = {}
         #: literal text -> acceptance bitmask memo
         self._masks: dict[str, int] = {}
-        #: literal text -> enrichment token type (EMAIL/HOST/LITERAL) memo
-        self._classes: dict[str, TokenType] = {}
         super().__init__(patterns)
 
     # -- compilation -----------------------------------------------------
-    def _pattern_added(self, bucket, pattern: Pattern) -> None:
-        """Lower the one added pattern and patch it in: O(its length)
-        per frontier it joins, plus a sorted insert into its bucket's
-        program list.  Every other program keeps its key."""
+    def _pattern_added(self, bucket, pattern: Pattern, leaf, trail) -> None:
+        """Lower the one added pattern from its insert walk's *trail* and
+        patch it in: O(its length) per frontier it joins, plus a sorted
+        insert into its bucket's program list.  Every other program
+        keeps its key."""
         key = bucket.key
         if key in self._dirty:
             return  # the whole bucket is re-lowered before the next match
-        prog = self._lower(bucket, pattern)
+        prog = _lower(key, pattern, leaf, trail)
         if prog is None:
             return  # tokens after an ignore-rest variable: never matches
         progs = self._programs.setdefault(key, [])
@@ -265,38 +285,6 @@ class CompiledParser(Parser):
         for length, frontier in self._frontier.items():
             if length >= len(prog.steps):
                 frontier.join(prog)
-
-    @staticmethod
-    def _lower(bucket, pattern: Pattern) -> _Program | None:
-        """The program of *pattern*'s leaf, walked down from the root."""
-        rest_trie = 1 if bucket.key == REST_BUCKET else 0
-        node = bucket.root
-        steps: list = []
-        extract: list = []
-        path: list = []
-        static = 0
-        last = len(pattern.tokens) - 1
-        for i, tok in enumerate(pattern.tokens):
-            if not tok.is_variable:
-                node = node.literals[tok.text]
-                steps.append(tok.text)
-                static += 1
-                path.append(_path_element(1, -node.order))
-                continue
-            for k, (vc, name, child) in enumerate(node.variables):
-                if vc is tok.var_class and name == tok.name:
-                    break
-            if vc is _REST:
-                if i != last:
-                    return None
-                path.append(_path_element(-1, k))
-                return _program(steps, static, extract, name, child, rest_trie, path)
-            path.append(_path_element(0, -k))
-            extract.append((len(steps), name))
-            steps.append(VAR_BITS[vc])
-            node = child
-        path.append(_OWN_LEAF)
-        return _program(steps, static, extract, None, node, rest_trie, path)
 
     def _relower(self) -> None:
         """Re-lower the buckets a removal rebuilt.
@@ -322,13 +310,17 @@ class CompiledParser(Parser):
     def _bucket_changed(self, key: int) -> None:
         self._dirty.add(key)
 
-    @classmethod
-    def _lower_bucket(cls, bucket) -> list[_Program]:
+    @staticmethod
+    def _lower_bucket(bucket) -> list[_Program]:
         """Every program of one bucket, in key order (twins share their
-        leaf's program)."""
+        leaf's program).  Re-inserting the members in their insertion
+        order walks the rebuilt sub-trie without changing it — every
+        edge exists, and each leaf ends up owned by the member that
+        owned it — and yields each member's trail."""
         progs = {}
-        for pattern in bucket.members.values():
-            prog = cls._lower(bucket, pattern)
+        for pattern_id, pattern in bucket.members.items():
+            leaf, trail = bucket.insert(pattern_id, pattern)
+            prog = _lower(bucket.key, pattern, leaf, trail)
             if prog is not None:
                 progs[prog.key] = prog
         return sorted(progs.values(), key=_key)
@@ -375,7 +367,7 @@ class CompiledParser(Parser):
         types = [tok.type for tok in source]
         if tokens is None:
             return self.match_columns(texts, types)
-        return self._match(texts, types)
+        return self.match_enriched(texts, types)
 
     def match_columns(
         self, texts: list[str], types: list[TokenType]
@@ -383,10 +375,15 @@ class CompiledParser(Parser):
         """:meth:`match` for a message scanned to token columns (see
         :class:`repro.scanner.compiled.TokenColumns`): no :class:`Token`
         is built, and enrichment retypes a copy of *types*."""
-        return self._match(texts, self._enrich_types(texts, types))
+        return self.match_enriched(texts, enrich_types(texts, types))
 
-    def _match(self, texts: list[str], types: list[TokenType]) -> MatchResult | None:
-        """The matching core over one message's (enriched) columns."""
+    def match_enriched(
+        self, texts: list[str], types: list[TokenType]
+    ) -> MatchResult | None:
+        """The matching core, over one message's columns with *types*
+        already enriched (:func:`~repro.analyzer.enrich.enrich_types`)."""
+        if self._unsettled:
+            self._settle()
         if self._dirty:
             self._relower()
         # the scanner's REST marker only says "this message was
@@ -470,49 +467,3 @@ class CompiledParser(Parser):
             memo.clear()
         memo[key] = ok
         return ok
-
-    # -- enrichment ------------------------------------------------------
-    def _enrich_types(
-        self, texts: list[str], types: list[TokenType]
-    ) -> list[TokenType]:
-        """Memoised :func:`~repro.analyzer.enrich.enrich_tokens` on the
-        types column: a retyped copy of *types*.
-
-        Type for type what the reference function assigns (the k=v
-        retyping is positional and stays live); the two pure text
-        classifiers are answered from a bounded per-text memo, because
-        log vocabulary is tiny relative to log volume.
-        """
-        memo = self._classes
-        out = list(types)
-        n = len(out)
-        pairs = "=" in texts
-        for i, text in enumerate(texts):
-            if out[i] is not _LITERAL:
-                continue
-            if (
-                pairs
-                and i + 2 < n
-                and texts[i + 1] == "="
-                and text
-                and text[0].isalpha()
-                and texts[i + 2] != "="
-            ):
-                out[i] = _KEY
-                if out[i + 2] is _LITERAL:
-                    out[i + 2] = _VALUE
-                continue
-            cls = memo.get(text)
-            if cls is None:
-                if len(memo) >= _MEMO_SIZE:
-                    memo.clear()
-                if is_email(text):
-                    cls = _EMAIL
-                elif is_hostname(text):
-                    cls = _HOST
-                else:
-                    cls = _LITERAL
-                memo[text] = cls
-            if cls is not _LITERAL:
-                out[i] = cls
-        return out

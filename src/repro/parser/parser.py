@@ -20,7 +20,8 @@ set.  Within a bucket the ``literals`` dict at each node is the
 first-literal index: the first token narrows the frontier in O(1).
 
 The sub-tries share no node, so the pattern set is maintained one
-*bucket* at a time: :meth:`Parser.add_pattern` walks one bucket and
+*bucket* at a time: an added pattern is walked into its own bucket
+(once, and only when the tries are next read) and
 :meth:`Parser.remove_patterns` rebuilds only the buckets it removes
 from — adding or retiring a pattern costs its own length bucket, never
 the stored set.
@@ -79,8 +80,8 @@ class MatchResult:
     fields: dict[str, str]
     #: number of static (literal) pattern tokens the message matched
     static_matches: int
-    #: the id *pattern* was added under — ``pattern.id`` as computed
-    #: once by :meth:`Parser.add_pattern`, so callers keying statistics
+    #: the id *pattern* was added under — ``pattern.id``, computed once
+    #: when it was added (:meth:`Parser.add_patterns`), so callers keying statistics
     #: by id need not re-render and re-hash the pattern per hit
     pattern_id: str
 
@@ -115,9 +116,16 @@ class _Bucket:
         #: share one leaf, so this can be less than ``len(members)``)
         self.n_leaves = 0
 
-    def insert(self, pattern_id: str, pattern: Pattern) -> None:
-        """Walk *pattern* into the sub-trie and claim its leaf."""
+    def insert(self, pattern_id: str, pattern: Pattern) -> tuple[_Node, list[int]]:
+        """Walk *pattern* into the sub-trie and claim its leaf.
+
+        Returns the leaf and the walk's *trail*: per pattern token, the
+        edge taken — a literal child's ``order``, or the index of the
+        variable edge in ``node.variables`` — which is all a subclass
+        needs to lower the pattern without walking it again.
+        """
         node = self.root
+        trail: list[int] = []
         for tok in pattern.tokens:
             if not tok.is_variable:
                 literals = node.literals
@@ -125,19 +133,22 @@ class _Bucket:
                 if child is None:
                     child = literals[tok.text] = _Node(len(literals))
                 node = child
+                trail.append(child.order)
             else:
-                for vc, name, child in node.variables:
+                variables = node.variables
+                for k, (vc, name, child) in enumerate(variables):
                     if vc is tok.var_class and name == tok.name:
-                        node = child
                         break
                 else:
-                    child = _Node()
-                    node.variables.append((tok.var_class, tok.name, child))
-                    node = child
+                    k, child = len(variables), _Node()
+                    variables.append((tok.var_class, tok.name, child))
+                node = child
+                trail.append(k)
         if node.pattern is None:
             self.n_leaves += 1
         node.pattern = pattern
         node.pattern_id = pattern_id
+        return node, trail
 
 
 def _bucket_key(pattern: Pattern) -> int:
@@ -175,10 +186,14 @@ class Parser:
         #: frontier sizes of the matches of the last :meth:`match_many`
         #: call, one per message
         self.last_frontiers: list[int] = []
-        for p in patterns or ():
-            self.add_pattern(p)
+        #: ``(bucket, id, pattern)`` added but not yet walked into the
+        #: bucket's sub-trie (see :meth:`_settle`)
+        self._unsettled: list[tuple[_Bucket, str, Pattern]] = []
+        self.add_patterns((p.id, p) for p in patterns or ())
 
     def __len__(self) -> int:
+        if self._unsettled:
+            self._settle()
         return sum(bucket.n_leaves for bucket in self._buckets.values())
 
     def get(self, pattern_id: str) -> Pattern | None:
@@ -189,15 +204,37 @@ class Parser:
     # ------------------------------------------------------------------
     def add_pattern(self, pattern: Pattern) -> None:
         """Insert one pattern into its parse trie (idempotent per text)."""
-        key = _bucket_key(pattern)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._buckets[key] = _Bucket(key)
-        pattern_id = pattern.id
-        bucket.insert(pattern_id, pattern)
-        bucket.members[pattern_id] = pattern
-        self._where[pattern_id] = bucket
-        self._pattern_added(bucket, pattern)
+        self.add_patterns([(pattern.id, pattern)])
+
+    def add_patterns(self, patterns) -> None:
+        """Add ``(pattern id, pattern)`` pairs, in order; the ids are the
+        callers' (the database computed them already).
+
+        Membership is recorded at once; the walk into each bucket's
+        sub-trie waits for the next call that reads the tries
+        (:meth:`_settle`), so a parser that never matches again — a
+        miner's last batch — never walks them.
+        """
+        buckets = self._buckets
+        where = self._where
+        unsettled = self._unsettled
+        for pattern_id, pattern in patterns:
+            key = _bucket_key(pattern)
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = _Bucket(key)
+            bucket.members[pattern_id] = pattern
+            where[pattern_id] = bucket
+            unsettled.append((bucket, pattern_id, pattern))
+
+    def _settle(self) -> None:
+        """Walk every added pattern into its sub-trie, in the order they
+        were added, each walk once (:meth:`_Bucket.insert`)."""
+        unsettled = self._unsettled
+        self._unsettled = []
+        for bucket, pattern_id, pattern in unsettled:
+            leaf, trail = bucket.insert(pattern_id, pattern)
+            self._pattern_added(bucket, pattern, leaf, trail)
 
     def remove_patterns(self, ids) -> int:
         """Remove patterns by id; returns how many were present.
@@ -208,6 +245,8 @@ class Parser:
         leaf owners, and with them the DFS tie-break rank — is exactly
         what re-inserting every survivor of every bucket would build.
         """
+        if self._unsettled:
+            self._settle()
         touched: dict[int, _Bucket] = {}
         removed = 0
         for pattern_id in ids:
@@ -232,9 +271,12 @@ class Parser:
     def _bucket_changed(self, key: int) -> None:
         """Hook: bucket *key* lost patterns and was rebuilt."""
 
-    def _pattern_added(self, bucket: _Bucket, pattern: Pattern) -> None:
-        """Hook: *pattern* was walked into *bucket* (a new leaf, or a
-        twin or re-add taking over an existing one)."""
+    def _pattern_added(
+        self, bucket: _Bucket, pattern: Pattern, leaf: _Node, trail: list[int]
+    ) -> None:
+        """Hook: *pattern* was walked into *bucket* along *trail* to
+        *leaf* (a new leaf, or a twin or re-add taking over an existing
+        one)."""
 
     # ------------------------------------------------------------------
     def match(
@@ -245,6 +287,8 @@ class Parser:
         Pass pre-enriched *tokens* to skip the enrichment pass (stream
         drift maintenance does when it already enriched the same scan).
         """
+        if self._unsettled:
+            self._settle()
         if tokens is None:
             # no defensive copy: matching never mutates the token list
             tokens = enrich_tokens(scanned.tokens)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyzer.enrich import enrich_tokens, is_email, is_hostname
+from repro.analyzer.enrich import enrich_tokens, enrich_types, is_email, is_hostname
 from repro.scanner import Scanner
 from repro.scanner.token_types import TokenType
 
@@ -96,3 +96,29 @@ class TestLengthPreserved:
         ):
             tokens = SC.scan(message).tokens
             assert len(enrich_tokens(tokens)) == len(tokens)
+
+
+class TestColumnEnrichment:
+    """``enrich_types`` is ``enrich_tokens`` on the types column: type
+    for type, and the k=v value's semantic tag is the text two
+    positions back exactly where that position is typed ``KEY``."""
+
+    def test_equals_enrich_tokens(self, message_generator):
+        messages = message_generator.messages(400) + [
+            "user=root uid = 0 from ops@example.com at node1.example.com",
+            "a = = b x = y = z k= v",
+            "rc = 0 done state=active mail=ops@example.com",
+        ]
+        for message in messages:
+            tokens = SC.scan(message).tokens
+            texts = [tok.text for tok in tokens]
+            types = [tok.type for tok in tokens]
+            expected = enrich_tokens(tokens)
+            out = enrich_types(texts, types)
+            assert out == [tok.type for tok in expected]
+            assert types == [tok.type for tok in tokens]  # a copy is retyped
+            semantics = [
+                texts[i - 2] if i > 1 and out[i - 2] is TokenType.KEY else None
+                for i in range(len(out))
+            ]
+            assert semantics == [tok.semantic for tok in expected]

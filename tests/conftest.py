@@ -17,7 +17,7 @@ from repro.core.records import LogRecord
 from repro.parser.parser import Parser
 from repro.scanner.compiled import TokenColumns
 from repro.scanner.scanner import ScannedMessage, Scanner, ScannerConfig
-from repro.scanner.token_types import Token
+from repro.scanner.token_types import ANALYSIS_TIME_TYPES, Token, TokenType
 from repro.workflow.stream import ProductionStream, StreamConfig
 
 
@@ -202,10 +202,34 @@ class OracleScanner(Scanner):
 
 class OracleParser(Parser):
     """The reference trie walk behind the column interface the parse
-    stage calls: the columns are rebuilt into tokens for ``Parser.match``."""
+    stage calls: the columns are rebuilt into tokens for ``Parser.match``
+    (enriched columns as its pre-enriched tokens)."""
 
     def match_columns(self, texts, types):
         return self.match(ScannedMessage("", list(map(Token, texts, types))))
+
+    def match_enriched(self, texts, types):
+        tokens = list(map(Token, texts, types))
+        return self.match(ScannedMessage("", tokens), tokens=tokens)
+
+
+class OracleAnalyzer(Analyzer):
+    """The reference analysis trie behind the column interface a service
+    state mines with: the columns are rebuilt into scanned messages for
+    ``Analyzer.analyze``, which enriches them itself.  Every
+    analysis-time type was a literal before enrichment, so the scan-time
+    types are recoverable from the enriched column."""
+
+    def analyze_columns(self, texts, types, spaces, ends, originals, counts):
+        messages, lo = [], 0
+        for hi, original in zip(ends, originals):
+            tokens = [
+                Token(text, TokenType.LITERAL if ttype in ANALYSIS_TIME_TYPES else ttype, space)
+                for text, ttype, space in zip(texts[lo:hi], types[lo:hi], spaces[lo:hi])
+            ]
+            messages.append(ScannedMessage(original, tokens))
+            lo = hi
+        return self.analyze(messages, counts=counts)
 
 
 @pytest.fixture()
@@ -214,16 +238,15 @@ def reference_stages(monkeypatch) -> None:
     mines with the reference oracles: the three ``build_*`` names are
     patched, in the modules that call them (the miner builds the scanner
     and the analyser, a service state and the drift-merge probes the
-    parser), to construct
-    ``OracleScanner``, ``OracleParser`` (the reference classes behind the
-    stages' column interface) and ``Analyzer``.  (Spawned pool workers
-    are untouched.)"""
+    parser), to construct ``OracleScanner``, ``OracleParser`` and
+    ``OracleAnalyzer`` (the reference classes behind the stages' column
+    interface).  (Spawned pool workers are untouched.)"""
 
     def build_parser(patterns, config=None):
         return OracleParser(patterns)
 
     monkeypatch.setattr(pipeline, "build_scanner", OracleScanner)
-    monkeypatch.setattr(pipeline, "build_analyzer", Analyzer)
+    monkeypatch.setattr(pipeline, "build_analyzer", OracleAnalyzer)
     monkeypatch.setattr(state, "build_parser", build_parser)
     monkeypatch.setattr(streaming, "build_parser", build_parser)
 

@@ -11,12 +11,13 @@ stage's batch dedup, leave the same database.
 """
 
 import random
+import sys
 from datetime import datetime, timezone
 
 import pytest
 
-from repro.analyzer.analyzer import Analyzer
 from repro.analyzer.compiled import CompiledAnalyzer
+from repro.analyzer.enrich import enrich_tokens
 from repro.core.config import RTGConfig, StreamingConfig
 from repro.core.engine import (
     PersistStage,
@@ -28,9 +29,10 @@ from repro.core.pipeline import SequenceRTG
 from repro.core.records import LogRecord
 from repro.obs.observer import MetricsObserver
 from repro.parser.compiled import CompiledParser
-from repro.scanner.compiled import CompiledScanner
+from repro.scanner.compiled import CompiledScanner, TokenColumns
+from repro.scanner.scanner import ScannedMessage
 from repro.workflow.stream import ProductionStream, StreamConfig
-from tests.conftest import OracleParser, OracleScanner
+from tests.conftest import OracleAnalyzer, OracleParser, OracleScanner
 
 NOW = datetime(2026, 1, 1, tzinfo=timezone.utc)
 
@@ -127,7 +129,7 @@ class TestCrossPathEquivalence:
         )
         request.getfixturevalue("reference_stages")
         oracle, dump = mine()
-        assert stage_classes(oracle) == (OracleScanner, OracleParser, Analyzer)
+        assert stage_classes(oracle) == (OracleScanner, OracleParser, OracleAnalyzer)
         assert dump == expected
 
     def test_serial_and_pool_bit_identical_all_compiled(self, reference_stages):
@@ -181,10 +183,10 @@ def column_cell_batches(n_batches=3, per_batch=200, seed=23):
 
 
 class TestColumnPath:
-    """Hits match on token columns and only misses become tokens: the
-    dump of the fast, compiled lane is the dump of the per-occurrence
-    lane and of the reference oracles on messages that exercise the
-    REST marker and every enrichment rule."""
+    """Hits and misses stay token columns: the dump of the fast,
+    compiled lane is the dump of the per-occurrence lane and of the
+    reference oracles on messages that exercise the REST marker and
+    every enrichment rule."""
 
     @staticmethod
     def mine(batches):
@@ -206,6 +208,60 @@ class TestColumnPath:
         if stages == "reference":
             request.getfixturevalue("reference_stages")
         assert self.mine(batches) == expected
+
+
+class TestNoTokensOnTheMiningPath:
+    def test_batch_micro_batch_and_flush_build_no_tokens(self, monkeypatch):
+        """A batch call, stream micro-batches and a flush, all with
+        misses, make no ``TokenColumns.scanned``, ``enrich_tokens`` or
+        ``ScannedMessage`` call: a miss is matched, partitioned, held
+        pending and analysed as column slices."""
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            TokenColumns, "scanned", spy("TokenColumns.scanned", TokenColumns.scanned)
+        )
+        monkeypatch.setattr(
+            ScannedMessage, "__init__", spy("ScannedMessage", ScannedMessage.__init__)
+        )
+        # every module that bound the function by name
+        for module in list(sys.modules.values()):
+            if getattr(module, "enrich_tokens", None) is enrich_tokens:
+                monkeypatch.setattr(
+                    module, "enrich_tokens", spy("enrich_tokens", enrich_tokens)
+                )
+
+        def novel(tag):
+            return [
+                LogRecord("auth", f"quota {tag} exceeded on vol{i} by u{i}")
+                for i in range(8)
+            ]
+
+        batches = column_cell_batches()
+        rtg = SequenceRTG(db=PatternDB(), config=RTGConfig(streaming=StreamingConfig(
+            micro_batch_size=32, flush_pending=10 ** 9, flush_interval_s=10 ** 6,
+        )))
+        first = rtg.analyze_by_service(batches[0], now=NOW)
+        second = rtg.analyze_by_service(batches[1] + novel("soft"), now=NOW)
+        driver = rtg.stream_driver(clock=lambda: 0.0)
+        driver.feed(batches[2] + novel("hard"), now=NOW)
+        assert driver.stats.n_micro_batches > 1 and driver.pending > 0
+        flushed = driver.flush()
+        assert first.n_new_patterns and first.n_matched == 0
+        assert second.n_matched and second.n_unmatched and second.n_new_patterns
+        assert flushed.n_new_patterns
+        assert calls == []
+        # the spies are live
+        CompiledScanner().scan_columns(["a b"]).scanned(0)
+        sys.modules["repro.analyzer.enrich"].enrich_tokens([])
+        assert calls == ["TokenColumns.scanned", "ScannedMessage", "enrich_tokens"]
 
 
 class _RecordingObserver(StageObserver):

@@ -1,10 +1,13 @@
 """Pattern database: persistence, statistics, example cap, pruning."""
 
+import json
 import os
 import sqlite3
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyzer.pattern import Pattern, VarClass
 from repro.cli import main
@@ -194,6 +197,168 @@ class TestRecordMatches:
         db = PatternDB()
         db.record_matches({}, now=T1)  # must not even open a statement
         assert db.counts()["patterns"] == 0
+
+
+def per_row_upsert(db, pattern, now):
+    """The per-row statements an upsert ran before the bulk path — the
+    oracle of ``upsert_many``: the service row, an existence probe, an
+    insert or an update, then a read and an insert per example."""
+    conn = db._conn
+    stamp = now.isoformat()
+    pid = pattern.id
+    conn.execute(
+        "INSERT INTO services(name) VALUES (?) ON CONFLICT(name) DO NOTHING",
+        (pattern.service,),
+    )
+    (service_id,) = conn.execute(
+        "SELECT id FROM services WHERE name = ?", (pattern.service,)
+    ).fetchone()
+    if conn.execute("SELECT 1 FROM patterns WHERE id = ?", (pid,)).fetchone() is None:
+        conn.execute(
+            "INSERT INTO patterns(id, service_id, pattern_text, tokens_json,"
+            " complexity, match_count, first_seen, last_matched)"
+            " VALUES (?,?,?,?,?,?,?,?)",
+            (pid, service_id, pattern.text, json.dumps(pattern.to_dict()),
+             pattern.complexity, pattern.support, stamp, stamp),
+        )
+    else:
+        conn.execute(
+            "UPDATE patterns SET match_count = match_count + ?, last_matched = ?"
+            " WHERE id = ?",
+            (pattern.support, stamp, pid),
+        )
+    for example in pattern.examples:
+        rows = conn.execute(
+            "SELECT seq, message FROM examples WHERE pattern_id = ? ORDER BY seq", (pid,)
+        ).fetchall()
+        if len(rows) >= db.max_examples or any(m == example for _, m in rows):
+            continue
+        conn.execute(
+            "INSERT INTO examples(pattern_id, seq, message) VALUES (?,?,?)",
+            (pid, rows[-1][0] + 1 if rows else 0, example),
+        )
+    conn.commit()
+
+
+def tables(db):
+    """Every table of one file, row for row, in rowid order — a row's
+    service by name: the per-row statements burn an ``AUTOINCREMENT``
+    id on every conflicting service insert, which no reader sees."""
+    conn = db._conn
+    return {
+        "services": conn.execute("SELECT name FROM services ORDER BY id").fetchall(),
+        "patterns": conn.execute(
+            "SELECT p.rowid, p.id, s.name, p.pattern_text, p.tokens_json, p.complexity,"
+            " p.match_count, p.first_seen, p.last_matched"
+            " FROM patterns p JOIN services s ON s.id = p.service_id ORDER BY p.rowid"
+        ).fetchall(),
+        "examples": conn.execute("SELECT rowid, * FROM examples ORDER BY rowid").fetchall(),
+    }
+
+
+TEXTS = ("login %string% ok", "conn from %srcip% port %srcport%", "job %integer% done")
+SERVICES = ("sshd", "cron")
+EXAMPLES = tuple(f"example {i}" for i in range(5))
+
+#: one pattern: its text, support and examples (duplicates and over-cap
+#: lists included)
+pattern_spec = st.tuples(
+    st.sampled_from(TEXTS),
+    st.integers(1, 5),
+    st.lists(st.sampled_from(EXAMPLES), max_size=6),
+)
+
+
+class TestUpsertMany:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        max_examples=st.integers(1, 8),
+        calls=st.lists(
+            st.tuples(st.sampled_from(SERVICES), st.lists(pattern_spec, max_size=6)),
+            max_size=6,
+        ),
+    )
+    def test_equals_sequential_upserts(self, max_examples, calls):
+        """One ``upsert_many`` per call ≡ one ``upsert`` per pattern ≡ the
+        per-row statements, table for table: repeated ids within a call,
+        rows stored by earlier calls, duplicate examples, every cap."""
+        bulk, single, oracle = (PatternDB(max_examples=max_examples) for _ in range(3))
+        for day, (service, specs) in enumerate(calls):
+            now = T0 + timedelta(days=day)
+            patterns = []
+            for text, support, examples in specs:
+                pattern = Pattern.from_text(text, service)
+                pattern.support = support
+                pattern.examples = list(examples)
+                patterns.append(pattern)
+            ids = bulk.upsert_many(service, patterns, now=now)
+            assert ids == [pattern.id for pattern in patterns]
+            for pattern in patterns:
+                assert single.upsert(pattern, now=now) == pattern.id
+                per_row_upsert(oracle, pattern, now)
+        assert tables(bulk) == tables(single) == tables(oracle)
+
+    def test_add_examples_equals_add_example_per_message(self):
+        a, b = PatternDB(max_examples=3), PatternDB(max_examples=3)
+        for db in (a, b):
+            db.upsert(make_pattern(examples=["login x ok"]), now=T0)
+        pid = make_pattern().id
+        messages = ["login y ok", "login x ok", "login y ok", "login z ok", "login w ok"]
+        a.add_examples({pid: messages})
+        for message in messages:
+            b.add_example(pid, message)
+        assert tables(a) == tables(b)
+        assert a.row(pid).examples == ["login x ok", "login y ok", "login z ok"]
+
+    def test_empty_call_writes_nothing(self):
+        db = PatternDB()
+        assert db.upsert_many("sshd", [], now=T0) == []
+        assert db.counts() == {"services": 0, "patterns": 0, "examples": 0}
+
+
+class TestServiceIdMemo:
+    """The service id is memoised per connection; no memo entry may
+    outlive the ``services`` row it names."""
+
+    @staticmethod
+    def assert_foreign_keys_hold(db):
+        assert db._conn.execute("PRAGMA foreign_key_check").fetchall() == []
+
+    def test_rolled_back_first_insert_is_redone(self):
+        db = PatternDB()
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                db.upsert_many("sshd", [make_pattern("login %string% ok")], now=T0)
+                raise RuntimeError("boom")
+        assert db.counts()["services"] == 0
+        db.upsert_many("sshd", [make_pattern("logout %string% ok")], now=T0)
+        assert db.services() == ["sshd"]
+        (row,) = db.rows()
+        assert row.pattern_text == "logout %string% ok"
+        self.assert_foreign_keys_hold(db)
+
+    def test_shard_move_drops_the_memo(self):
+        # a service that leaves its shard under three shards and comes
+        # back under two: its first shard handle memoised the old row
+        name = next(
+            f"svc-{i}" for i in range(100)
+            if route_service(f"svc-{i}", 2) != route_service(f"svc-{i}", 3)
+        )
+        db = PatternDB()
+        db.upsert_many(name, [make_pattern("login %string% ok", name)], now=T0)
+        db.shard(2)
+        home = db._owner(name)
+        assert name in home._service_ids
+        db.shard(3)
+        assert db._owner(name) is not home
+        assert name not in home._service_ids
+        db.shard(2)
+        assert db._owner(name) is home
+        (row,) = db.rows()
+        assert (row.service, row.pattern_text) == (name, "login %string% ok")
+        for shard in db._shards:
+            self.assert_foreign_keys_hold(shard)
+        db.close()
 
 
 class TestTransaction:

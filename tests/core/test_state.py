@@ -64,7 +64,7 @@ def assert_states_mirror_db(rtg):
 
 def n_pending(state) -> int:
     """Distinct messages pending across one state's partitions."""
-    return sum(len(partition.messages) for partition in state.pending.values())
+    return sum(len(partition.originals) for partition in state.pending.values())
 
 
 # ----------------------------------------------------------------------
@@ -76,15 +76,23 @@ def scan(messages, service="svc"):
     return [scanner.scan(m, service=service) for m in messages]
 
 
+def columns(messages):
+    """*messages* scanned to token columns, as the scan stage hands
+    them on, and each one's token count."""
+    cols = build_scanner().scan_columns(messages)
+    lengths = [hi - lo for lo, hi in zip([0] + cols.ends, cols.ends)]
+    return cols, lengths
+
+
 class TestPendingEvidence:
     def test_absorb_then_mine_equals_one_batch_analyze(self):
-        messages = scan([f"user u{i} logged in from 10.0.0.{i}" for i in range(6)])
-        expected = build_analyzer().analyze(messages)
+        texts = [f"user u{i} logged in from 10.0.0.{i}" for i in range(6)]
+        expected = build_analyzer().analyze(scan(texts))
 
         state = ServiceState("svc", PatternDB())
-        length = messages[0].token_count()
-        state.absorb(length, messages[:2], [1] * 2)
-        state.absorb(length, messages[2:], [1] * 4)
+        cols, lengths = columns(texts)
+        state.absorb(lengths[0], cols, [0, 1], [1] * 2)
+        state.absorb(lengths[0], cols, [2, 3, 4, 5], [1] * 4)
         ((patterns, n_nodes),) = list(state.mine(build_analyzer()))
         assert [p.text for p in patterns] == [p.text for p in expected]
         assert [p.support for p in patterns] == [p.support for p in expected]
@@ -93,17 +101,16 @@ class TestPendingEvidence:
         assert state.pending == {}
 
     def test_absorb_dedups_into_weighted_counts(self):
-        distinct = scan(["session 1 opened", "session 2 opened", "session 3 opened"])
-        expected = build_analyzer().analyze(distinct, counts=[3, 2, 1])
+        texts = ["session 1 opened", "session 2 opened", "session 3 opened"]
+        expected = build_analyzer().analyze(scan(texts), counts=[3, 2, 1])
 
         state = ServiceState("svc", PatternDB())
-        length = distinct[0].token_count()
+        cols, lengths = columns(texts)
         # 3x the first, 2x the second, 1x the third, interleaved
-        replay = [distinct[0], distinct[1], distinct[2], distinct[0],
-                  distinct[1], distinct[0]]
-        state.absorb(length, replay, [1] * len(replay))
+        replay = [0, 1, 2, 0, 1, 0]
+        state.absorb(lengths[0], cols, replay, [1] * len(replay))
         assert state.n_pending == 3  # distinct, not occurrences
-        assert len(state.pending[length].messages) == 3
+        assert len(state.pending[lengths[0]].originals) == 3
         ((patterns, _),) = list(state.mine(build_analyzer()))
         assert [(p.text, p.support) for p in patterns] == [
             (p.text, p.support) for p in expected
@@ -125,10 +132,14 @@ VOCABULARY = [
 
 
 def partitions(state):
-    """A state's pending partitions: messages, counts and index."""
+    """A state's pending partitions: messages, their columns, counts
+    and index."""
     return {
         length: (
-            [m.original for m in part.messages], list(part.counts), dict(part.index)
+            list(part.originals),
+            (list(part.texts), list(part.types), list(part.spaces)),
+            list(part.counts),
+            dict(part.index),
         )
         for length, part in state.pending.items()
     }
@@ -152,18 +163,18 @@ def test_restore_undoes_absorbs_and_mines(before, steps):
     """Checkpoint, then any sequence of absorbs and partition mines, then
     restore: the partitions, their counts and the pending total are
     what was checkpointed — the rollback half of the state's invariants."""
-    scanned = scan(VOCABULARY)
+    cols, lengths = columns(VOCABULARY)
     analyzer = build_analyzer()
     state = ServiceState("svc", PatternDB())
 
     def absorb(picks):
         by_length = {}
         for at, n in picks:
-            msgs, counts = by_length.setdefault(scanned[at].token_count(), ([], []))
-            msgs.append(scanned[at])
+            rows, counts = by_length.setdefault(lengths[at], ([], []))
+            rows.append(at)
             counts.append(n)
-        for length, (msgs, counts) in by_length.items():
-            state.absorb(length, msgs, counts)
+        for length, (rows, counts) in by_length.items():
+            state.absorb(length, cols, rows, counts)
 
     absorb(before)
     expected = partitions(state)
@@ -207,7 +218,7 @@ def driver_for(config: StreamingConfig, max_examples=3):
 
 def merge_setup():
     """A specific pattern stored, then traffic that mines a general one
-    subsuming it: the flush merges (``record_match`` + ``add_example``)
+    subsuming it: the flush merges (``record_matches`` + ``add_examples``)
     and retires the specific pattern."""
     rtg, driver = driver_for(
         streaming(micro_batch_size=4, drift_merge=True), max_examples=8
@@ -268,7 +279,16 @@ def fail_after(owner, name):
 
 
 def fail_merge(rtg):
-    fail_after(rtg.db, "record_match")  # a merge, after its record_match
+    """A merge, after its ``record_matches`` (a flush's persist stage
+    calls it too, with no matches: that call goes through)."""
+    real = rtg.db.record_matches
+
+    def failing(counts, now=None):
+        real(counts, now=now)
+        if counts:
+            raise Fault("record_matches")
+
+    rtg.db.record_matches = failing
 
 
 def fail_split(rtg):
@@ -321,10 +341,10 @@ class TestCrashAtomicMaintenance:
 
 
 def pending_dump(rtg):
-    """Every state's pending partitions: messages and counts."""
+    """Every state's pending partitions: messages, texts and counts."""
     return {
         service: {
-            length: ([m.original for m in part.messages], list(part.counts))
+            length: (list(part.originals), list(part.texts), list(part.counts))
             for length, part in state.pending.items()
         }
         for service, state in rtg.states.items()

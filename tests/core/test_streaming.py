@@ -502,8 +502,11 @@ class TestDriftMerge:
             )
         assert driver.stats.n_drift_merges == 1
         assert calls["inside"] == []
-        # the spies are live: the analyser enriched outside the merge
-        assert "enrich_tokens" in calls["outside"]
+        # outside the merge the miner builds no tokens either, and the
+        # spies are live: a direct call through a module lands in them
+        assert calls["outside"] == []
+        sys.modules["repro.analyzer.enrich"].enrich_tokens([])
+        assert calls["outside"] == ["enrich_tokens"]
 
 
 class TestDriftTracks:
