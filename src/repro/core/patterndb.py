@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from itertools import groupby
 import os
 import sqlite3
 import tempfile
@@ -27,6 +26,7 @@ import zlib
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from operator import attrgetter
 
 from repro._util.hashing import pattern_id
@@ -509,8 +509,11 @@ class PatternDB:
         self._commit()
 
     def _add_examples(self, items: list[tuple[str, list[str]]]) -> None:
+        """Write ``(pattern id, messages)`` items, in order; an id may
+        repeat, and sees the examples its earlier items stored."""
         if not items:
             return
+        #: id -> [its stored messages in seq order, its next seq]
         held: dict[str, list] = {pid: [[], 0] for pid, _ in items}
         for pid, seq, message in self._conn.execute(
             "SELECT pattern_id, seq, message FROM examples WHERE pattern_id IN"

@@ -32,7 +32,6 @@ big batch would have produced), so batch mode is the special case
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.analyzer.enrich import enrich_types
@@ -101,8 +100,9 @@ class ServiceState:
     """Parser, pending evidence and drift tracks of one service.
 
     *pending* maps token count → pending partition (distinct unmatched
-    messages as token columns, and their counts), filled by :meth:`absorb` and emptied by
-    :meth:`mine`; *n_pending* counts their distinct messages.  *tracks*
+    messages as token columns, and their counts), filled by
+    :meth:`absorb` and emptied by :meth:`mine`; *n_pending* counts their
+    distinct messages.  *tracks*
     maps pattern id → per-variable value distributions of live matches,
     fed by the parse stage while a drift-splitting stream driver is
     attached.
@@ -160,7 +160,7 @@ class ServiceState:
         cols: "TokenColumns",
         rows: list[int],
         counts: list[int],
-        types: "list | None" = None,
+        types: list,
     ) -> None:
         """Fold messages *rows* of *cols* — each *length* tokens long —
         into the pending partition of *length*.
@@ -177,7 +177,7 @@ class ServiceState:
             partition = self.pending[length] = _PendingPartition(length)
         index = partition.index
         originals, ends = cols.originals, cols.ends
-        for k, n, enriched in zip(rows, counts, repeat(None) if types is None else types):
+        for k, n, enriched in zip(rows, counts, types):
             original = originals[k]
             at = index.get(original)
             if at is not None:

@@ -91,8 +91,8 @@ class TestPendingEvidence:
 
         state = ServiceState("svc", PatternDB())
         cols, lengths = columns(texts)
-        state.absorb(lengths[0], cols, [0, 1], [1] * 2)
-        state.absorb(lengths[0], cols, [2, 3, 4, 5], [1] * 4)
+        state.absorb(lengths[0], cols, [0, 1], [1] * 2, [None] * 2)
+        state.absorb(lengths[0], cols, [2, 3, 4, 5], [1] * 4, [None] * 4)
         ((patterns, n_nodes),) = list(state.mine(build_analyzer()))
         assert [p.text for p in patterns] == [p.text for p in expected]
         assert [p.support for p in patterns] == [p.support for p in expected]
@@ -108,7 +108,7 @@ class TestPendingEvidence:
         cols, lengths = columns(texts)
         # 3x the first, 2x the second, 1x the third, interleaved
         replay = [0, 1, 2, 0, 1, 0]
-        state.absorb(lengths[0], cols, replay, [1] * len(replay))
+        state.absorb(lengths[0], cols, replay, [1] * len(replay), [None] * len(replay))
         assert state.n_pending == 3  # distinct, not occurrences
         assert len(state.pending[lengths[0]].originals) == 3
         ((patterns, _),) = list(state.mine(build_analyzer()))
@@ -174,7 +174,7 @@ def test_restore_undoes_absorbs_and_mines(before, steps):
             rows.append(at)
             counts.append(n)
         for length, (rows, counts) in by_length.items():
-            state.absorb(length, cols, rows, counts)
+            state.absorb(length, cols, rows, counts, [None] * len(rows))
 
     absorb(before)
     expected = partitions(state)
