@@ -148,10 +148,11 @@ class CompiledAnalyzer:
         types: list[TokenType] = []
         spaces: list[bool] = []
         ends: list[int] = []
+        classes: dict[str, TokenType] = {}
         for msg in messages:
             message_texts = [tok.text for tok in msg.tokens]
             texts += message_texts
-            types += enrich_types(message_texts, [tok.type for tok in msg.tokens])
+            types += enrich_types(message_texts, [tok.type for tok in msg.tokens], classes)
             spaces += [tok.is_space_before for tok in msg.tokens]
             ends.append(len(texts))
         originals = [msg.original for msg in messages]

@@ -8,7 +8,7 @@ re-types them here before trie insertion.
 
 The miner enriches on token *columns*: :func:`enrich_types` retypes a
 message's types column, once per distinct message, for both the parser
-and the analyser.  :func:`enrich_tokens` is the same rule over
+and the analyser, with a per-service memo of the text classifiers.  :func:`enrich_tokens` is the same rule over
 :class:`~repro.scanner.token_types.Token` objects, kept for the
 reference classes and the ``scan``/``analyze`` contracts.
 """
@@ -106,12 +106,10 @@ def enrich_tokens(tokens: list[Token]) -> list[Token]:
     return out
 
 
-#: distinct literal texts whose EMAIL/HOST/LITERAL class
-#: :func:`enrich_types` memoises before the memo is dropped wholesale
-#: (the scanner's ``WordCache`` policy): the two classifiers are pure
-#: functions of the text, and log vocabulary is tiny next to log volume
+#: distinct literal texts whose EMAIL/HOST/LITERAL class an
+#: :func:`enrich_types` memo holds before it is dropped wholesale (the
+#: scanner's ``WordCache`` policy)
 _MEMO_SIZE = 65536
-_CLASSES: dict[str, TokenType] = {}
 
 _LITERAL = TokenType.LITERAL
 _KEY = TokenType.KEY
@@ -120,18 +118,22 @@ _EMAIL = TokenType.EMAIL
 _HOST = TokenType.HOST
 
 
-def enrich_types(texts: list[str], types: list[TokenType]) -> list[TokenType]:
+def enrich_types(
+    texts: list[str], types: list[TokenType], memo: dict[str, TokenType]
+) -> list[TokenType]:
     """:func:`enrich_tokens` on one message's columns: a retyped copy of
     *types*, type for type what :func:`enrich_tokens` assigns.
 
-    A column has no semantic tag: the k=v value at position *i* carries
-    the key text ``texts[i - 2]``, which is exactly when position
-    ``i - 2`` is typed ``KEY`` here (the scanner never emits ``KEY``).
+    *memo* is the caller's text -> EMAIL/HOST/LITERAL memo: the two
+    classifiers are pure functions of the text, and log vocabulary is
+    tiny next to log volume.  A column has no semantic tag: the k=v
+    value at position *i* carries the key text ``texts[i - 2]``, which
+    is exactly when position ``i - 2`` is typed ``KEY`` here (the
+    scanner never emits ``KEY``).
     """
     out = list(types)
     n = len(out)
     pairs = "=" in texts
-    memo = _CLASSES
     for i, text in enumerate(texts):
         if out[i] is not _LITERAL:
             continue

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from typing import TYPE_CHECKING
 
-from repro.analyzer.enrich import enrich_types
 from repro.analyzer.pattern import Pattern
 from repro.core.records import LogRecord
 from repro.scanner.compiled import TokenColumns
@@ -203,7 +202,7 @@ class ParseStage(Stage):
     examples ... are adjusted accordingly and no further processing
     occurs" (paper §III) — the adjustments are tallied here and written
     by :class:`PersistStage`.  A message is matched on its token columns
-    (enriched once, :func:`~repro.analyzer.enrich.enrich_types`) and
+    (enriched once, :meth:`~repro.core.state.ServiceState.enrich`) and
     never becomes a :class:`~repro.scanner.token_types.Token`; a miss
     goes on as its index into the columns, with the enriched types.
     """
@@ -225,6 +224,7 @@ class ParseStage(Stage):
             unmatched_types.extend([None] * len(cols))
             return
         match = parser.match_enriched
+        enrich = state.enrich
         track_drift = rtg.track_drift
         frontiers = ctx.parse_frontiers
         example_cap = rtg.db.max_examples
@@ -232,7 +232,7 @@ class ParseStage(Stage):
         lo = 0
         for k, (hi, n) in enumerate(zip(cols.ends, ctx.counts)):
             message_texts = texts[lo:hi]
-            enriched = enrich_types(message_texts, types[lo:hi])
+            enriched = enrich(message_texts, types[lo:hi])
             lo = hi
             hit = match(message_texts, enriched)
             frontiers.append(parser.last_frontier)

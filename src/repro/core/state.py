@@ -109,7 +109,8 @@ class ServiceState:
     """
 
     __slots__ = (
-        "service", "db", "parser_config", "_parser", "pending", "n_pending", "tracks",
+        "service", "db", "parser_config", "_parser", "_classes", "pending", "n_pending",
+        "tracks",
     )
 
     def __init__(
@@ -119,6 +120,8 @@ class ServiceState:
         self.db = db
         self.parser_config = parser_config
         self._parser: "Parser | None" = None
+        #: literal text -> enrichment class memo (see :meth:`enrich`)
+        self._classes: dict = {}
         self.pending: dict[int, _PendingPartition] = {}
         self.n_pending = 0
         #: pattern id -> (pattern, variable name -> track)
@@ -152,6 +155,13 @@ class ServiceState:
         the parser from the database's rows."""
         self._parser = None
         self.tracks.clear()
+
+    def enrich(self, texts: list[str], types: list) -> list:
+        """One message's enriched types
+        (:func:`~repro.analyzer.enrich.enrich_types`), with the service's
+        memo of the text classifiers: the parse stage enriches to match,
+        :meth:`absorb` a miss the parse stage did not enrich."""
+        return enrich_types(texts, types, self._classes)
 
     # -- pending evidence ------------------------------------------------
     def absorb(
@@ -191,7 +201,7 @@ class ServiceState:
             texts = cols.texts[lo:hi]
             partition.texts += texts
             partition.types += (
-                enrich_types(texts, cols.types[lo:hi]) if enriched is None else enriched
+                self.enrich(texts, cols.types[lo:hi]) if enriched is None else enriched
             )
             partition.spaces += cols.spaces[lo:hi]
             self.n_pending += 1

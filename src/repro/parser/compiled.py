@@ -254,6 +254,8 @@ class CompiledParser(Parser):
         self._frontier: dict[int, _Frontier] = {}
         #: literal text -> acceptance bitmask memo
         self._masks: dict[str, int] = {}
+        #: literal text -> enrichment class memo (``match_columns``)
+        self._classes: dict[str, TokenType] = {}
         super().__init__(patterns)
 
     # -- compilation -----------------------------------------------------
@@ -375,7 +377,7 @@ class CompiledParser(Parser):
         """:meth:`match` for a message scanned to token columns (see
         :class:`repro.scanner.compiled.TokenColumns`): no :class:`Token`
         is built, and enrichment retypes a copy of *types*."""
-        return self.match_enriched(texts, enrich_types(texts, types))
+        return self.match_enriched(texts, enrich_types(texts, types, self._classes))
 
     def match_enriched(
         self, texts: list[str], types: list[TokenType]

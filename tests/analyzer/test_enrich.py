@@ -109,12 +109,13 @@ class TestColumnEnrichment:
             "a = = b x = y = z k= v",
             "rc = 0 done state=active mail=ops@example.com",
         ]
+        memo = {}  # shared: later messages hit it
         for message in messages:
             tokens = SC.scan(message).tokens
             texts = [tok.text for tok in tokens]
             types = [tok.type for tok in tokens]
             expected = enrich_tokens(tokens)
-            out = enrich_types(texts, types)
+            out = enrich_types(texts, types, memo)
             assert out == [tok.type for tok in expected]
             assert types == [tok.type for tok in tokens]  # a copy is retyped
             semantics = [
