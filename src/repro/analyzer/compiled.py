@@ -132,6 +132,17 @@ class CompiledAnalyzer:
         root = self._alloc()
         self._keys[root] = "^"
 
+    def release(self) -> None:
+        """Drop the arena's rows.  They are scratch, reused from one
+        partition to the next; a miner drops them when a mining call
+        ends, so an idle miner holds no trie (the memo tables stay)."""
+        for column in (
+            self._keys, self._counts, self._kids, self._values, self._overflow,
+            self._var, self._sem, self._space, self._examples,
+        ):
+            column.clear()
+        self._n = 0
+
     # -- analysis front-end ----------------------------------------------
     def analyze(
         self,

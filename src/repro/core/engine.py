@@ -492,6 +492,8 @@ class MiningEngine:
                 )
                 result.n_new_patterns += len(ctx.new_patterns)
                 result.new_patterns.extend(ctx.new_patterns)
+        if flush:
+            self.rtg.analyzer.release()
         for observer in observers:
             observer.on_batch_end(result)
         return result

@@ -231,6 +231,9 @@ class OracleAnalyzer(Analyzer):
             lo = hi
         return self.analyze(messages, counts=counts)
 
+    def release(self):
+        """No arena to drop: every ``analyze`` builds a fresh trie."""
+
 
 @pytest.fixture()
 def reference_stages(monkeypatch) -> None:
