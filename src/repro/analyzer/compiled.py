@@ -83,7 +83,7 @@ class CompiledAnalyzer:
         self.config = config or AnalyzerConfig()
         self.last_trie_nodes = 0  # memory telemetry for the benchmarks
         # the node arena: parallel columns indexed by node id (root = 0);
-        # rows are reused across analyze() calls instead of reallocated
+        # rows are reused across partitions instead of reallocated
         self._keys: list[str] = []
         self._counts: list[int] = []
         self._kids: list[dict[str, int]] = []

@@ -544,15 +544,9 @@ class PatternDB:
     def record_match(
         self, pattern_id: str, n: int = 1, now: datetime | None = None
     ) -> None:
-        """Bump the match count and last-matched date of a stored pattern."""
-        self._check_writable()
-        now = now or _utcnow()
-        self._conn.execute(
-            "UPDATE patterns SET match_count = match_count + ?, last_matched = ?"
-            " WHERE id = ?",
-            (n, now.isoformat(), pattern_id),
-        )
-        self._commit()
+        """Bump the match count and last-matched date of a stored
+        pattern: a one-id :meth:`record_matches`."""
+        self.record_matches({pattern_id: n}, now=now)
 
     def record_matches(
         self, counts: dict[str, int], now: datetime | None = None
@@ -560,9 +554,7 @@ class PatternDB:
         """Bump many patterns' match statistics in one ``executemany``.
 
         *counts* maps pattern id to the number of new matches; all rows
-        share one last-matched stamp.  Equivalent to calling
-        :meth:`record_match` per id, minus the per-row statement and
-        commit overhead.
+        share one last-matched stamp.
         """
         self._check_writable()
         if not counts:
